@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 from typing import Optional
@@ -34,17 +33,6 @@ RENDER_TARGETS = tuple(FIGURE_IDS) + ("patternA", "patternB")
 def _dump_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     pathlib.Path(path).write_text(text)
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("ER_VERIFIER_THREADS")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"ER_VERIFIER_THREADS must be a positive integer, got {raw!r}")
-    return max(1, value)
 
 
 def _options(args) -> Options:
@@ -77,19 +65,18 @@ def _print_run(run: RunResult, out=None) -> None:
 
 
 def cmd_verify(args) -> int:
-    workers = _workers_from_env()
     options = _options(args)
     if args.what == "all":
         if args.lemma_id is not None:
             print("'verify all' takes no lemma id", file=sys.stderr)
             return 2
-        run = verify_all(options, workers=workers)
+        run = verify_all(options)
     elif args.what == "lemma":
         if args.lemma_id not in SCRIPT_ORDER:
             print(f"unknown lemma id {args.lemma_id!r}; known: "
                   f"{', '.join(SCRIPT_ORDER)}", file=sys.stderr)
             return 2
-        run = verify_all(options, only=[args.lemma_id], workers=workers)
+        run = verify_all(options, only=[args.lemma_id])
     else:
         print("usage: bluefive verify all | bluefive verify lemma <id>",
               file=sys.stderr)

@@ -10,7 +10,6 @@ a ColoringProblem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldElement, ONE, fe
@@ -79,13 +78,9 @@ class Configuration:
     def restrict(self, keep: Iterable[str]) -> "Configuration":
         """Induced sub-configuration on the given nodes (insertion order kept)."""
         keep_idx = sorted({self.index_of(n) for n in keep})
-        sub = Configuration((self.names[i], self.points[i]) for i in keep_idx)
-        kept = set(keep_idx)
-        for alias, primary in self.aliases.items():
-            if self.index[primary] in kept:
-                sub.index[alias] = sub.index[primary]
-                sub.aliases[alias] = primary
-        return sub
+        aliases = [a for a in self.aliases if self.index[a] in keep_idx]
+        return Configuration([(self.names[i], self.points[i]) for i in keep_idx]
+                             + [(a, self.point_of(a)) for a in aliases])
 
     # -- candidate pair search ------------------------------------------------
 
@@ -128,10 +123,6 @@ class Configuration:
         out.sort()
         self._bucket_cache[key] = out
         return out
-
-
-def build_configuration(entries: Iterable[tuple[str, Point]]) -> Configuration:
-    return Configuration(entries)
 
 
 def unit_pairs(cfg: Configuration) -> list[tuple[str, str]]:
@@ -183,6 +174,13 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
     result = [tuple(cfg.names[i] for i in run) for _, run in keyed]
     cfg._bucket_cache[key] = result
     return result
+
+
+def is_unit_chain(cfg: Configuration, names: Sequence[str]) -> bool:
+    """Do the named nodes form a unit chain, in this order or reversed?"""
+    want = tuple(cfg.primary(n) for n in names)
+    chains = ell_chains(cfg, len(want))
+    return want in chains or want[::-1] in chains
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +325,24 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     result = [tuple(cfg.names[i] for i in emb) for emb in out]
     cfg._bucket_cache[cache_key] = result
     return result
+
+
+def placement_count(cfg: Configuration, tpl: Template, names: Sequence[str],
+                    center_last: bool = False) -> int:
+    """Embeddings of the template onto exactly the named nodes; with
+    center_last, only those taking the last template point (a centre) to
+    the last name.
+
+    Matching the induced sub-configuration finds the same embeddings as
+    matching the whole configuration, and is far cheaper on a large patch.
+    """
+    want = frozenset(cfg.primary(n) for n in names)
+    hits = [emb for emb in match_template(cfg.restrict(names), tpl)
+            if frozenset(emb) == want]
+    if center_last:
+        centre = cfg.primary(names[-1])
+        hits = [emb for emb in hits if emb[-1] == centre]
+    return len(hits)
 
 
 def template_extensions(small_id: str, big_id: str,
@@ -565,18 +581,18 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
 
 
 def instance_from_json(data: dict) -> tuple[Configuration, dict[str, str], RuleSet]:
+    if not isinstance(data, dict):
+        raise ValueError("an instance must be a JSON object")
     entries = []
-    alias_of: dict[str, str] = {}
+    aliases = []
     for rec in data["points"]:
         pt = Point(FieldElement.deserialize(rec["x"]), FieldElement.deserialize(rec["y"]))
         entries.append((rec["name"], pt))
-        for alias in rec.get("aliases", ()):
-            alias_of[alias] = pt
-    cfg = Configuration(entries)
-    for alias, pt in alias_of.items():
-        idx = cfg.point_index[pt]
-        cfg.index[alias] = idx
-        cfg.aliases[alias] = cfg.names[idx]
+        aliases += [(alias, pt) for alias in rec.get("aliases", ())]
+    cfg = Configuration(entries + aliases)
     fixed = dict(data.get("fixed", {}))
+    unknown = sorted(set(fixed) - set(cfg.index))
+    if unknown:
+        raise ValueError(f"fixed colours name unknown nodes: {', '.join(unknown)}")
     rules = rules_from_ids(data.get("rules", list(BASE_RULES)))
     return cfg, fixed, rules

@@ -252,7 +252,6 @@ def _fmt_rat(c: Fraction) -> str:
 
 ZERO = FieldElement(0)
 ONE = FieldElement(1)
-TWO = FieldElement(2)
 HALF = FieldElement(Fraction(1, 2))
 SQRT3 = FieldElement(0, 1)
 SQRT11 = FieldElement(0, 0, 1)

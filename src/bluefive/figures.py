@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .configuration import (Configuration, RuleSet, ell_chains, instance_from_json,
-                            match_template, template, unit_pairs)
+from .configuration import (Configuration, RuleSet, instance_from_json, is_unit_chain,
+                            placement_count, template, unit_pairs)
 from .field import ONE
 from .geometry import dist2
 
@@ -74,26 +74,13 @@ def self_check(figure: Figure) -> list[str]:
         if frozenset((cfg.primary(a), cfg.primary(b))) not in pair_set:
             problems.append(f"{figure.id}: {a},{b} is not a unit pair")
 
-    chain_set = set()
-    for chain in ell_chains(cfg, 5):
-        chain_set.add(chain)
-        chain_set.add(tuple(reversed(chain)))
     for names in claims.get("ell5", ()):
-        if tuple(cfg.primary(n) for n in names) not in chain_set:
+        if len(names) != 5 or not is_unit_chain(cfg, names):
             problems.append(f"{figure.id}: {'-'.join(names)} is not a unit five-chain")
 
     for pat in claims.get("patterns", ()):
-        tpl = template(pat["template"])
-        want = frozenset(cfg.primary(n) for n in pat["nodes"])
-        hits = [emb for emb in match_template(cfg, tpl) if frozenset(emb) == want]
-        if pat.get("center_last"):
-            centre = cfg.primary(pat["nodes"][-1])
-            hits = [emb for emb in hits if emb[-1] == centre]
-        if not hits:
-            problems.append(
-                f"{figure.id}: nodes {sorted(want)} do not form a {pat['template']}")
+        if not placement_count(cfg, template(pat["template"]), pat["nodes"],
+                               pat.get("center_last", False)):
+            want = sorted({cfg.primary(n) for n in pat["nodes"]})
+            problems.append(f"{figure.id}: nodes {want} do not form a {pat['template']}")
     return problems
-
-
-def self_check_all() -> dict[str, list[str]]:
-    return {fid: self_check(load_figure(fid)) for fid in FIGURE_IDS}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Literal, Optional
+from typing import Optional
 
 from .field import FieldElement, HALF, HALF_SQRT3, ONE, ZERO, fe
 
@@ -42,10 +42,6 @@ class Point:
 
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k) -> "Point":
-        k = FieldElement.coerce(k)
-        return Point(self.x * k, self.y * k)
 
     def coord_key(self):
         """Sort key realising the exact coordinate order (x first, then y)."""
@@ -226,10 +222,6 @@ def node(a: int, b: int) -> Point:
 def lattice_norm2(a: int, b: int) -> int:
     """Squared length of the lattice vector a*e1 + b*e2."""
     return a * a + a * b + b * b
-
-
-def hex_norm(a: int, b: int) -> int:
-    return max(abs(a), abs(b), abs(a + b))
 
 
 def hex_indices(radius: int) -> list[tuple[int, int]]:

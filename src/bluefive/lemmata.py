@@ -27,16 +27,16 @@ from typing import Callable, Optional, Sequence
 
 from .configuration import (BLUE_EQ3_RED_CENTER, Configuration, ExtensionSchema,
                             NO_RED_T3, RED_EQ3_RED_CENTER, RuleSet, T7_ALL_RED,
-                            ell_chains, emit_clauses, match_template, pattern_rule,
-                            template, template_extensions)
-from .field import SQRT3, fe
-from .figures import Figure, load_figure, self_check
-from .geometry import (Point, chord_rotation, dist2, hex_indices, lattice_coords,
+                            emit_clauses, is_unit_chain, pattern_rule,
+                            placement_count, template, template_extensions)
+from .field import fe
+from .figures import load_figure, self_check
+from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords,
                        lattice_norm2, lattice_symmetries, lattice_vectors_of_norm2,
                        node, point, reflection, rotation60)
 from .solver import (ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
                      enumerate_models, export_dimacs, forced_color, solve)
-from .tilings import PATTERN_A, PATTERN_B, distance5_invariance, validate_pattern
+from .tilings import PATTERN_A, PATTERN_B, distance5_invariance
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
 CHAIN_CLAIM = "CHAIN_CLAIM"
@@ -264,12 +264,23 @@ def _rules(base_extra: Sequence = (), schema: Optional[ExtensionSchema] = None,
 # ---------------------------------------------------------------------------
 
 
-def _patch_entries(figure: Figure, anchor: tuple[int, int], radius: int):
+# figure, patch anchor (unit-lattice coordinates) and canonical colouring
+# of each colouring script
+_PATCHES = {
+    "col1": ("figcol1", (3, 0), PATTERN_A),
+    "col2": ("figcol2", (0, 0), PATTERN_B),
+}
+
+
+def _patch(script_id: str, radius: int):
+    """The script's figure, its registry plus every lattice node within the
+    hex radius of the anchor, and its canonical colouring."""
+    fid, (aa, ab), pattern = _PATCHES[script_id]
+    figure = load_figure(fid)
     entries = list(zip(figure.cfg.names, figure.cfg.points))
-    aa, ab = anchor
     for a, b in hex_indices(radius):
         entries.append((f"n({a + aa},{b + ab})", node(a + aa, b + ab)))
-    return entries
+    return figure, Configuration(entries), pattern
 
 
 def _build_bluetr(granted: frozenset, options: Options):
@@ -669,9 +680,7 @@ def _pattern_witness(cfg: Configuration, coloring):
 
 
 def _build_col1(granted: frozenset, options: Options):
-    figure = load_figure("figcol1")
-    anchor = (3, 0)
-    cfg = Configuration(_patch_entries(figure, anchor, options.patch_radius))
+    figure, cfg, pattern = _patch("col1", options.patch_radius)
     schema = ExtensionSchema(lemma_id="t3t6", proved="T3_TO_T6_SCHEMA" in granted,
                              anchors=(("A'", "B'", "F'"),))
     rules = RuleSet(derived=(pattern_rule(RED_EQ3_RED_CENTER,
@@ -806,7 +815,7 @@ def _build_col1(granted: frozenset, options: Options):
                            "the 5x5 sublattice satisfies every constraint and "
                            "every forced colour on the patch",
                            stage="patch",
-                           witness=_pattern_witness(cfg, PATTERN_A)))
+                           witness=_pattern_witness(cfg, pattern)))
     return {"patch": stage}, obls, figure
 
 
@@ -825,9 +834,7 @@ def _col1_symmetry_check(cfg: Configuration):
 
 
 def _build_col2(granted: frozenset, options: Options):
-    figure = load_figure("figcol2")
-    anchor = (0, 0)
-    cfg = Configuration(_patch_entries(figure, anchor, options.patch_radius))
+    figure, cfg, pattern = _patch("col2", options.patch_radius)
     rules = RuleSet(derived=(pattern_rule(NO_RED_T3, proved=True,
                                           lemma_id="hypothesis:col2"),))
     stage = Stage("patch", cfg, rules, {"A": "red", "B": "red"})
@@ -886,17 +893,17 @@ def _build_col2(granted: frozenset, options: Options):
         "the red set repeats along the generators (-1,2) and (3,-1): B, C "
         "extend A along the line, A', B' start the parallel line, and the "
         "primed anchors lie in the generated index-5 sublattice",
-        check=lambda: _col2_lattice_check(cfg)))
+        check=lambda: _col2_lattice_check(cfg, pattern)))
     obls.append(Obligation("pattern-model", SAT_WITNESS,
                            "the periodic pattern with red on the index-5 "
                            "sublattice satisfies every constraint and every "
                            "forced colour on the patch",
                            stage="patch",
-                           witness=_pattern_witness(cfg, PATTERN_B)))
+                           witness=_pattern_witness(cfg, pattern)))
     return {"patch": stage, "ring": gadget}, obls, figure
 
 
-def _col2_lattice_check(cfg: Configuration):
+def _col2_lattice_check(cfg: Configuration, pattern):
     a = cfg.point_of("A")
     facts = {
         "B": cfg.point_of("B") == a + node(-1, 2),
@@ -905,7 +912,7 @@ def _col2_lattice_check(cfg: Configuration):
         "B'": cfg.point_of("B'") == a + node(2, 1),
     }
     det = (-1) * (-1) - 2 * 3
-    member = PATTERN_B.lattice_contains
+    member = pattern.lattice_contains
     for nm in ("A''", "B''", "A'''", "B'''"):
         ab = lattice_coords(cfg.point_of(nm))
         facts[nm] = ab is not None and member(*ab)
@@ -1043,28 +1050,15 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
         if emit:
             certificate = {"identity": detail}
     elif ob.kind == CHAIN_CLAIM:
-        cfg = stages[ob.stage].cfg
-        want = tuple(cfg.primary(n) for n in ob.names)
-        chains = set()
-        for chain in ell_chains(cfg, len(ob.names)):
-            chains.add(chain)
-            chains.add(tuple(reversed(chain)))
-        status = "pass" if want in chains else "fail"
+        ok = is_unit_chain(stages[ob.stage].cfg, ob.names)
+        status = "pass" if ok else "fail"
         detail = {"chain": list(ob.names)}
     elif ob.kind == PATTERN_PRESENT:
-        cfg = stages[ob.stage].cfg
-        # matching the induced sub-configuration decides presence and is far
-        # cheaper than matching the whole patch
-        sub = cfg.restrict(ob.names)
-        want = frozenset(cfg.primary(n) for n in ob.names)
-        hits = [emb for emb in match_template(sub, template(ob.template_id))
-                if frozenset(emb) == want]
-        if ob.center_last:
-            centre = cfg.primary(ob.names[-1])
-            hits = [emb for emb in hits if emb[-1] == centre]
+        hits = placement_count(stages[ob.stage].cfg, template(ob.template_id),
+                               ob.names, ob.center_last)
         status = "pass" if hits else "fail"
         detail = {"template": ob.template_id, "nodes": list(ob.names),
-                  "embeddings": len(hits)}
+                  "embeddings": hits}
     elif ob.kind == FORCED:
         stage = stages[ob.stage]
         problem = stage.problem(ob.exclude)
@@ -1180,67 +1174,35 @@ class RunResult:
 
 def verify_all(options: Optional[Options] = None,
                disable: frozenset = frozenset(),
-               only: Optional[Sequence[str]] = None,
-               workers: int = 1) -> RunResult:
-    """Run scripts in dependency order, propagating grants and blocks.
-
-    With workers > 1, scripts whose dependencies are already settled run
-    concurrently in waves; verdicts are independent of the scheduling and
-    reports are always assembled in the fixed script order.
-    """
+               only: Optional[Sequence[str]] = None) -> RunResult:
+    """Run scripts one after another in dependency order, propagating
+    grants and blocks.  `only` selects scripts; their dependencies run too."""
     options = options or Options()
     t0 = time.perf_counter()
     wanted = set(SCRIPT_ORDER if only is None else only)
-    for sid in list(wanted):
-        stack = [sid]
-        while stack:
-            cur = stack.pop()
-            for dep in DEPENDENCIES[cur]:
-                if dep not in wanted:
-                    wanted.add(dep)
-                    stack.append(dep)
+    unknown = wanted - set(SCRIPT_ORDER)
+    if unknown:
+        raise KeyError(f"unknown script {sorted(unknown)[0]!r}")
+    # dependencies precede their dependents, so one backward pass closes the set
+    for sid in reversed(SCRIPT_ORDER):
+        if sid in wanted:
+            wanted.update(DEPENDENCIES[sid])
     granted: set[str] = set()
     reports: dict[str, Report] = {}
-    pending = [sid for sid in SCRIPT_ORDER if sid in wanted]
-    while pending:
-        wave: list[str] = []
-        rest: list[str] = []
-        for sid in pending:
-            if all(dep in reports for dep in DEPENDENCIES[sid]):
-                wave.append(sid)
-            else:
-                rest.append(sid)
-        pending = rest
-
-        runnable: list[str] = []
-        for sid in wave:
-            if sid in disable:
-                reports[sid] = Report(script=sid, status="blocked",
-                                      reason="disabled for this run")
-            elif not all(reports[dep].passed for dep in DEPENDENCIES[sid]):
-                reports[sid] = Report(script=sid, status="blocked",
-                                      reason="a dependency did not pass")
-            else:
-                runnable.append(sid)
-
-        grant_view = frozenset(granted)
-        if workers > 1 and len(runnable) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {sid: pool.submit(run_script, sid, options, grant_view)
-                           for sid in runnable}
-            for sid in runnable:
-                reports[sid] = futures[sid].result()
+    for sid in SCRIPT_ORDER:
+        if sid not in wanted:
+            continue
+        if sid in disable:
+            reports[sid] = Report(script=sid, status="blocked",
+                                  reason="disabled for this run")
+        elif not all(reports[dep].passed for dep in DEPENDENCIES[sid]):
+            reports[sid] = Report(script=sid, status="blocked",
+                                  reason="a dependency did not pass")
         else:
-            for sid in runnable:
-                reports[sid] = run_script(sid, options, grant_view)
-        for sid in runnable:
+            reports[sid] = run_script(sid, options, frozenset(granted))
             if reports[sid].passed:
                 granted.update(GRANTS[sid])
-
-    ordered = {sid: reports[sid] for sid in SCRIPT_ORDER if sid in reports}
-    return RunResult(ordered, (time.perf_counter() - t0) * 1e3)
+    return RunResult(reports, (time.perf_counter() - t0) * 1e3)
 
 
 # ---------------------------------------------------------------------------
@@ -1255,8 +1217,7 @@ def uniqueness_enumeration(script_id: str, options: Options,
     sub = Options(patch_radius=options.stretch_radius)
     stages, _, _ = _BUILDERS[script_id](granted, sub)
     stage = stages["patch"]
-    pattern = PATTERN_A if script_id == "col1" else PATTERN_B
-    anchor = (3, 0) if script_id == "col1" else (0, 0)
+    _, anchor, pattern = _PATCHES[script_id]
     problem = stage.problem()
 
     central = []

@@ -10,14 +10,10 @@ search code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-RED = True
-BLUE = False
 
 FORCED_RED = "ForcedRed"
 FORCED_BLUE = "ForcedBlue"
@@ -75,12 +71,6 @@ class ColoringProblem:
             raise ValueError(f"{name!r} is an auxiliary variable, not a node")
         return var
 
-    def name_of(self, var: int) -> str:
-        return self.names[var - 1]
-
-    def node_vars(self) -> list[int]:
-        return [v for v in range(1, self.var_count + 1) if not self.is_aux[v - 1]]
-
 
 @dataclass
 class Verdict:
@@ -91,24 +81,6 @@ class Verdict:
     @property
     def is_sat(self) -> bool:
         return self.kind == "sat"
-
-    def colours(self, problem: ColoringProblem, include_aux: bool = False) -> dict[str, str]:
-        if self.model is None:
-            raise ValueError("no model on this verdict")
-        out = {}
-        for v in range(1, problem.var_count + 1):
-            if problem.is_aux[v - 1] and not include_aux:
-                continue
-            out[problem.names[v - 1]] = "red" if self.model[v - 1] else "blue"
-        return out
-
-    def to_json(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.model is not None:
-            data["model"] = [1 if b else 0 for b in self.model]
-        if self.trace is not None:
-            data["trace"] = [list(ev) for ev in self.trace]
-        return data
 
 
 class _Engine:
@@ -620,7 +592,3 @@ def replay_model(clauses: Sequence[Sequence[int]], model: Sequence[bool],
     if not check_model(clauses, model, assumptions):
         raise CertificateError("model does not satisfy the clause set")
     return True
-
-
-def verdict_to_json_text(verdict: Verdict) -> str:
-    return json.dumps(verdict.to_json(), sort_keys=True, indent=2) + "\n"

@@ -10,15 +10,10 @@ algebra, so the distance-5 invariance facts reduce to lattice membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
-from .geometry import hex_indices, lattice_norm2, lattice_vectors_of_norm2
-
-RED = "red"
-BLUE = "blue"
+from .geometry import hex_indices, lattice_vectors_of_norm2
 
 UNIT_OFFSETS = ((1, 0), (0, 1), (1, -1))  # one representative per unit direction
-CHAIN_DIRECTIONS = UNIT_OFFSETS
 
 
 @dataclass(frozen=True)
@@ -29,7 +24,6 @@ class PeriodicColoring:
     cluster: tuple[tuple[int, int], ...]
     gen1: tuple[int, int]
     gen2: tuple[int, int]
-    flips: frozenset = frozenset()  # test hook: nodes with inverted colour
 
     @property
     def det(self) -> int:
@@ -43,19 +37,12 @@ class PeriodicColoring:
         return s % d == 0 and t % d == 0
 
     def is_red(self, a: int, b: int) -> bool:
-        red = any(self.lattice_contains(a - ca, b - cb) for ca, cb in self.cluster)
-        if (a, b) in self.flips:
-            return not red
-        return red
+        return any(self.lattice_contains(a - ca, b - cb) for ca, cb in self.cluster)
 
     def period(self) -> int:
         """Hexagonal diameter of a generating cell, for the patch-size bound."""
         return max(max(abs(self.gen1[0]), abs(self.gen1[1]), abs(self.gen1[0] + self.gen1[1])),
                    max(abs(self.gen2[0]), abs(self.gen2[1]), abs(self.gen2[0] + self.gen2[1])))
-
-    def with_flip(self, node: tuple[int, int]) -> "PeriodicColoring":
-        return PeriodicColoring(self.id + "+flip", self.cluster, self.gen1,
-                                self.gen2, self.flips | {node})
 
     def to_json(self) -> dict:
         return {
@@ -82,10 +69,6 @@ PATTERN_B = PeriodicColoring(
 )
 
 PATTERNS = {"A": PATTERN_A, "B": PATTERN_B}
-
-
-def color_of(coloring: PeriodicColoring, node: tuple[int, int]) -> str:
-    return RED if coloring.is_red(*node) else BLUE
 
 
 @dataclass
@@ -134,7 +117,7 @@ def validate_pattern(coloring: PeriodicColoring, radius: int,
                 report.red_unit_pairs += 1
                 if len(report.pair_witnesses) < witness_cap:
                     report.pair_witnesses.append([[a, b], [a + da, b + db]])
-        for da, db in CHAIN_DIRECTIONS:
+        for da, db in UNIT_OFFSETS:
             cells = [(a + t * da, b + t * db) for t in range(5)]
             if all(c in red for c in cells) and not any(red[c] for c in cells):
                 report.blue_chains += 1
@@ -160,25 +143,3 @@ def distance5_invariance(coloring: PeriodicColoring) -> bool:
                     return False
     return True
 
-
-def blue_has_red_unit_neighbor(coloring: PeriodicColoring, radius: int) -> bool:
-    """Every blue node in the patch sits at distance 1 from some red node."""
-    for a, b in hex_indices(radius):
-        if coloring.is_red(a, b):
-            continue
-        if not any(coloring.is_red(a + da, b + db)
-                   for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))):
-            return False
-    return True
-
-
-def min_red_dist2(coloring: PeriodicColoring, radius: int) -> Optional[int]:
-    """Smallest squared distance between distinct red nodes of the patch."""
-    reds = [(a, b) for a, b in hex_indices(radius) if coloring.is_red(a, b)]
-    best = None
-    for i in range(len(reds)):
-        for j in range(i + 1, len(reds)):
-            d = lattice_norm2(reds[i][0] - reds[j][0], reds[i][1] - reds[j][1])
-            if best is None or d < best:
-                best = d
-    return best

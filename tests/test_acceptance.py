@@ -11,7 +11,8 @@ import random
 import pytest
 
 from _oracles import chain_sets_brute, embeddings_brute
-from bluefive.configuration import ell_chains, emit_clauses, match_template, template
+from bluefive.configuration import (Configuration, ell_chains, emit_clauses,
+                                    match_template, template)
 from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, figure_instance, load_figure, self_check
 from bluefive.geometry import (chord_rotation, dist2, hex_indices, node,
@@ -23,6 +24,7 @@ from bluefive.tilings import (PATTERN_A, PATTERN_B, distance5_invariance,
                               validate_pattern)
 
 from test_geometry import _random_isometry
+from test_tilings import flip
 
 
 def _report(flag: bool, label: str) -> None:
@@ -122,7 +124,7 @@ def test_criterion_4_tilings():
         ok = ok and report.ok and report.red_unit_pairs == 0 and report.blue_chains == 0
         ok = ok and distance5_invariance(pattern)
         ok = ok and len(lattice_vectors_of_norm2(25)) == 6
-    fault = validate_pattern(PATTERN_B.with_flip((1, 0)), 8)
+    fault = validate_pattern(flip(PATTERN_B, (1, 0)), 8)
     ok = ok and not fault.ok and bool(fault.pair_witnesses)
     _report(ok, "criterion 4: both patterns valid at R=12, distance-5 "
                 "invariant for all 6 norm-25 vectors, injected fault located")
@@ -133,8 +135,7 @@ def test_criterion_5_matching_and_chains_oracle():
     ok = True
 
     def lattice_cfg(coords):
-        from bluefive.configuration import build_configuration
-        return build_configuration(
+        return Configuration(
             (f"p{i}", node(a, b)) for i, (a, b) in enumerate(coords))
 
     chain_cases = [lattice_cfg(hex_indices(2))]

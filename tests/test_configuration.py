@@ -5,9 +5,9 @@ import pytest
 
 from _oracles import chain_sets_brute, embeddings_brute
 from bluefive.configuration import (Configuration, ExtensionSchema, RuleSet,
-                                    build_configuration, ell_chains, emit_clauses,
-                                    instance_from_json, instance_to_json,
-                                    match_template, pattern_rule, template,
+                                    ell_chains, emit_clauses, instance_from_json,
+                                    instance_to_json, is_unit_chain, match_template,
+                                    pattern_rule, placement_count, template,
                                     template_extensions, unit_pairs)
 from bluefive.figures import FIGURE_IDS, load_figure
 from bluefive.geometry import (CANONICAL_FRAME, chord_rotation, hex_indices,
@@ -16,11 +16,11 @@ from bluefive.solver import UnprovedRuleError, solve
 
 
 def _lattice_cfg(coords):
-    return build_configuration((f"p{i}", node(a, b)) for i, (a, b) in enumerate(coords))
+    return Configuration((f"p{i}", node(a, b)) for i, (a, b) in enumerate(coords))
 
 
 def test_dedup_and_aliases():
-    cfg = build_configuration([("a", node(0, 0)), ("b", node(0, 0)), ("c", node(1, 0))])
+    cfg = Configuration([("a", node(0, 0)), ("b", node(0, 0)), ("c", node(1, 0))])
     assert len(cfg) == 2
     assert cfg.primary("b") == "a"
     assert cfg.point_of("b") == node(0, 0)
@@ -28,20 +28,20 @@ def test_dedup_and_aliases():
 
 def test_duplicate_name_rejected():
     with pytest.raises(ValueError):
-        build_configuration([("a", node(0, 0)), ("a", node(1, 0))])
+        Configuration([("a", node(0, 0)), ("a", node(1, 0))])
 
 
 def test_patch_plus_turned_copy_shares_only_centre():
     rot = chord_rotation(node(0, 0), 1)
     entries = [(f"p{i}", p) for i, p in enumerate(lattice_points(CANONICAL_FRAME, 2))]
     entries += [(f"q{i}", rot(p)) for i, (_, p) in enumerate(entries)]
-    cfg = build_configuration(entries)
+    cfg = Configuration(entries)
     assert len(cfg) == 2 * 19 - 1
 
 
 def test_unit_pairs_examples():
     assert len(unit_pairs(_lattice_cfg([(0, 0), (1, 0)]))) == 1
-    t6 = build_configuration(
+    t6 = Configuration(
         (f"t{i}", p) for i, p in enumerate(template("T6").points))
     assert unit_pairs(t6) == []
 
@@ -74,6 +74,32 @@ def test_chains_against_brute_force_on_figures():
         assert got == chain_sets_brute(cfg, 5), fid
 
 
+def test_unit_chain_claims():
+    cfg = Configuration([(f"p{i}", node(i, 0)) for i in range(5)]
+                        + [("q", node(0, 1)), ("twin", node(4, 0))])
+    names = ("p0", "p1", "p2", "p3", "p4")
+    assert is_unit_chain(cfg, names)
+    assert is_unit_chain(cfg, names[::-1])
+    assert is_unit_chain(cfg, ("p0", "p1", "p2", "p3", "twin"))
+    assert not is_unit_chain(cfg, ("p1", "p0", "p2", "p3", "p4"))  # permuted
+    assert not is_unit_chain(cfg, ("q", "p1", "p2", "p3", "p4"))  # unit steps, bent
+
+
+def test_placement_claims():
+    # side-3 triangle with its centre p3; p0, p4, p3 are a three-point shape
+    cfg = _lattice_cfg([(0, 0), (3, 0), (0, 3), (1, 1), (2, -1)])
+    eq3 = template("EQ3_CENTERED")
+    tri = ("p0", "p1", "p2", "p3")
+    assert placement_count(cfg, eq3, tri, center_last=True) == 6
+    assert placement_count(cfg, eq3, tri) == len(
+        [e for e in match_template(cfg, eq3) if set(e) == set(tri)])
+    assert placement_count(cfg, eq3, ("p3", "p0", "p1", "p2")) == 6
+    assert placement_count(cfg, eq3, ("p3", "p0", "p1", "p2"), center_last=True) == 0
+    assert placement_count(cfg, template("T4"), tri) == 0
+    assert placement_count(cfg, template("T3"), ("p0", "p4", "p3")) > 0
+    assert placement_count(cfg, template("T3"), ("p0", "p1", "p2")) == 0
+
+
 def test_template_smallest_distances():
     from bluefive.field import fe
     from bluefive.geometry import dist2
@@ -90,7 +116,7 @@ def test_template_smallest_distances():
 
 
 def test_match_t3_on_single_triangle():
-    cfg = build_configuration(
+    cfg = Configuration(
         (f"t{i}", p) for i, p in enumerate(template("T3").points))
     assert len(match_template(cfg, template("T3"))) == 6
 
@@ -170,8 +196,8 @@ def test_emit_single_pair_and_single_chain():
 
 
 def test_fixed_colours_resolve_aliases():
-    cfg = build_configuration([("a", node(0, 0)), ("twin", node(0, 0)),
-                               ("b", node(1, 0))])
+    cfg = Configuration([("a", node(0, 0)), ("twin", node(0, 0)),
+                         ("b", node(1, 0))])
     problem = emit_clauses(cfg, RuleSet(), {"twin": "red"})
     assert (1,) in problem.clauses
     import pytest as _pytest
@@ -212,7 +238,7 @@ def test_schema_clauses_force_extension():
     # blockers: one cell of each of the other three candidate extensions
     for i, (a, b) in enumerate([(-2, 1), (-1, -1), (1, -2)]):
         pts[f"x{i}"] = node(a, b)
-    cfg = build_configuration(pts.items())
+    cfg = Configuration(pts.items())
     schema = ExtensionSchema(lemma_id="t3t6", proved=True,
                              anchors=(("t0", "t1", "t2"),))
     rules = RuleSet(base=(), existential=schema)

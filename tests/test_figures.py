@@ -12,6 +12,17 @@ def test_all_registries_self_check():
         assert self_check(load_figure(fid)) == [], fid
 
 
+def test_self_check_reports_bad_claims():
+    figure = load_figure("fig1a")
+    figure.claims["ell5"].append(["A", "X", "D", "E", "B"])
+    figure.claims["patterns"].append(
+        {"template": "EQ3_CENTERED", "nodes": ["O", "A", "B", "C"], "center_last": True})
+    problems = self_check(figure)
+    assert len(problems) == 2
+    assert "A-X-D-E-B is not a unit five-chain" in problems[0]
+    assert "do not form a EQ3_CENTERED" in problems[1]
+
+
 def test_first_figure_has_ten_nodes():
     assert len(load_figure("fig1a").cfg) == 10
 

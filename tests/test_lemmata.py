@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from bluefive.configuration import RuleSet, emit_clauses
 from bluefive.figures import load_figure
@@ -53,6 +56,28 @@ def test_gating_blocks_downstream():
     for sid in ("redtr", "t7", "t3t6", "col1", "col2", "theorem"):
         assert run.reports[sid].status == "blocked", sid
     assert not run.ok
+
+
+def test_only_adds_dependencies_in_script_order():
+    run = verify_all(only=["t7"])
+    assert list(run.reports) == ["bluetr", "t7"]
+    assert run.ok
+
+
+def test_unknown_script_rejected():
+    with pytest.raises(KeyError):
+        verify_all(only=["nosuch"])
+
+
+def test_disabled_script_blocks_only_its_dependents():
+    run = verify_all(disable=frozenset(["t7"]))
+    assert list(run.reports) == list(SCRIPT_ORDER)
+    assert run.reports["t7"].reason == "disabled for this run"
+    for sid in ("t3t6", "col1", "theorem"):
+        assert run.reports[sid].status == "blocked", sid
+        assert run.reports[sid].reason == "a dependency did not pass", sid
+    for sid in ("bluetr", "redtr", "col2"):
+        assert run.reports[sid].passed, sid
 
 
 def test_run_script_requires_grants():
@@ -164,3 +189,29 @@ def test_stretch_mode(full_run):
         assert stretch["exhausted"]
         assert stretch["central_restrictions"] >= 1
         assert stretch["all_match_canonical"]
+
+
+# sha256 of the certified run's report JSON (sort_keys, every elapsed_ms
+# removed) and of its manifest.json, at the default patch radius
+REPORT_SHA256 = "28c97bd6bed1a90d30539d5ce54e5827fcc05dda84ba18c568533322747f2778"
+MANIFEST_SHA256 = "ffa6cd44035504771f515e751991a49452b29fd773b25719f1637436e91e99eb"
+
+
+def _strip_timings(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_timings(v) for k, v in obj.items() if k != "elapsed_ms"}
+    if isinstance(obj, list):
+        return [_strip_timings(v) for v in obj]
+    return obj
+
+
+def test_report_and_manifest_bytes_unchanged(full_run, tmp_path):
+    """Refactors must leave the report and the certificate bundle
+    byte-identical.  A change that alters these bytes on purpose updates
+    the two constants and says why in CHANGES.md."""
+    run, _ = full_run
+    write_certificates(run, tmp_path)
+    report = json.dumps(_strip_timings(run.to_json()), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == MANIFEST_SHA256

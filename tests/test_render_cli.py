@@ -97,8 +97,13 @@ def test_cli_coloring_validate(tmp_path):
     assert main(["coloring", "validate", "B", "--radius", "4"]) == 2
 
 
-def test_cli_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("ER_VERIFIER_THREADS", "2")
-    assert main(["verify", "lemma", "bluetr"]) == 0
-    monkeypatch.setenv("ER_VERIFIER_THREADS", "zap")
-    assert main(["verify", "lemma", "bluetr"]) == 2
+def test_cli_oracle_rejects_bad_instances(tmp_path, capsys):
+    origin = {"name": "A", "x": ["0", "0", "0", "0"], "y": ["0", "0", "0", "0"]}
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"points": [origin], "fixed": {"Z": "red"}}))
+    assert main(["oracle", str(unknown)]) == 2
+    assert "unknown nodes: Z" in capsys.readouterr().err
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert main(["oracle", str(not_object)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err

@@ -1,12 +1,49 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from bluefive.geometry import hex_indices, lattice_vectors_of_norm2
+from bluefive.geometry import hex_indices, lattice_norm2, lattice_vectors_of_norm2
 from bluefive.tilings import (PATTERN_A, PATTERN_B, PeriodicColoring,
-                              blue_has_red_unit_neighbor, color_of,
-                              distance5_invariance, min_red_dist2,
-                              validate_pattern)
+                              distance5_invariance, validate_pattern)
+
+
+@dataclass(frozen=True)
+class FlippedColoring(PeriodicColoring):
+    """A periodic colouring with the colours of some nodes inverted."""
+
+    flipped: frozenset = frozenset()
+
+    def is_red(self, a: int, b: int) -> bool:
+        return super().is_red(a, b) != ((a, b) in self.flipped)
+
+
+def flip(coloring: PeriodicColoring, node: tuple[int, int]) -> FlippedColoring:
+    """The colouring with one node's colour inverted: an injected fault."""
+    return FlippedColoring(coloring.id + "+flip", coloring.cluster,
+                           coloring.gen1, coloring.gen2, frozenset([node]))
+
+
+def color_of(coloring: PeriodicColoring, node: tuple[int, int]) -> str:
+    return "red" if coloring.is_red(*node) else "blue"
+
+
+def blue_has_red_unit_neighbor(coloring: PeriodicColoring, radius: int) -> bool:
+    """Every blue node in the patch sits at distance 1 from some red node."""
+    for a, b in hex_indices(radius):
+        if coloring.is_red(a, b):
+            continue
+        if not any(coloring.is_red(a + da, b + db)
+                   for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))):
+            return False
+    return True
+
+
+def min_red_dist2(coloring: PeriodicColoring, radius: int):
+    """Smallest squared distance between distinct red nodes of the patch."""
+    reds = [(a, b) for a, b in hex_indices(radius) if coloring.is_red(a, b)]
+    return min(lattice_norm2(p[0] - q[0], p[1] - q[1])
+               for i, p in enumerate(reds) for q in reds[i + 1:])
 
 
 def test_color_of_examples():
@@ -47,7 +84,7 @@ def test_verdict_independent_of_radius():
 
 def test_injected_fault_is_located():
     # flip a blue cell adjacent to a red cell: creates a red unit pair
-    bad = PATTERN_B.with_flip((1, 0))
+    bad = flip(PATTERN_B, (1, 0))
     report = validate_pattern(bad, 8)
     assert not report.ok
     assert report.red_unit_pairs > 0
