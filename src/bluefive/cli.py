@@ -93,10 +93,10 @@ def cmd_oracle(args) -> int:
     try:
         data = json.loads(pathlib.Path(args.instance).read_text())
         cfg, fixed, rules = instance_from_json(data)
+        problem = emit_clauses(cfg, rules, fixed)
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return 2
-    problem = emit_clauses(cfg, rules, fixed)
     fast = solve(problem)
     slow = brute_force(problem)
     agree = fast.kind == slow.kind

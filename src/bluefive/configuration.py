@@ -69,9 +69,6 @@ class Configuration:
     def primary(self, name: str) -> str:
         return self.names[self.index_of(name)]
 
-    def has_point(self, pt: Point) -> bool:
-        return pt in self.point_index
-
     def name_at(self, pt: Point) -> str:
         return self.names[self.point_index[pt]]
 
@@ -192,7 +189,6 @@ def is_unit_chain(cfg: Configuration, names: Sequence[str]) -> bool:
 class Template:
     id: str
     points: tuple[Point, ...]
-    min_dist2: FieldElement
 
 
 def _template(tid: str, lattice_pts: Sequence[tuple[int, int]],
@@ -206,22 +202,17 @@ def _template(tid: str, lattice_pts: Sequence[tuple[int, int]],
                 best = d
     if best != fe(expect_min):
         raise AssertionError(f"template {tid}: smallest squared distance is {best}")
-    return Template(tid, pts, best)
+    return Template(tid, pts)
 
 
-def _line_template(tid: str, k: int) -> Template:
-    pts = tuple(Point(i, 0) for i in range(k))
-    return Template(tid, pts, ONE)
-
-
-# The five sqrt3-spaced shapes, written on the sqrt3-scaled 60-degree
-# sublattice spanned by f1 = (2,-1) and f2 = (1,1) in unit-lattice
-# coordinates: T3 = {0, f1, f2}, T4 adds f1+f2, T5 adds 2*f1,
-# T6 = {0, f1, 2f1, f2, f1+f2, 2f2}, T7 = {0, f1, 2f1, 3f1, f2, f1+f2, 2f1+f2}.
-TEMPLATES: dict[str, Template] = {}
-for _tid, _pts, _min in [
-    ("L2", None, None),
-    ("L5", None, None),
+# L2 and L5 are unit-spaced runs on the e1 axis.  The five sqrt3-spaced
+# shapes are written on the sqrt3-scaled 60-degree sublattice spanned by
+# f1 = (2,-1) and f2 = (1,1) in unit-lattice coordinates: T3 = {0, f1, f2},
+# T4 adds f1+f2, T5 adds 2*f1, T6 = {0, f1, 2f1, f2, f1+f2, 2f2},
+# T7 = {0, f1, 2f1, 3f1, f2, f1+f2, 2f1+f2}.
+TEMPLATES: dict[str, Template] = {tid: _template(tid, pts, d2) for tid, pts, d2 in [
+    ("L2", [(0, 0), (1, 0)], 1),
+    ("L5", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], 1),
     ("T3", [(0, 0), (2, -1), (1, 1)], 3),
     ("T4", [(0, 0), (2, -1), (1, 1), (3, 0)], 3),
     ("T5", [(0, 0), (2, -1), (1, 1), (3, 0), (4, -2)], 3),
@@ -229,13 +220,7 @@ for _tid, _pts, _min in [
     ("T7", [(0, 0), (2, -1), (4, -2), (6, -3), (1, 1), (3, 0), (5, -1)], 3),
     # side-3 equilateral triangle plus its centre, in one congruence class
     ("EQ3_CENTERED", [(0, 0), (3, 0), (0, 3), (1, 1)], 3),
-]:
-    if _tid == "L2":
-        TEMPLATES[_tid] = _line_template("L2", 2)
-    elif _tid == "L5":
-        TEMPLATES[_tid] = _line_template("L5", 5)
-    else:
-        TEMPLATES[_tid] = _template(_tid, _pts, _min)
+]}
 
 
 def template(tid: str) -> Template:
@@ -566,9 +551,13 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
             if entry.get("rule") != T3_TO_T6_SCHEMA:
                 raise ValueError(f"unknown rule entry {entry!r}")
             anchors = entry.get("anchors")
-            existential = ExtensionSchema(
-                lemma_id="t3t6", proved=True,
-                anchors=tuple(tuple(a) for a in anchors) if anchors else None)
+            if anchors:
+                anchors = tuple(tuple(_json_field(a, list, "an anchor"))
+                                for a in _json_field(anchors, list, "'anchors'"))
+            existential = ExtensionSchema(lemma_id="t3t6", proved=True,
+                                          anchors=anchors or None)
+        elif not isinstance(entry, str):
+            raise ValueError(f"unknown rule id {entry!r}")
         elif entry in BASE_RULES:
             base.append(entry)
         elif entry == T3_TO_T6_SCHEMA:
@@ -580,19 +569,30 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
     return RuleSet(base=tuple(base), derived=tuple(derived), existential=existential)
 
 
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a JSON string"}
+
+
+def _json_field(value, kind: type, what: str):
+    """Return value if it has the given JSON type; otherwise raise ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def instance_from_json(data: dict) -> tuple[Configuration, dict[str, str], RuleSet]:
-    if not isinstance(data, dict):
-        raise ValueError("an instance must be a JSON object")
+    _json_field(data, dict, "an instance")
     entries = []
     aliases = []
-    for rec in data["points"]:
+    for rec in _json_field(data["points"], list, "'points'"):
+        _json_field(rec, dict, "a point")
         pt = Point(FieldElement.deserialize(rec["x"]), FieldElement.deserialize(rec["y"]))
-        entries.append((rec["name"], pt))
-        aliases += [(alias, pt) for alias in rec.get("aliases", ())]
+        entries.append((_json_field(rec["name"], str, "a point name"), pt))
+        aliases += [(_json_field(alias, str, "an alias"), pt)
+                    for alias in _json_field(rec.get("aliases", []), list, "'aliases'")]
     cfg = Configuration(entries + aliases)
-    fixed = dict(data.get("fixed", {}))
+    fixed = dict(_json_field(data.get("fixed", {}), dict, "'fixed'"))
     unknown = sorted(set(fixed) - set(cfg.index))
     if unknown:
         raise ValueError(f"fixed colours name unknown nodes: {', '.join(unknown)}")
-    rules = rules_from_ids(data.get("rules", list(BASE_RULES)))
+    rules = rules_from_ids(_json_field(data.get("rules", list(BASE_RULES)), list, "'rules'"))
     return cfg, fixed, rules

@@ -231,9 +231,13 @@ class FieldElement:
 
     @staticmethod
     def deserialize(parts) -> "FieldElement":
-        if len(parts) != 4:
-            raise ValueError(f"field element needs 4 coefficients, got {parts!r}")
-        return FieldElement(*[Fraction(p) for p in parts])
+        if (not isinstance(parts, list) or len(parts) != 4
+                or not all(isinstance(p, str) for p in parts)):
+            raise ValueError(f"field element needs a list of 4 coefficient strings, got {parts!r}")
+        try:
+            return FieldElement(*[Fraction(p) for p in parts])
+        except ZeroDivisionError:
+            raise ValueError(f"field element has a zero denominator: {parts!r}") from None
 
     def __repr__(self) -> str:
         return f"FieldElement({self.c0!s}, {self.c1!s}, {self.c2!s}, {self.c3!s})"

@@ -10,7 +10,7 @@ registries double as ready-to-run instance files for the oracle command.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .configuration import (Configuration, RuleSet, instance_from_json, is_unit_chain,
@@ -28,8 +28,6 @@ class Figure:
     colors: dict[str, str]
     rules: RuleSet
     claims: dict
-    helpers: frozenset = frozenset()
-    raw: dict = field(default_factory=dict)
 
 
 def _data_text(fid: str) -> str:
@@ -42,9 +40,8 @@ def load_figure(fid: str) -> Figure:
         raise KeyError(f"unknown figure {fid!r}")
     data = json.loads(_data_text(fid))
     cfg, fixed, rules = instance_from_json(data)
-    helpers = frozenset(rec["name"] for rec in data["points"] if rec.get("helper"))
     return Figure(id=fid, cfg=cfg, colors=fixed, rules=rules,
-                  claims=data.get("claims", {}), helpers=helpers, raw=data)
+                  claims=data.get("claims", {}))
 
 
 def figure_instance(fid: str):

@@ -1,4 +1,5 @@
-"""Exact planar geometry: points, isometries, and the unit triangular lattice.
+"""Exact planar geometry: points, rotations, reflections, and the unit
+triangular lattice.
 
 All predicates are phrased in squared distances and exact (cos, sin)
 pairs, so everything stays inside Q(sqrt3, sqrt11) and no square root is
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 from .field import FieldElement, HALF, HALF_SQRT3, ONE, ZERO, fe
 
@@ -93,75 +94,42 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
     return cross(q - p, r - p).is_zero()
 
 
-class Isometry:
-    """Translation, rotation (exact cos/sin about a center), or reflection."""
+class Rotation:
+    """Rotation about a centre by the angle with exact (cos, sin)."""
 
-    __slots__ = ("kind", "vector", "center", "cos", "sin", "p", "q")
+    __slots__ = ("center", "cos", "sin")
 
-    def __init__(self, kind: str, *, vector: Optional[Point] = None,
-                 center: Optional[Point] = None,
-                 cos: Optional[FieldElement] = None, sin: Optional[FieldElement] = None,
-                 p: Optional[Point] = None, q: Optional[Point] = None) -> None:
-        self.kind = kind
-        self.vector = vector
+    def __init__(self, center: Point, cos: FieldElement, sin: FieldElement) -> None:
+        if cos * cos + sin * sin != ONE:
+            raise ValueError("rotation pair must satisfy cos^2 + sin^2 = 1 exactly")
         self.center = center
         self.cos = cos
         self.sin = sin
-        self.p = p
-        self.q = q
-        if kind == "translation":
-            if vector is None:
-                raise ValueError("translation needs a vector")
-        elif kind == "rotation":
-            if center is None or cos is None or sin is None:
-                raise ValueError("rotation needs center, cos and sin")
-            if cos * cos + sin * sin != ONE:
-                raise ValueError("rotation pair must satisfy cos^2 + sin^2 = 1 exactly")
-        elif kind == "reflection":
-            if p is None or q is None:
-                raise ValueError("reflection needs a line through two points")
-            if p == q:
-                raise ValueError("reflection line endpoints must be distinct")
-        else:
-            raise ValueError(f"unknown isometry kind {kind!r}")
 
     def __call__(self, pt: Point) -> Point:
-        return apply_isometry(self, pt)
-
-    def __repr__(self) -> str:
-        return f"Isometry({self.kind})"
-
-
-def translation(dx, dy) -> Isometry:
-    return Isometry("translation", vector=Point(dx, dy))
+        dx = pt.x - self.center.x
+        dy = pt.y - self.center.y
+        return Point(self.center.x + self.cos * dx - self.sin * dy,
+                     self.center.y + self.sin * dx + self.cos * dy)
 
 
-def rotation(center: Point, cos, sin) -> Isometry:
-    return Isometry("rotation", center=center,
-                    cos=FieldElement.coerce(cos), sin=FieldElement.coerce(sin))
+def rotation(center: Point, cos, sin) -> Rotation:
+    return Rotation(center, FieldElement.coerce(cos), FieldElement.coerce(sin))
 
 
-def reflection(p: Point, q: Point) -> Isometry:
-    return Isometry("reflection", p=p, q=q)
+def reflection(p: Point, q: Point) -> Callable[[Point], Point]:
+    """The mirror map across the line through p and q."""
+    if p == q:
+        raise ValueError("reflection line endpoints must be distinct")
+    v = q - p
+    vv = dot(v, v)
 
-
-def apply_isometry(iso: Isometry, pt: Point) -> Point:
-    if iso.kind == "translation":
-        return pt + iso.vector
-    if iso.kind == "rotation":
-        dx = pt.x - iso.center.x
-        dy = pt.y - iso.center.y
-        return Point(iso.center.x + iso.cos * dx - iso.sin * dy,
-                     iso.center.y + iso.sin * dx + iso.cos * dy)
-    if iso.kind == "reflection":
-        # mirror pt across the line through p, q
-        v = iso.q - iso.p
-        w = pt - iso.p
-        vv = dot(v, v)
-        t = dot(w, v) / vv
-        foot = Point(iso.p.x + v.x * t, iso.p.y + v.y * t)
+    def mirror(pt: Point) -> Point:
+        t = dot(pt - p, v) / vv
+        foot = Point(p.x + v.x * t, p.y + v.y * t)
         return Point(foot.x + foot.x - pt.x, foot.y + foot.y - pt.y)
-    raise ValueError(f"unknown isometry kind {iso.kind!r}")
+
+    return mirror
 
 
 # cos/sin of multiples of 60 degrees, all exact
@@ -169,7 +137,7 @@ _COS60 = [ONE, HALF, -HALF, -ONE, -HALF, HALF]
 _SIN60 = [ZERO, HALF_SQRT3, HALF_SQRT3, ZERO, -HALF_SQRT3, -HALF_SQRT3]
 
 
-def rotation60(center: Point, k: int) -> Isometry:
+def rotation60(center: Point, k: int) -> Rotation:
     """Rotation about center by k * 60 degrees (counterclockwise for k > 0)."""
     k %= 6
     return rotation(center, _COS60[k], _SIN60[k])
@@ -179,7 +147,7 @@ CHORD_COS = fe(Fraction(5, 6))
 CHORD_SIN = fe(0, 0, Fraction(1, 6))
 
 
-def chord_rotation(center: Point, sense: int) -> Isometry:
+def chord_rotation(center: Point, sense: int) -> Rotation:
     """Rotation about center whose chord on the radius-sqrt3 circle is 1.
 
     cos = 5/6 is forced by the chord formula: a chord of length 1 on a
@@ -191,32 +159,10 @@ def chord_rotation(center: Point, sense: int) -> Isometry:
     return rotation(center, CHORD_COS, CHORD_SIN if sense == 1 else -CHORD_SIN)
 
 
-class LatticeFrame:
-    """Origin plus two unit vectors at 60 degrees spanning a triangular lattice."""
-
-    __slots__ = ("origin", "e1", "e2")
-
-    def __init__(self, origin: Point, e1: Point, e2: Point) -> None:
-        if dot(e1, e1) != ONE or dot(e2, e2) != ONE:
-            raise ValueError("frame vectors must have unit length")
-        if dot(e1, e2) != HALF:
-            raise ValueError("frame vectors must meet at 60 degrees (dot = 1/2)")
-        self.origin = origin
-        self.e1 = e1
-        self.e2 = e2
-
-    def node(self, a: int, b: int) -> Point:
-        return Point(self.origin.x + self.e1.x * a + self.e2.x * b,
-                     self.origin.y + self.e1.y * a + self.e2.y * b)
-
-
-CANONICAL_FRAME = LatticeFrame(Point(0, 0), Point(1, 0),
-                               Point(HALF, HALF_SQRT3))
-
-
 def node(a: int, b: int) -> Point:
-    """Node (a, b) of the canonical unit triangular lattice."""
-    return CANONICAL_FRAME.node(a, b)
+    """Node a*e1 + b*e2 of the unit triangular lattice, where e1 = (1, 0)
+    and e2 = (1/2, sqrt3/2)."""
+    return Point(Fraction(2 * a + b, 2), FieldElement(0, Fraction(b, 2)))
 
 
 def lattice_norm2(a: int, b: int) -> int:
@@ -235,11 +181,6 @@ def hex_indices(radius: int) -> list[tuple[int, int]]:
         for b in range(b_lo, b_hi + 1):
             out.append((a, b))
     return out
-
-
-def lattice_points(frame: LatticeFrame, hex_radius: int) -> list[Point]:
-    """All frame nodes with hexagonal norm <= hex_radius; 1 + 3R(R+1) points."""
-    return [frame.node(a, b) for a, b in hex_indices(hex_radius)]
 
 
 def lattice_coords(p: Point) -> Optional[tuple[int, int]]:

@@ -93,6 +93,10 @@ TRANSCRIPTION_NOTES: tuple[dict, ...] = (
 )
 
 
+# hex radius of the central cells the uniqueness enumeration projects onto
+CENTER_RADIUS = 2
+
+
 @dataclass
 class Options:
     patch_radius: int = 7
@@ -100,7 +104,6 @@ class Options:
     stretch: bool = False
     model_cap: int = 10 ** 6
     stretch_radius: int = 6
-    center_radius: int = 2
 
 
 @dataclass
@@ -319,7 +322,7 @@ def _build_bluetr(granted: frozenset, options: Options):
                            "a blue side-3 triangle with red centre is impossible: "
                            "the full instance is unsatisfiable",
                            stage="main"))
-    return {"main": stage}, obls, figure
+    return {"main": stage}, obls, (figure,)
 
 
 def _build_redtr(granted: frozenset, options: Options):
@@ -372,7 +375,7 @@ def _build_redtr(granted: frozenset, options: Options):
                            "bonus: a red side-sqrt3 triangle with red centre dies "
                            "on unit pairs alone (vertices at distance 1 from the centre)",
                            stage="side-sqrt3"))
-    return {"main": stage, "side-sqrt3": small}, obls, figure
+    return {"main": stage, "side-sqrt3": small}, obls, (figure,)
 
 
 def _build_t7(granted: frozenset, options: Options):
@@ -445,7 +448,7 @@ def _build_t7(granted: frozenset, options: Options):
                            "seven red points in the sqrt3 shape are impossible: "
                            "X' and X'' are both red at unit distance",
                            stage="main"))
-    return {"main": stage}, obls, figure
+    return {"main": stage}, obls, (figure,)
 
 
 def _completion_ob(oid: str, cfg: Configuration, small: str, big: str,
@@ -465,7 +468,7 @@ def _completion_ob(oid: str, cfg: Configuration, small: str, big: str,
             if len(extra) != 1:
                 return False, {"error": "completion does not add exactly one point"}
             p = extra[0]
-            if cfg.has_point(p):
+            if p in cfg.point_index:
                 inside.append(cfg.name_at(p))
             else:
                 outside.append(_points_key(extra))
@@ -664,7 +667,8 @@ def _build_t3t6(granted: frozenset, options: Options):
                            "hence F is red and A..F form the six-point shape",
                            stage="t5-to-t6", template_id="T6",
                            names=("A", "B", "C", "D", "E", "F")))
-    return {"t3-to-t4": st1, "t4-to-t5": st2, "t5-to-t6": st3}, obls, fig4
+    stages = {"t3-to-t4": st1, "t4-to-t5": st2, "t5-to-t6": st3}
+    return stages, obls, (fig4, fig5, fig6)
 
 
 def _pattern_witness(cfg: Configuration, coloring):
@@ -816,7 +820,7 @@ def _build_col1(granted: frozenset, options: Options):
                            "every forced colour on the patch",
                            stage="patch",
                            witness=_pattern_witness(cfg, pattern)))
-    return {"patch": stage}, obls, figure
+    return {"patch": stage}, obls, (figure,)
 
 
 def _col1_symmetry_check(cfg: Configuration):
@@ -900,7 +904,7 @@ def _build_col2(granted: frozenset, options: Options):
                            "forced colour on the patch",
                            stage="patch",
                            witness=_pattern_witness(cfg, pattern)))
-    return {"patch": stage, "ring": gadget}, obls, figure
+    return {"patch": stage, "ring": gadget}, obls, (figure,)
 
 
 def _col2_lattice_check(cfg: Configuration, pattern):
@@ -1002,7 +1006,7 @@ def _build_theorem(granted: frozenset, options: Options):
         problem_fn=mono5_problem))
     stages = {"all-blue-line": allblue, "witness-pair": pair,
               "pattern-a-patch": patch_a, "pattern-b-patch": patch_b}
-    return stages, obls, None
+    return stages, obls, ()
 
 
 _BUILDERS = {
@@ -1119,12 +1123,12 @@ def run_script(script_id: str, options: Optional[Options] = None,
                       reason=f"unverified dependencies: {', '.join(missing)}")
 
     t0 = time.perf_counter()
-    stages, obligations, figure = _BUILDERS[script_id](granted, options)
+    stages, obligations, figures = _BUILDERS[script_id](granted, options)
     report = Report(script=script_id, status="passed")
     report.notes = [n for n in TRANSCRIPTION_NOTES if n["applies_to"] == script_id]
 
-    if figure is not None:
-        problems = self_check(figure)
+    if figures:
+        problems = [p for figure in figures for p in self_check(figure)]
         report.obligations.append(ObligationResult(
             "transcription-self-check", GEOM_IDENTITY,
             "the shipped registry satisfies all of its named facts",
@@ -1221,7 +1225,7 @@ def uniqueness_enumeration(script_id: str, options: Options,
     problem = stage.problem()
 
     central = []
-    for da, db in hex_indices(options.center_radius):
+    for da, db in hex_indices(CENTER_RADIUS):
         pt = node(anchor[0] + da, anchor[1] + db)
         name = stage.cfg.name_at(pt)
         central.append((problem.name_to_var[name], (da, db)))
@@ -1242,7 +1246,7 @@ def uniqueness_enumeration(script_id: str, options: Options,
     mismatches = [list(m) for m in models if tuple(m) not in allowed]
     return {
         "patch_radius": options.stretch_radius,
-        "center_radius": options.center_radius,
+        "center_radius": CENTER_RADIUS,
         "model_cap": options.model_cap,
         "central_restrictions": len(models),
         "exhausted": exhausted,

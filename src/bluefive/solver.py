@@ -10,8 +10,8 @@ search code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class ColoringProblem:
     names: list[str]
     is_aux: list[bool]
     name_to_var: dict[str, int]
-    assumptions: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.names) != self.var_count or len(self.is_aux) != self.var_count:
@@ -54,19 +53,12 @@ class ColoringProblem:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.var_count:
                     raise ValueError(f"literal {lit} references an undeclared variable")
-        for lit in self.assumptions:
-            if lit == 0 or abs(lit) > self.var_count:
-                raise ValueError(f"assumption {lit} references an undeclared variable")
 
-    def var_of(self, name: str) -> int:
+    def node_var_of(self, name: str) -> int:
         try:
             var = self.name_to_var[name]
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
-        return var
-
-    def node_var_of(self, name: str) -> int:
-        var = self.var_of(name)
         if self.is_aux[var - 1]:
             raise ValueError(f"{name!r} is an auxiliary variable, not a node")
         return var
@@ -87,18 +79,16 @@ class _Engine:
     """One DPLL run over a fixed clause set."""
 
     def __init__(self, problem: ColoringProblem, assumptions: Sequence[int],
-                 record_trace: bool) -> None:
+                 trace: Optional[list[tuple]]) -> None:
         nv = problem.var_count
         self.nv = nv
-        self.problem = problem
         self.assign = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false
-        self.reason = [0] * (nv + 1)
         self.trail: list[int] = []
         self.lim: list[int] = []          # trail position of each decision
         self.flipped: list[bool] = []
         self.proj: list[bool] = []        # was the decision on a projected var
         self.qhead = 0
-        self.trace: Optional[list[tuple]] = [] if record_trace else None
+        self.trace = trace
         self.clauses = [list(c) for c in problem.clauses]
         self.watch: list[list[int]] = [[] for _ in range(2 * nv + 2)]
         self.failed = None  # set to a conflict marker if setup is contradictory
@@ -119,7 +109,7 @@ class _Engine:
             if not self._enqueue(lit, cid):
                 self.failed = ("conflict", cid)
                 return
-        for lit in list(problem.assumptions) + list(assumptions):
+        for lit in assumptions:
             if self.trace is not None and self.assign[abs(lit)] == 0:
                 self.trace.append(("assume", lit))
             if not self._enqueue(lit, _R_ASSUMPTION, quiet=True):
@@ -141,7 +131,6 @@ class _Engine:
                 self.trace.append(("conflict", reason))
             return False
         self.assign[var] = val
-        self.reason[var] = reason
         self.trail.append(lit)
         if self.trace is not None and not quiet:
             if reason >= 0:
@@ -253,27 +242,46 @@ def check_model(clauses: Iterable[Sequence[int]], model: Sequence[bool],
     return True
 
 
+def _search(problem: ColoringProblem, assumptions: Sequence[int],
+            proj_vars: Sequence[int],
+            trace: Optional[list[tuple]]) -> Iterator[tuple[bool, ...]]:
+    """Yield full models in search-tree order, deciding `proj_vars` first.
+
+    After a model only a projected decision flips, as a blocking clause
+    over `proj_vars` would.  Events go to `trace` when it is a list.
+    """
+    eng = _Engine(problem, assumptions, trace)
+    if eng.failed is not None:
+        return
+    proj_set = set(proj_vars)
+    rest = [v for v in range(1, problem.var_count + 1) if v not in proj_set]
+    while True:
+        if eng.propagate() is not None:
+            if not eng.backtrack(after_model=False):
+                return
+            continue
+        var = eng.next_var(proj_vars)
+        projected = var is not None
+        if var is None:
+            var = eng.next_var(rest)
+        if var is None:
+            model = eng.model()
+            if not check_model(problem.clauses, model, assumptions):
+                raise AssertionError("solver produced an invalid model")
+            yield model
+            if not eng.backtrack(after_model=True):
+                return
+            continue
+        eng.decide(var, projected=projected)
+
+
 def solve(problem: ColoringProblem, assumptions: Sequence[int] = (),
           record_trace: bool = False) -> Verdict:
     """Decide the problem; deterministic given the clause set and assumptions."""
-    eng = _Engine(problem, assumptions, record_trace)
-    if eng.failed is not None:
-        return Verdict("unsat", trace=eng.trace)
-    order = range(1, problem.var_count + 1)
-    while True:
-        confl = eng.propagate()
-        if confl is not None:
-            if not eng.backtrack(after_model=False):
-                return Verdict("unsat", trace=eng.trace)
-            continue
-        var = eng.next_var(order)
-        if var is None:
-            model = eng.model()
-            if not check_model(problem.clauses, model,
-                               list(problem.assumptions) + list(assumptions)):
-                raise AssertionError("solver produced an invalid model")
-            return Verdict("sat", model=model, trace=eng.trace)
-        eng.decide(var, projected=True)
+    trace: Optional[list[tuple]] = [] if record_trace else None
+    for model in _search(problem, assumptions, range(1, problem.var_count + 1), trace):
+        return Verdict("sat", model=model, trace=trace)
+    return Verdict("unsat", trace=trace)
 
 
 @dataclass
@@ -301,15 +309,12 @@ def forced_color(problem: ColoringProblem, node: str,
 
 
 def enumerate_models(problem: ColoringProblem, cap: int,
-                     assumptions: Sequence[int] = (),
                      project: Optional[Sequence[int]] = None,
                      ) -> tuple[list[tuple[bool, ...]], bool]:
     """Enumerate distinct models (optionally projected onto `project` vars).
 
-    Models are produced in deterministic search-tree order; each found
-    model is blocked by flipping the deepest projected decision, which is
-    equivalent to adding a blocking clause over the projected assignment.
-    Returns (models, exhausted).
+    Models are produced in deterministic search-tree order, projected onto
+    the variables in ascending order.  Returns (models, exhausted).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -320,52 +325,28 @@ def enumerate_models(problem: ColoringProblem, cap: int,
         for v in proj_vars:
             if not (1 <= v <= problem.var_count):
                 raise ValueError(f"projection variable {v} out of range")
-    proj_set = set(proj_vars)
-    rest = [v for v in range(1, problem.var_count + 1) if v not in proj_set]
-
-    eng = _Engine(problem, assumptions, record_trace=False)
-    if eng.failed is not None:
-        return [], True
     models: list[tuple[bool, ...]] = []
-    while True:
-        confl = eng.propagate()
-        if confl is not None:
-            if not eng.backtrack(after_model=False):
-                return models, True
-            continue
-        var = eng.next_var(proj_vars)
-        projected = var is not None
-        if var is None:
-            var = eng.next_var(rest)
-        if var is None:
-            full = eng.model()
-            if not check_model(problem.clauses, full,
-                               list(problem.assumptions) + list(assumptions)):
-                raise AssertionError("solver produced an invalid model")
-            models.append(tuple(full[v - 1] for v in proj_vars))
-            if len(models) >= cap:
-                return models, False
-            if not eng.backtrack(after_model=True):
-                return models, True
-            continue
-        eng.decide(var, projected=projected)
+    for full in _search(problem, (), proj_vars, None):
+        models.append(tuple(full[v - 1] for v in proj_vars))
+        if len(models) >= cap:
+            return models, False
+    return models, True
 
 
-def brute_force(problem: ColoringProblem, assumptions: Sequence[int] = ()) -> Verdict:
+def brute_force(problem: ColoringProblem) -> Verdict:
     """Exhaustive oracle: enumerate all assignments of the free variables.
 
-    Variables pinned by unit clauses or assumptions are substituted first;
-    at most BRUTE_FORCE_MAX_FREE free variables are allowed.
+    Variables pinned by unit clauses are substituted first; at most
+    BRUTE_FORCE_MAX_FREE free variables are allowed.
     """
     fixed: dict[int, bool] = {}
-    for src in (list(problem.clauses), [(a,) for a in list(problem.assumptions) + list(assumptions)]):
-        for clause in src:
-            if len(clause) == 1:
-                lit = clause[0]
-                want = lit > 0
-                if fixed.get(abs(lit), want) != want:
-                    return Verdict("unsat")
-                fixed[abs(lit)] = want
+    for clause in problem.clauses:
+        if len(clause) == 1:
+            lit = clause[0]
+            want = lit > 0
+            if fixed.get(abs(lit), want) != want:
+                return Verdict("unsat")
+            fixed[abs(lit)] = want
 
     free = [v for v in range(1, problem.var_count + 1) if v not in fixed]
     if len(free) > BRUTE_FORCE_MAX_FREE:
@@ -374,7 +355,7 @@ def brute_force(problem: ColoringProblem, assumptions: Sequence[int] = ()) -> Ve
     bit_of = {v: i for i, v in enumerate(free)}
 
     residual: list[list[int]] = []
-    for clause in list(problem.clauses) + [(a,) for a in list(problem.assumptions) + list(assumptions)]:
+    for clause in problem.clauses:
         lits = []
         satisfied = False
         for lit in clause:
@@ -420,8 +401,7 @@ def brute_force(problem: ColoringProblem, assumptions: Sequence[int] = ()) -> Ve
         hits = np.nonzero(sat)[0]
         if hits.size:
             model = build_model(start + int(hits[0]))
-            if not check_model(problem.clauses, model,
-                               list(problem.assumptions) + list(assumptions)):
+            if not check_model(problem.clauses, model):
                 raise AssertionError("brute force produced an invalid model")
             return Verdict("sat", model=model)
     return Verdict("unsat")
@@ -434,9 +414,8 @@ def brute_force(problem: ColoringProblem, assumptions: Sequence[int] = ()) -> Ve
 
 def export_dimacs(problem: ColoringProblem) -> tuple[str, str]:
     """Byte-deterministic DIMACS CNF text plus an 'index name' variable map."""
-    rows = list(problem.clauses) + [(a,) for a in problem.assumptions]
-    lines = [f"p cnf {problem.var_count} {len(rows)}"]
-    for clause in rows:
+    lines = [f"p cnf {problem.var_count} {len(problem.clauses)}"]
+    for clause in problem.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     cnf = "\n".join(lines) + "\n"
     vm_lines = []

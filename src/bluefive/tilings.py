@@ -44,13 +44,6 @@ class PeriodicColoring:
         return max(max(abs(self.gen1[0]), abs(self.gen1[1]), abs(self.gen1[0] + self.gen1[1])),
                    max(abs(self.gen2[0]), abs(self.gen2[1]), abs(self.gen2[0] + self.gen2[1])))
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "cluster": [list(c) for c in self.cluster],
-            "generators": [list(self.gen1), list(self.gen2)],
-        }
-
 
 # Pattern A: six-point red cluster repeated over 5Z x 5Z (red density 6/25).
 PATTERN_A = PeriodicColoring(

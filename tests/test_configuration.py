@@ -10,8 +10,7 @@ from bluefive.configuration import (Configuration, ExtensionSchema, RuleSet,
                                     pattern_rule, placement_count, template,
                                     template_extensions, unit_pairs)
 from bluefive.figures import FIGURE_IDS, load_figure
-from bluefive.geometry import (CANONICAL_FRAME, chord_rotation, hex_indices,
-                               lattice_points, node)
+from bluefive.geometry import chord_rotation, hex_indices, node
 from bluefive.solver import UnprovedRuleError, solve
 
 
@@ -33,7 +32,7 @@ def test_duplicate_name_rejected():
 
 def test_patch_plus_turned_copy_shares_only_centre():
     rot = chord_rotation(node(0, 0), 1)
-    entries = [(f"p{i}", p) for i, p in enumerate(lattice_points(CANONICAL_FRAME, 2))]
+    entries = [(f"p{i}", node(a, b)) for i, (a, b) in enumerate(hex_indices(2))]
     entries += [(f"q{i}", rot(p)) for i, (_, p) in enumerate(entries)]
     cfg = Configuration(entries)
     assert len(cfg) == 2 * 19 - 1

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 from bluefive.field import ONE, fe
@@ -71,3 +73,20 @@ def test_figure_instances_oracle_agreement():
         fast = solve(problem)
         slow = brute_force(problem)
         assert fast.kind == slow.kind, fid
+
+
+def test_make_figures_regenerates_shipped_registries(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_figures", root / "tools" / "make_figures.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.OUT = tmp_path
+    for fid in FIGURE_IDS:
+        getattr(tool, fid)()
+    shipped = root / "src" / "bluefive" / "data" / "figures"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in shipped.iterdir())
+    for fid in FIGURE_IDS:
+        name = f"{fid}.json"
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

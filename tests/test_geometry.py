@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bluefive.field import ONE, SQRT3, fe
-from bluefive.geometry import (CANONICAL_FRAME, chord_rotation, collinear, dist2,
-                               hex_indices, lattice_coords, lattice_norm2,
-                               lattice_points, lattice_vectors_of_norm2, node,
-                               point, reflection, rotation, rotation60,
-                               translation)
+from bluefive.geometry import (chord_rotation, collinear, dist2, hex_indices,
+                               lattice_coords, lattice_norm2,
+                               lattice_vectors_of_norm2, node, point, reflection,
+                               rotation, rotation60)
 
 
 def test_dist2_examples():
@@ -67,7 +66,7 @@ def _random_isometry(rng):
     centre = node(rng.randint(-4, 4), rng.randint(-4, 4))
     if kind == 0:
         shift = node(rng.randint(-4, 4), rng.randint(-4, 4))
-        return translation(shift.x, shift.y)
+        return lambda p: p + shift
     if kind == 1:
         return rotation60(centre, rng.randrange(6))
     if kind == 2:
@@ -99,7 +98,13 @@ def test_collinear_invariant_under_isometry():
 
 def test_lattice_point_counts():
     for r in range(11):
-        assert len(lattice_points(CANONICAL_FRAME, r)) == 1 + 3 * r * (r + 1)
+        assert len(hex_indices(r)) == 1 + 3 * r * (r + 1)
+
+
+def test_node_is_lattice_combination():
+    e2 = rotation60(point(0, 0), 1)(point(1, 0))
+    for a, b in hex_indices(12):
+        assert node(a, b) == point(a + e2.x * b, e2.y * b)
 
 
 def test_lattice_norm_formula():

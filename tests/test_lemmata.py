@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import bluefive.lemmata as lemmata
 from bluefive.configuration import RuleSet, emit_clauses
 from bluefive.figures import load_figure
 from bluefive.geometry import chord_rotation, node
@@ -83,6 +84,23 @@ def test_disabled_script_blocks_only_its_dependents():
 def test_run_script_requires_grants():
     report = run_script("redtr", Options(), granted=frozenset())
     assert report.status == "blocked"
+
+
+def test_t3t6_self_checks_every_registry(monkeypatch):
+    def corrupted(fid):
+        figure = load_figure(fid)
+        if fid == "fig6":
+            chains = figure.claims["ell5"]
+            chains[chains.index(["M", "N", "R", "S", "V"])] = ["M", "N", "S", "R", "V"]
+        return figure
+
+    monkeypatch.setattr(lemmata, "load_figure", corrupted)
+    granted = frozenset(g for sid in ("bluetr", "redtr", "t7") for g in GRANTS[sid])
+    report = run_script("t3t6", granted=granted)
+    check = report.obligations[0]
+    assert check.oid == "transcription-self-check" and check.status == "fail"
+    assert check.detail == {"failures": ["fig6: M-N-S-R-V is not a unit five-chain"]}
+    assert report.status == "failed"
 
 
 def test_dependencies_acyclic_and_ordered():

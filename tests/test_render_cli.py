@@ -1,6 +1,9 @@
+import hashlib
 import json
 
-from bluefive.cli import main
+import pytest
+
+from bluefive.cli import RENDER_TARGETS, main
 from bluefive.geometry import hex_indices
 from bluefive.render import render, render_figure, render_pattern
 from bluefive.tilings import PATTERN_B
@@ -30,6 +33,15 @@ def test_pattern_red_count_matches_membership():
 def test_svg_byte_stable():
     assert render("patternA", 5) == render("patternA", 5)
     assert render_figure("fig4") == render_figure("fig4")
+
+
+# sha256 of render(t) concatenated over RENDER_TARGETS at the default radius
+SVG_SHA256 = "332e6274fb727d4747c3fa9738e8decd1bc4a79fbcb918bd146f41473b400d01"
+
+
+def test_svg_bytes_unchanged():
+    svg = "".join(render(t) for t in RENDER_TARGETS)
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG_SHA256
 
 
 def test_empty_render_is_valid_svg():
@@ -107,3 +119,21 @@ def test_cli_oracle_rejects_bad_instances(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     assert main(["oracle", str(not_object)]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+_ORIGIN = {"name": "A", "x": ["0", "0", "0", "0"], "y": ["0", "0", "0", "0"]}
+
+
+@pytest.mark.parametrize("instance, message", [
+    ({"points": 5}, "'points' must be a JSON array"),
+    ({"points": [1]}, "a point must be a JSON object"),
+    ({"points": [], "fixed": 5}, "'fixed' must be a JSON object"),
+    ({"points": [], "rules": 7}, "'rules' must be a JSON array"),
+    ({"points": [dict(_ORIGIN, name=3)]}, "a point name must be a JSON string"),
+    ({"points": [dict(_ORIGIN, x="0000")]}, "4 coefficient strings"),
+])
+def test_cli_oracle_rejects_wrongly_typed_instances(tmp_path, capsys, instance, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance))
+    assert main(["oracle", str(path)]) == 2
+    assert message in capsys.readouterr().err

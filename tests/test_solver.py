@@ -9,13 +9,12 @@ from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
                              solve)
 
 
-def _problem(nvars, clauses, assumptions=()):
+def _problem(nvars, clauses):
     names = [f"v{i}" for i in range(1, nvars + 1)]
     return ColoringProblem(
         var_count=nvars, clauses=[tuple(c) for c in clauses],
         names=names, is_aux=[False] * nvars,
-        name_to_var={n: i + 1 for i, n in enumerate(names)},
-        assumptions=list(assumptions))
+        name_to_var={n: i + 1 for i, n in enumerate(names)})
 
 
 def test_empty_problem_is_sat():
@@ -151,6 +150,18 @@ def test_random_oracle_equivalence_and_replay():
             replay_model(problem.clauses, fast.model)
         else:
             assert replay_unsat_trace(problem.clauses, fast.trace)
+
+
+def test_solve_and_enumeration_agree():
+    rng = random.Random(1234)
+    for _ in range(120):
+        problem = _random_instance(rng)
+        verdict = solve(problem)
+        models, exhausted = enumerate_models(problem, cap=1)
+        if verdict.kind == "sat":
+            assert models == [verdict.model]
+        else:
+            assert (models, exhausted) == ([], True)
 
 
 def test_monotonicity_adding_clauses_keeps_unsat():
