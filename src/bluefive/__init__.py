@@ -7,15 +7,12 @@ spacing.  See README.md for the command line interface and the layout of
 the verification scripts.
 """
 
-from .field import FieldElement, Rational, fe, fe_arith, fe_sign
+from .field import FieldElement, fe
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FieldElement",
-    "Rational",
     "fe",
-    "fe_arith",
-    "fe_sign",
     "__version__",
 ]

@@ -40,7 +40,6 @@ def _options(args) -> Options:
         patch_radius=args.radius,
         emit_certificates=args.certs is not None,
         stretch=getattr(args, "stretch", False),
-        model_cap=getattr(args, "model_cap", 10 ** 6),
     )
 
 
@@ -171,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit replayable certificates into DIR")
     p_verify.add_argument("--stretch", action="store_true",
                           help="also run the uniqueness enumeration mode")
-    p_verify.add_argument("--model-cap", type=int, default=10 ** 6,
-                          help="model cap for the enumeration mode")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="cross-check an instance file")

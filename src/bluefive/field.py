@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction, str]
 
 # Starting enclosures for the two radicals; sign() bisects these.
@@ -267,20 +265,3 @@ def fe(c0: RationalLike = 0, c1: RationalLike = 0,
        c2: RationalLike = 0, c3: RationalLike = 0) -> FieldElement:
     """Shorthand constructor."""
     return FieldElement(c0, c1, c2, c3)
-
-
-def fe_arith(op: str, a: FieldElement, b: FieldElement) -> FieldElement:
-    """Dispatch arithmetic by name: one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
-def fe_sign(a: FieldElement) -> int:
-    return a.sign()

@@ -3,8 +3,10 @@
 Each registry is a JSON data file holding exact coordinates, the colours
 the diagram shows (red / blue / undetermined), the rule ids of its
 instance, and the named facts (unit pairs, five-chains, template
-placements) that `self_check` re-verifies against the coordinates.  The
-registries double as ready-to-run instance files for the oracle command.
+placements) that `self_check` re-verifies against the coordinates.  A
+five-chain or placement with an "id" is also the sole statement of the
+verification obligation of that id.  The registries double as
+ready-to-run instance files for the oracle command.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def self_check(figure: Figure) -> list[str]:
         if frozenset((cfg.primary(a), cfg.primary(b))) not in pair_set:
             problems.append(f"{figure.id}: {a},{b} is not a unit pair")
 
-    for names in claims.get("ell5", ()):
+    for chain in claims.get("ell5", ()):
+        names = chain["nodes"]
         if len(names) != 5 or not is_unit_chain(cfg, names):
             problems.append(f"{figure.id}: {'-'.join(names)} is not a unit five-chain")
 

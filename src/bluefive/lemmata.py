@@ -4,16 +4,19 @@ Each script re-derives one step of the colouring argument as an ordered
 list of machine-checkable obligations over a fixed configuration:
 
 * GEOM_IDENTITY   - an exact equation between field values,
-* CHAIN_CLAIM     - a named tuple is a unit five-chain,
-* PATTERN_PRESENT - named nodes form a congruent copy of a template,
+* CHAIN_CLAIM     - a figure's five-chain claim holds,
+* PATTERN_PRESENT - a figure's template-placement claim holds,
 * FORCED          - a node's colour is forced (its negation is unsat and
                     the asserted colour is satisfiable),
 * UNSAT           - a case instance is contradictory,
 * SAT_WITNESS     - an explicit colouring satisfies an instance.
 
-Scripts run in dependency order; a passing script unlocks its derived
-rule for the scripts above it.  Forced colours accumulate inside a
-script, mirroring how the argument walks point by point.
+Chain and placement obligations are written as CLAIM: the nodes live
+only in the figure claim that carries the obligation's id, and the
+claim's section decides the reported kind.  Scripts run in dependency
+order; a passing script unlocks its derived rule for the scripts above
+it.  Forced colours accumulate inside a script, mirroring how the
+argument walks point by point.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from .configuration import (BLUE_EQ3_RED_CENTER, Configuration, ExtensionSchema,
                             emit_clauses, is_unit_chain, pattern_rule,
                             placement_count, template, template_extensions)
 from .field import fe
-from .figures import load_figure, self_check
+from .figures import Figure, load_figure, self_check
 from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords,
                        lattice_norm2, lattice_symmetries, lattice_vectors_of_norm2,
                        node, point, reflection, rotation60)
 from .solver import (ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
                      enumerate_models, export_dimacs, forced_color, solve)
-from .tilings import PATTERN_A, PATTERN_B, distance5_invariance
+from .tilings import PATTERN_A, PATTERN_B, PeriodicColoring, distance5_invariance
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
 CHAIN_CLAIM = "CHAIN_CLAIM"
@@ -44,6 +47,10 @@ PATTERN_PRESENT = "PATTERN_PRESENT"
 FORCED = "FORCED"
 UNSAT = "UNSAT"
 SAT_WITNESS = "SAT_WITNESS"
+# written kind of a chain or placement obligation; reported as the kind of
+# the figure claim section that holds its id
+CLAIM = "CLAIM"
+_CLAIM_KINDS = {"ell5": CHAIN_CLAIM, "patterns": PATTERN_PRESENT}
 
 SCRIPT_ORDER = ("bluetr", "redtr", "t7", "t3t6", "col1", "col2", "theorem")
 
@@ -95,6 +102,8 @@ TRANSCRIPTION_NOTES: tuple[dict, ...] = (
 
 # hex radius of the central cells the uniqueness enumeration projects onto
 CENTER_RADIUS = 2
+# most projected models the uniqueness enumeration collects
+MODEL_CAP = 10 ** 6
 
 
 @dataclass
@@ -102,7 +111,6 @@ class Options:
     patch_radius: int = 7
     emit_certificates: bool = False
     stretch: bool = False
-    model_cap: int = 10 ** 6
     stretch_radius: int = 6
 
 
@@ -158,11 +166,8 @@ class Obligation:
     node: Optional[str] = None
     color: Optional[str] = None
     exclude: tuple[str, ...] = ()
-    names: tuple[str, ...] = ()
-    template_id: Optional[str] = None
-    center_last: bool = False
+    coloring: Optional[PeriodicColoring] = None
     check: Optional[Callable[[], tuple[bool, dict]]] = None
-    witness: Optional[Callable[[], dict]] = None
     problem_fn: Optional[Callable[[], ColoringProblem]] = None
 
 
@@ -226,9 +231,9 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _dist2_ob(oid: str, cfg: Configuration, a: str, b: str, expected,
+def _dist2_ob(oid: str, cfg: Configuration, a: str, b: str, expected: int,
               statement: str) -> Obligation:
-    want = fe(expected) if not hasattr(expected, "sign") else expected
+    want = fe(expected)
 
     def check():
         got = dist2(cfg.point_of(a), cfg.point_of(b))
@@ -304,15 +309,13 @@ def _build_bluetr(granted: frozenset, options: Options):
             f"forced-{nm}-blue", FORCED,
             f"{nm} is blue: it sits at unit distance from the red centre O",
             stage="main", node=nm, color="blue", exclude=("X", "Y")))
-    obls.append(Obligation("chain-xadeb", CHAIN_CLAIM,
-                           "X, A, D, E, B are collinear at unit spacing",
-                           stage="main", names=("X", "A", "D", "E", "B")))
+    obls.append(Obligation("chain-xadeb", CLAIM,
+                           "X, A, D, E, B are collinear at unit spacing"))
     obls.append(Obligation("forced-X-red", FORCED,
                            "X is red: otherwise the five-chain X-A-D-E-B is all blue",
                            stage="main", node="X", color="red", exclude=("Y",)))
-    obls.append(Obligation("chain-yafgc", CHAIN_CLAIM,
-                           "Y, A, F, G, C are collinear at unit spacing",
-                           stage="main", names=("Y", "A", "F", "G", "C")))
+    obls.append(Obligation("chain-yafgc", CLAIM,
+                           "Y, A, F, G, C are collinear at unit spacing"))
     obls.append(Obligation("forced-Y-red", FORCED,
                            "Y is red: otherwise the five-chain Y-A-F-G-C is all blue",
                            stage="main", node="Y", color="red", exclude=("X",)))
@@ -363,10 +366,8 @@ def _build_redtr(granted: frozenset, options: Options):
             f"{dst} is blue: it sits at unit distance from red {src}",
             stage="main", node=dst, color="blue",
             exclude=tuple(d for _, d in (("A", "A'"), ("B", "B'"), ("C", "C'")) if d != dst)))
-    obls.append(Obligation("turned-triangle", PATTERN_PRESENT,
-                           "A', B', C' form a side-3 triangle with centre O",
-                           stage="main", template_id="EQ3_CENTERED",
-                           names=("A'", "B'", "C'", "O"), center_last=True))
+    obls.append(Obligation("turned-triangle", CLAIM,
+                           "A', B', C' form a side-3 triangle with centre O"))
     obls.append(Obligation("contradiction", UNSAT,
                            "a red side-3 triangle with red centre is impossible: "
                            "the turned triangle is blue with red centre",
@@ -387,10 +388,7 @@ def _build_t7(granted: frozenset, options: Options):
     rot_c = lambda: chord_rotation(cfg.point_of("C"), -1)
     refl = lambda: reflection(cfg.point_of("B"), cfg.point_of("C"))
     obls = [
-        Obligation("seven-red", PATTERN_PRESENT,
-                   "A..G form the seven-point sqrt3 shape",
-                   stage="main", template_id="T7",
-                   names=("A", "B", "C", "D", "E", "F", "G")),
+        Obligation("seven-red", CLAIM, "A..G form the seven-point sqrt3 shape"),
         _image_ob("x-mirror", cfg, refl, "F", "X",
                   "X is the mirror image of F in the line B-C"),
         _image_ob("image-xp", cfg, rot_b, "X", "X'", "X' is the turned image of X about B"),
@@ -412,10 +410,8 @@ def _build_t7(granted: frozenset, options: Options):
             f"{nm} is blue: it sits at unit distance from red {partner}",
             stage="main", node=nm, color="blue",
             exclude=("X''", "D''", "F''")))
-    obls.append(Obligation("triangle-b", PATTERN_PRESENT,
-                           "X', A', F' form a side-3 triangle with centre B",
-                           stage="main", template_id="EQ3_CENTERED",
-                           names=("X'", "A'", "F'", "B"), center_last=True))
+    obls.append(Obligation("triangle-b", CLAIM,
+                           "X', A', F' form a side-3 triangle with centre B"))
     obls.append(Obligation("forced-xp-red", FORCED,
                            "X' is red: otherwise X'-A'-F' is a blue side-3 "
                            "triangle with red centre B",
@@ -426,10 +422,8 @@ def _build_t7(granted: frozenset, options: Options):
             f"forced-{nm}-blue", FORCED,
             f"{nm} is blue: it sits at unit distance from red {partner}",
             stage="main", node=nm, color="blue", exclude=("A'", "F'", "X'")))
-    obls.append(Obligation("triangle-c", PATTERN_PRESENT,
-                           "X'', D'', F'' form a side-3 triangle with centre C",
-                           stage="main", template_id="EQ3_CENTERED",
-                           names=("X''", "D''", "F''", "C"), center_last=True))
+    obls.append(Obligation("triangle-c", CLAIM,
+                           "X'', D'', F'' form a side-3 triangle with centre C"))
     obls.append(Obligation("forced-xpp-red", FORCED,
                            "X'' is red: otherwise X''-D''-F'' is a blue side-3 "
                            "triangle with red centre C",
@@ -519,33 +513,26 @@ def _build_t3t6(granted: frozenset, options: Options):
     obls: list[Obligation] = []
 
     # stage 1: a red T3 with no red T4 completion is contradictory
-    obls.append(Obligation("s1-t3", PATTERN_PRESENT, "A, B, C form the three-point shape",
-                           stage="t3-to-t4", template_id="T3", names=("A", "B", "C")))
+    obls.append(Obligation("s1-t3", CLAIM, "A, B, C form the three-point shape"))
     obls.append(_completion_ob(
         "s1-completions", fig4.cfg, "T3", "T4", ("A", "B", "C"),
         ("X", "Y", "Z"),
         "X, Y and Z are exactly the plane completions of A,B,C to the "
         "four-point shape; assuming no red completion fixes them blue"))
     for nm in ("X", "Y", "Z"):
-        obls.append(Obligation(f"s1-t4-{nm}", PATTERN_PRESENT,
-                               f"A, B, C, {nm} form the four-point shape",
-                               stage="t3-to-t4", template_id="T4",
-                               names=("A", "B", "C", nm)))
+        obls.append(Obligation(f"s1-t4-{nm}", CLAIM,
+                               f"A, B, C, {nm} form the four-point shape"))
     for nm in ("E", "F", "G", "H", "I", "J"):
         obls.append(Obligation(f"s1-forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from a red point",
                                stage="t3-to-t4", node=nm, color="blue",
                                exclude=("K", "L", "M", "N", "P", "Q")))
-    obls.append(Obligation("s1-chain-lmygh", CHAIN_CLAIM,
-                           "L, M, Y, G, H form a unit five-chain",
-                           stage="t3-to-t4", names=("L", "M", "Y", "G", "H")))
+    obls.append(Obligation("s1-chain-lmygh", CLAIM, "L, M, Y, G, H form a unit five-chain"))
     obls.append(Obligation("s1-forced-K", FORCED,
                            "K is blue: if K were red, L and M would be blue and "
                            "L-M-Y-G-H all blue", stage="t3-to-t4", node="K",
                            color="blue", exclude=("N", "P", "Q")))
-    obls.append(Obligation("s1-chain-kjizn", CHAIN_CLAIM,
-                           "K, J, I, Z, N form a unit five-chain",
-                           stage="t3-to-t4", names=("K", "J", "I", "Z", "N")))
+    obls.append(Obligation("s1-chain-kjizn", CLAIM, "K, J, I, Z, N form a unit five-chain"))
     obls.append(Obligation("s1-forced-N", FORCED,
                            "N is red: otherwise K-J-I-Z-N is all blue",
                            stage="t3-to-t4", node="N", color="red",
@@ -556,17 +543,14 @@ def _build_t3t6(granted: frozenset, options: Options):
     obls.append(Obligation("s1-forced-Q", FORCED,
                            "Q is blue: unit distance from red N",
                            stage="t3-to-t4", node="Q", color="blue", exclude=("P",)))
-    obls.append(Obligation("s1-chain-pqfex", CHAIN_CLAIM,
-                           "P, Q, F, E, X form a unit five-chain",
-                           stage="t3-to-t4", names=("P", "Q", "F", "E", "X")))
+    obls.append(Obligation("s1-chain-pqfex", CLAIM, "P, Q, F, E, X form a unit five-chain"))
     obls.append(Obligation("s1-contradiction", UNSAT,
                            "no red completion of the red three-point shape is "
                            "contradictory: P-Q-F-E-X ends up all blue",
                            stage="t3-to-t4"))
 
     # stage 2: a red T4 with no red T5 completion is contradictory
-    obls.append(Obligation("s2-t4", PATTERN_PRESENT, "A, B, C, D form the four-point shape",
-                           stage="t4-to-t5", template_id="T4", names=("A", "B", "C", "D")))
+    obls.append(Obligation("s2-t4", CLAIM, "A, B, C, D form the four-point shape"))
     obls.append(_completion_ob(
         "s2-completions", fig5.cfg, "T4", "T5", ("A", "B", "C", "D"),
         ("X", "F", "G"),
@@ -574,18 +558,14 @@ def _build_t3t6(granted: frozenset, options: Options):
         "shape; X, F, G are the three lying in this configuration (the "
         "fourth falls outside it) and blocking them suffices"))
     for nm in ("X", "F", "G"):
-        obls.append(Obligation(f"s2-t5-{nm}", PATTERN_PRESENT,
-                               f"A, B, C, D, {nm} form the five-point shape",
-                               stage="t4-to-t5", template_id="T5",
-                               names=("A", "B", "C", "D", nm)))
+        obls.append(Obligation(f"s2-t5-{nm}", CLAIM,
+                               f"A, B, C, D, {nm} form the five-point shape"))
     for nm in ("H", "I", "K", "L", "M", "N"):
         obls.append(Obligation(f"s2-forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from a red point",
                                stage="t4-to-t5", node=nm, color="blue",
                                exclude=("P", "Q", "R")))
-    obls.append(Obligation("s2-chain-fhigp", CHAIN_CLAIM,
-                           "F, H, I, G, P form a unit five-chain",
-                           stage="t4-to-t5", names=("F", "H", "I", "G", "P")))
+    obls.append(Obligation("s2-chain-fhigp", CLAIM, "F, H, I, G, P form a unit five-chain"))
     obls.append(Obligation("s2-forced-P", FORCED,
                            "P is red: otherwise F-H-I-G-P is all blue",
                            stage="t4-to-t5", node="P", color="red",
@@ -596,32 +576,21 @@ def _build_t3t6(granted: frozenset, options: Options):
     obls.append(Obligation("s2-forced-R", FORCED,
                            "R is blue: unit distance from red P",
                            stage="t4-to-t5", node="R", color="blue", exclude=("Q",)))
-    obls.append(Obligation("s2-chain-xnmqr", CHAIN_CLAIM,
-                           "X, N, M, Q, R form a unit five-chain",
-                           stage="t4-to-t5", names=("X", "N", "M", "Q", "R")))
+    obls.append(Obligation("s2-chain-xnmqr", CLAIM, "X, N, M, Q, R form a unit five-chain"))
     obls.append(Obligation("s2-contradiction", UNSAT,
                            "no red completion of the red four-point shape is "
                            "contradictory: X-N-M-Q-R ends up all blue",
                            stage="t4-to-t5"))
 
     # stage 3: a red T5 whose sixth cell is blue is contradictory
-    obls.append(Obligation("s3-t5", PATTERN_PRESENT,
-                           "A, B, C, D, E form the five-point shape",
-                           stage="t5-to-t6", template_id="T5",
-                           names=("A", "B", "C", "D", "E")))
-    obls.append(Obligation("s3-tri-x", PATTERN_PRESENT,
-                           "X, E, C form a side-3 triangle with centre B",
-                           stage="t5-to-t6", template_id="EQ3_CENTERED",
-                           names=("X", "E", "C", "B"), center_last=True))
+    obls.append(Obligation("s3-t5", CLAIM, "A, B, C, D, E form the five-point shape"))
+    obls.append(Obligation("s3-tri-x", CLAIM, "X, E, C form a side-3 triangle with centre B"))
     obls.append(Obligation("s3-forced-X", FORCED,
                            "X is blue: a red X would close a red side-3 triangle "
                            "with red centre B",
                            stage="t5-to-t6", node="X", color="blue",
                            exclude=("U", "T", "Q", "P", "R", "S", "V", "W")))
-    obls.append(Obligation("s3-tri-y", PATTERN_PRESENT,
-                           "Y, A, D form a side-3 triangle with centre B",
-                           stage="t5-to-t6", template_id="EQ3_CENTERED",
-                           names=("Y", "A", "D", "B"), center_last=True))
+    obls.append(Obligation("s3-tri-y", CLAIM, "Y, A, D form a side-3 triangle with centre B"))
     obls.append(Obligation("s3-forced-Y", FORCED,
                            "Y is blue: a red Y would close a red side-3 triangle "
                            "with red centre B",
@@ -632,72 +601,42 @@ def _build_t3t6(granted: frozenset, options: Options):
                                f"{nm} is blue: unit distance from a red point",
                                stage="t5-to-t6", node=nm, color="blue",
                                exclude=("U", "T", "Q", "P", "R", "S", "V", "W")))
-    obls.append(Obligation("s3-chain-qpklf", CHAIN_CLAIM,
-                           "Q, P, K, L, F form a unit five-chain",
-                           stage="t5-to-t6", names=("Q", "P", "K", "L", "F")))
-    obls.append(Obligation("s3-chain-tughx", CHAIN_CLAIM,
-                           "T, U, G, H, X form a unit five-chain",
-                           stage="t5-to-t6", names=("T", "U", "G", "H", "X")))
+    obls.append(Obligation("s3-chain-qpklf", CLAIM, "Q, P, K, L, F form a unit five-chain"))
+    obls.append(Obligation("s3-chain-tughx", CLAIM, "T, U, G, H, X form a unit five-chain"))
     obls.append(Obligation("s3-forced-P", FORCED,
                            "P is red: a blue P forces Q red, then T, U blue, and "
                            "T-U-G-H-X all blue",
                            stage="t5-to-t6", node="P", color="red",
                            exclude=("R", "S", "V", "W")))
-    obls.append(Obligation("s3-chain-fmnrs", CHAIN_CLAIM,
-                           "F, M, N, R, S form a unit five-chain",
-                           stage="t5-to-t6", names=("F", "M", "N", "R", "S")))
-    obls.append(Obligation("s3-chain-vwjiy", CHAIN_CLAIM,
-                           "V, W, J, I, Y form a unit five-chain",
-                           stage="t5-to-t6", names=("V", "W", "J", "I", "Y")))
+    obls.append(Obligation("s3-chain-fmnrs", CLAIM, "F, M, N, R, S form a unit five-chain"))
+    obls.append(Obligation("s3-chain-vwjiy", CLAIM, "V, W, J, I, Y form a unit five-chain"))
     obls.append(Obligation("s3-forced-R", FORCED,
                            "R is red: a blue R forces S red, then V, W blue, and "
                            "V-W-J-I-Y all blue (P stays out of scope so the "
                            "seven-point rule does not fire yet)",
                            stage="t5-to-t6", node="R", color="red",
                            exclude=("U", "T", "Q", "P")))
-    obls.append(Obligation("s3-t7", PATTERN_PRESENT,
-                           "A, B, C, D, E, P, R form the seven-point shape",
-                           stage="t5-to-t6", template_id="T7",
-                           names=("A", "B", "C", "D", "E", "P", "R")))
+    obls.append(Obligation("s3-t7", CLAIM, "A, B, C, D, E, P, R form the seven-point shape"))
     obls.append(Obligation("s3-contradiction", UNSAT,
                            "a blue sixth cell is contradictory: A,B,C,D,E,P,R "
                            "would be seven red points in the forbidden shape",
                            stage="t5-to-t6"))
-    obls.append(Obligation("s3-t6", PATTERN_PRESENT,
-                           "hence F is red and A..F form the six-point shape",
-                           stage="t5-to-t6", template_id="T6",
-                           names=("A", "B", "C", "D", "E", "F")))
+    obls.append(Obligation("s3-t6", CLAIM, "hence F is red and A..F form the six-point shape"))
     stages = {"t3-to-t4": st1, "t4-to-t5": st2, "t5-to-t6": st3}
     return stages, obls, (fig4, fig5, fig6)
-
-
-def _pattern_witness(cfg: Configuration, coloring):
-    def witness():
-        out = {}
-        for name, pt in zip(cfg.names, cfg.points):
-            ab = lattice_coords(pt)
-            if ab is None:
-                raise ValueError(f"node {name} is not a lattice node")
-            out[name] = "red" if coloring.is_red(*ab) else "blue"
-        return out
-    return witness
 
 
 def _build_col1(granted: frozenset, options: Options):
     figure, cfg, pattern = _patch("col1", options.patch_radius)
     schema = ExtensionSchema(lemma_id="t3t6", proved="T3_TO_T6_SCHEMA" in granted,
                              anchors=(("A'", "B'", "F'"),))
-    rules = RuleSet(derived=(pattern_rule(RED_EQ3_RED_CENTER,
-                                          proved=RED_EQ3_RED_CENTER in granted),),
-                    existential=schema)
+    rules = _rules((RED_EQ3_RED_CENTER,), schema, granted)
     fixed = {nm: "red" for nm in ("A", "B", "C", "D", "E", "F")}
     stage = Stage("patch", cfg, rules, fixed)
     obls: list[Obligation] = []
 
-    obls.append(Obligation("block-t6", PATTERN_PRESENT,
-                           "the six red anchor cells form the six-point shape",
-                           stage="patch", template_id="T6",
-                           names=("A", "B", "C", "D", "E", "F")))
+    obls.append(Obligation("block-t6", CLAIM,
+                           "the six red anchor cells form the six-point shape"))
     for src in ("A", "B", "C", "D", "E", "F"):
         dst = src + "'"
         obls.append(Obligation(
@@ -707,18 +646,12 @@ def _build_col1(granted: frozenset, options: Options):
                 cfg.point_of(d) == cfg.point_of(s) + node(5, 0)
                 and dist2(cfg.point_of(s), cfg.point_of(d)) == fe(25),
                 {"shift": "(5,0)", "dist2": "25"}))))
-    obls.append(Obligation("tri-i", PATTERN_PRESENT,
-                           "A, D, I form a side-3 triangle with centre F",
-                           stage="patch", template_id="EQ3_CENTERED",
-                           names=("A", "D", "I", "F"), center_last=True))
+    obls.append(Obligation("tri-i", CLAIM, "A, D, I form a side-3 triangle with centre F"))
     obls.append(Obligation("forced-I", FORCED,
                            "I is blue: a red I closes a red side-3 triangle "
                            "A-D-I with red centre F",
                            stage="patch", node="I", color="blue"))
-    obls.append(Obligation("tri-j", PATTERN_PRESENT,
-                           "C, F, J form a side-3 triangle with centre D",
-                           stage="patch", template_id="EQ3_CENTERED",
-                           names=("C", "F", "J", "D"), center_last=True))
+    obls.append(Obligation("tri-j", CLAIM, "C, F, J form a side-3 triangle with centre D"))
     obls.append(Obligation("forced-J", FORCED,
                            "J is blue: a red J closes a red side-3 triangle "
                            "C-F-J with red centre D",
@@ -727,16 +660,12 @@ def _build_col1(granted: frozenset, options: Options):
         obls.append(Obligation(f"forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from a red point",
                                stage="patch", node=nm, color="blue"))
-    obls.append(Obligation("chain-kliqp", CHAIN_CLAIM,
-                           "K, L, I, Q, P form a unit five-chain",
-                           stage="patch", names=("K", "L", "I", "Q", "P")))
+    obls.append(Obligation("chain-kliqp", CLAIM, "K, L, I, Q, P form a unit five-chain"))
     obls.append(Obligation("forced-R", FORCED,
                            "R is blue: a red R forces P and Q blue and "
                            "K-L-I-Q-P all blue",
                            stage="patch", node="R", color="blue"))
-    obls.append(Obligation("chain-ajnmr", CHAIN_CLAIM,
-                           "A', J, N, M, R form a unit five-chain",
-                           stage="patch", names=("A'", "J", "N", "M", "R")))
+    obls.append(Obligation("chain-ajnmr", CLAIM, "A', J, N, M, R form a unit five-chain"))
     obls.append(Obligation("forced-Ap", FORCED,
                            "A' is red: otherwise A'-J-N-M-R is all blue",
                            stage="patch", node="A'", color="red"))
@@ -744,9 +673,7 @@ def _build_col1(granted: frozenset, options: Options):
         obls.append(Obligation(f"forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from red D or A'",
                                stage="patch", node=nm, color="blue"))
-    obls.append(Obligation("chain-srow", CHAIN_CLAIM,
-                           "S1, S2, S3, S4, B' form a unit five-chain",
-                           stage="patch", names=("S1", "S2", "S3", "S4", "B'")))
+    obls.append(Obligation("chain-srow", CLAIM, "S1, S2, S3, S4, B' form a unit five-chain"))
     obls.append(Obligation("forced-Bp", FORCED,
                            "B' is red: otherwise S1-S2-S3-S4-B' is all blue",
                            stage="patch", node="B'", color="red"))
@@ -754,9 +681,8 @@ def _build_col1(granted: frozenset, options: Options):
         obls.append(Obligation(f"forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from red D, E or A'",
                                stage="patch", node=nm, color="blue"))
-    obls.append(Obligation("chain-srow-mirror", CHAIN_CLAIM,
-                           "S1', S2', J, S4', F' form a unit five-chain",
-                           stage="patch", names=("S1'", "S2'", "J", "S4'", "F'")))
+    obls.append(Obligation("chain-srow-mirror", CLAIM,
+                           "S1', S2', J, S4', F' form a unit five-chain"))
     obls.append(Obligation("forced-Fp", FORCED,
                            "F' is red: otherwise S1'-S2'-J-S4'-F' is all blue",
                            stage="patch", node="F'", color="red"))
@@ -764,17 +690,12 @@ def _build_col1(granted: frozenset, options: Options):
         obls.append(Obligation(f"forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from red C",
                                stage="patch", node=nm, color="blue"))
-    obls.append(Obligation("tri-u", PATTERN_PRESENT,
-                           "A, D, U form a side-3 triangle with centre B",
-                           stage="patch", template_id="EQ3_CENTERED",
-                           names=("A", "D", "U", "B"), center_last=True))
+    obls.append(Obligation("tri-u", CLAIM, "A, D, U form a side-3 triangle with centre B"))
     obls.append(Obligation("forced-U", FORCED,
                            "U is blue: a red U closes a red side-3 triangle "
                            "A-D-U with red centre B",
                            stage="patch", node="U", color="blue"))
-    obls.append(Obligation("chain-uvwx", CHAIN_CLAIM,
-                           "U, V, W, X1, X2 form a unit five-chain",
-                           stage="patch", names=("U", "V", "W", "X1", "X2")))
+    obls.append(Obligation("chain-uvwx", CLAIM, "U, V, W, X1, X2 form a unit five-chain"))
     obls.append(Obligation("forced-X", FORCED,
                            "X is blue: a red X forces X1 and X2 blue and "
                            "U-V-W-X1-X2 all blue",
@@ -782,17 +703,13 @@ def _build_col1(granted: frozenset, options: Options):
     obls.append(Obligation("forced-Vp", FORCED,
                            "V' is blue: unit distance from red E",
                            stage="patch", node="V'", color="blue"))
-    obls.append(Obligation("chain-uvwx-mirror", CHAIN_CLAIM,
-                           "I, V', M, X1', X2' form a unit five-chain",
-                           stage="patch", names=("I", "V'", "M", "X1'", "X2'")))
+    obls.append(Obligation("chain-uvwx-mirror", CLAIM,
+                           "I, V', M, X1', X2' form a unit five-chain"))
     obls.append(Obligation("forced-Y", FORCED,
                            "Y is blue: a red Y forces X1' and X2' blue and "
                            "I-V'-M-X1'-X2' all blue",
                            stage="patch", node="Y", color="blue"))
-    obls.append(Obligation("anchor-t3", PATTERN_PRESENT,
-                           "A', B', F' form the red three-point shape",
-                           stage="patch", template_id="T3",
-                           names=("A'", "B'", "F'")))
+    obls.append(Obligation("anchor-t3", CLAIM, "A', B', F' form the red three-point shape"))
     obls.append(_t6_candidates_ob(
         "t6-candidates", cfg, ("A'", "B'", "F'"), ("X", "Y"),
         ("A'", "B'", "C'", "D'", "E'", "F'"),
@@ -804,10 +721,8 @@ def _build_col1(granted: frozenset, options: Options):
                                f"to a red six-point shape, and with X, Y blue the "
                                f"only extension of A',B',F' runs through {nm}",
                                stage="patch", node=nm, color="red"))
-    obls.append(Obligation("block-t6-shifted", PATTERN_PRESENT,
-                           "the translated cells A'..F' form the six-point shape",
-                           stage="patch", template_id="T6",
-                           names=("A'", "B'", "C'", "D'", "E'", "F'")))
+    obls.append(Obligation("block-t6-shifted", CLAIM,
+                           "the translated cells A'..F' form the six-point shape"))
     obls.append(Obligation(
         "step-symmetry", GEOM_IDENTITY,
         "a 120-degree turn about the block centroid permutes the six red "
@@ -818,8 +733,7 @@ def _build_col1(granted: frozenset, options: Options):
                            "the periodic pattern with the six-cell cluster over "
                            "the 5x5 sublattice satisfies every constraint and "
                            "every forced colour on the patch",
-                           stage="patch",
-                           witness=_pattern_witness(cfg, pattern)))
+                           stage="patch", coloring=pattern))
     return {"patch": stage}, obls, (figure,)
 
 
@@ -839,9 +753,8 @@ def _col1_symmetry_check(cfg: Configuration):
 
 def _build_col2(granted: frozenset, options: Options):
     figure, cfg, pattern = _patch("col2", options.patch_radius)
-    rules = RuleSet(derived=(pattern_rule(NO_RED_T3, proved=True,
-                                          lemma_id="hypothesis:col2"),))
-    stage = Stage("patch", cfg, rules, {"A": "red", "B": "red"})
+    stage = Stage("patch", cfg, _rules((NO_RED_T3,), granted=granted),
+                  {"A": "red", "B": "red"})
 
     # gadget: around any red point, one of the six sqrt3-neighbours is red
     centre = node(0, 0)
@@ -859,10 +772,8 @@ def _build_col2(granted: frozenset, options: Options):
                            stage="ring"))
     obls.append(_dist2_ob("ab-sqrt3", cfg, "A", "B", 3,
                           "the chosen red neighbour B is at squared distance 3 from A"))
-    for nm, tri in (("D", ("A", "B", "D")), ("G", ("A", "B", "G"))):
-        obls.append(Obligation(f"t3-{nm}", PATTERN_PRESENT,
-                               f"A, B, {nm} form the three-point shape",
-                               stage="patch", template_id="T3", names=tri))
+    for nm in ("D", "G"):
+        obls.append(Obligation(f"t3-{nm}", CLAIM, f"A, B, {nm} form the three-point shape"))
         obls.append(Obligation(f"forced-{nm}", FORCED,
                                f"{nm} is blue: a red {nm} would close a red "
                                f"three-point shape with A and B",
@@ -871,24 +782,18 @@ def _build_col2(granted: frozenset, options: Options):
         obls.append(Obligation(f"forced-{nm}", FORCED,
                                f"{nm} is blue: unit distance from red B",
                                stage="patch", node=nm, color="blue"))
-    obls.append(Obligation("chain-defgb", CHAIN_CLAIM,
-                           "D, E, F, G, B' form a unit five-chain",
-                           stage="patch", names=("D", "E", "F", "G", "B'")))
+    obls.append(Obligation("chain-defgb", CLAIM, "D, E, F, G, B' form a unit five-chain"))
     obls.append(Obligation("forced-Bp", FORCED,
                            "B' is red: otherwise D-E-F-G-B' is all blue",
                            stage="patch", node="B'", color="red"))
     obls.append(Obligation("forced-N", FORCED,
                            "N is blue: unit distance from red B'",
                            stage="patch", node="N", color="blue"))
-    obls.append(Obligation("chain-chign", CHAIN_CLAIM,
-                           "C, H, I, G, N form a unit five-chain",
-                           stage="patch", names=("C", "H", "I", "G", "N")))
+    obls.append(Obligation("chain-chign", CLAIM, "C, H, I, G, N form a unit five-chain"))
     obls.append(Obligation("forced-C", FORCED,
                            "C is red: otherwise C-H-I-G-N is all blue",
                            stage="patch", node="C", color="red"))
-    obls.append(Obligation("chain-higna", CHAIN_CLAIM,
-                           "H, I, G, N, A' form a unit five-chain",
-                           stage="patch", names=("H", "I", "G", "N", "A'")))
+    obls.append(Obligation("chain-higna", CLAIM, "H, I, G, N, A' form a unit five-chain"))
     obls.append(Obligation("forced-Ap", FORCED,
                            "A' is red: otherwise H-I-G-N-A' is all blue",
                            stage="patch", node="A'", color="red"))
@@ -902,8 +807,7 @@ def _build_col2(granted: frozenset, options: Options):
                            "the periodic pattern with red on the index-5 "
                            "sublattice satisfies every constraint and every "
                            "forced colour on the patch",
-                           stage="patch",
-                           witness=_pattern_witness(cfg, pattern)))
+                           stage="patch", coloring=pattern))
     return {"patch": stage, "ring": gadget}, obls, (figure,)
 
 
@@ -985,13 +889,11 @@ def _build_theorem(granted: frozenset, options: Options):
     obls.append(Obligation("pattern-a-valid", SAT_WITNESS,
                            "the first canonical colouring satisfies both base "
                            "rules on the radius-12 patch",
-                           stage="pattern-a-patch",
-                           witness=_pattern_witness(patch_cfg, PATTERN_A)))
+                           stage="pattern-a-patch", coloring=PATTERN_A))
     obls.append(Obligation("pattern-b-valid", SAT_WITNESS,
                            "the second canonical colouring satisfies both base "
                            "rules on the radius-12 patch",
-                           stage="pattern-b-patch",
-                           witness=_pattern_witness(patch_cfg, PATTERN_B)))
+                           stage="pattern-b-patch", coloring=PATTERN_B))
     obls.append(Obligation(
         "distance5-invariance", GEOM_IDENTITY,
         "both canonical colourings are invariant under every norm-25 lattice "
@@ -1041,9 +943,10 @@ def _certificate(problem: ColoringProblem, verdicts: dict[str, Verdict],
 
 
 def _run_obligation(ob: Obligation, stages: dict[str, Stage],
-                    options: Options) -> ObligationResult:
+                    figures: Sequence[Figure], options: Options) -> ObligationResult:
     t0 = time.perf_counter()
     emit = options.emit_certificates
+    kind = ob.kind
     status = "fail"
     detail: dict = {}
     certificate = None
@@ -1053,16 +956,24 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
         status = "pass" if ok else "fail"
         if emit:
             certificate = {"identity": detail}
-    elif ob.kind == CHAIN_CLAIM:
-        ok = is_unit_chain(stages[ob.stage].cfg, ob.names)
-        status = "pass" if ok else "fail"
-        detail = {"chain": list(ob.names)}
-    elif ob.kind == PATTERN_PRESENT:
-        hits = placement_count(stages[ob.stage].cfg, template(ob.template_id),
-                               ob.names, ob.center_last)
-        status = "pass" if hits else "fail"
-        detail = {"template": ob.template_id, "nodes": list(ob.names),
-                  "embeddings": hits}
+    elif ob.kind == CLAIM:
+        found = [(section, figure, claim) for figure in figures for section in _CLAIM_KINDS
+                 for claim in figure.claims.get(section, ()) if claim.get("id") == ob.oid]
+        if len(found) != 1:
+            detail = {"claims_with_id": len(found)}
+        else:
+            section, figure, claim = found[0]
+            kind = _CLAIM_KINDS[section]
+            nodes = list(claim["nodes"])
+            if kind == CHAIN_CLAIM:
+                ok = is_unit_chain(figure.cfg, nodes)
+                detail = {"chain": nodes}
+            else:
+                hits = placement_count(figure.cfg, template(claim["template"]), nodes,
+                                       claim.get("center_last", False))
+                ok = hits > 0
+                detail = {"template": claim["template"], "nodes": nodes, "embeddings": hits}
+            status = "pass" if ok else "fail"
     elif ob.kind == FORCED:
         stage = stages[ob.stage]
         problem = stage.problem(ob.exclude)
@@ -1092,21 +1003,23 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
     elif ob.kind == SAT_WITNESS:
         stage = stages[ob.stage]
         problem = stage.problem()
-        colours = ob.witness()
         assumptions = []
-        for name, colour in colours.items():
-            v = problem.name_to_var[stage.cfg.primary(name)]
-            assumptions.append(v if colour == "red" else -v)
+        for name, pt in zip(stage.cfg.names, stage.cfg.points):
+            ab = lattice_coords(pt)
+            if ab is None:
+                raise ValueError(f"node {name} is not a lattice node")
+            v = problem.name_to_var[name]
+            assumptions.append(v if ob.coloring.is_red(*ab) else -v)
         verdict = solve(problem, assumptions=assumptions)
         status = "pass" if verdict.kind == "sat" else "fail"
-        detail = {"verdict": verdict.kind, "nodes": len(colours)}
+        detail = {"verdict": verdict.kind, "nodes": len(assumptions)}
         if emit and verdict.model is not None:
             certificate = _certificate(problem, {"witness": verdict},
                                        {"witness": assumptions})
     else:
         raise ValueError(f"unknown obligation kind {ob.kind!r}")
 
-    return ObligationResult(ob.oid, ob.kind, ob.statement, status, detail,
+    return ObligationResult(ob.oid, kind, ob.statement, status, detail,
                             certificate, (time.perf_counter() - t0) * 1e3)
 
 
@@ -1137,7 +1050,7 @@ def run_script(script_id: str, options: Optional[Options] = None,
             report.status = "failed"
 
     for ob in obligations:
-        result = _run_obligation(ob, stages, options)
+        result = _run_obligation(ob, stages, figures, options)
         report.obligations.append(result)
         if result.status != "pass":
             report.status = "failed"
@@ -1241,13 +1154,12 @@ def uniqueness_enumeration(script_id: str, options: Options,
             image.append(pattern.is_red(anchor[0] + sa, anchor[1] + sb))
         allowed.add(tuple(image))
 
-    models, exhausted = enumerate_models(problem, cap=options.model_cap,
-                                         project=proj_vars)
+    models, exhausted = enumerate_models(problem, cap=MODEL_CAP, project=proj_vars)
     mismatches = [list(m) for m in models if tuple(m) not in allowed]
     return {
         "patch_radius": options.stretch_radius,
         "center_radius": CENTER_RADIUS,
-        "model_cap": options.model_cap,
+        "model_cap": MODEL_CAP,
         "central_restrictions": len(models),
         "exhausted": exhausted,
         "all_match_canonical": not mismatches,

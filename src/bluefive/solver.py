@@ -469,11 +469,12 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
 def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequence]) -> bool:
     """Re-check an unsat trace step by step, independently of the engine.
 
-    Verifies that every implication is forced by its reason clause, every
-    conflict clause is fully falsified, every flip answers a conflict on
-    the deepest open decision, and that the final conflict happens with no
-    open decision left (decision level 0).  Raises CertificateError on the
-    first discrepancy.
+    Verifies that every assumption comes before the first decision, every
+    implication is forced by its reason clause, every conflict clause is
+    fully falsified, every flip answers a conflict on the deepest open
+    decision, and that the final conflict happens with no open decision
+    left (decision level 0).  Raises CertificateError on the first
+    discrepancy.
     """
     assign: dict[int, bool] = {}
     trail: list[int] = []
@@ -503,6 +504,8 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
             raise CertificateError(f"expected flip after conflict, got {tag}")
         if tag == "assume":
             lit = ev[1]
+            if decisions:
+                raise CertificateError("assumption above decision level 0")
             if abs(lit) in assign:
                 if assign[abs(lit)] != (lit > 0):
                     raise CertificateError("assumption contradicts trail without conflict event")

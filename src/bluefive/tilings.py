@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .geometry import hex_indices, lattice_vectors_of_norm2
 
 UNIT_OFFSETS = ((1, 0), (0, 1), (1, -1))  # one representative per unit direction
+WITNESS_CAP = 5  # defects of each type listed in a pattern report
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ class PatternReport:
         }
 
 
-def validate_pattern(coloring: PeriodicColoring, radius: int,
-                     witness_cap: int = 5) -> PatternReport:
+def validate_pattern(coloring: PeriodicColoring, radius: int) -> PatternReport:
     """Count red unit pairs and all-blue unit 5-chains on the hex patch.
 
     Both defect types span at most 4 lattice steps, so a clean patch of
@@ -108,13 +108,13 @@ def validate_pattern(coloring: PeriodicColoring, radius: int,
         for da, db in UNIT_OFFSETS:
             if is_r and red.get((a + da, b + db)):
                 report.red_unit_pairs += 1
-                if len(report.pair_witnesses) < witness_cap:
+                if len(report.pair_witnesses) < WITNESS_CAP:
                     report.pair_witnesses.append([[a, b], [a + da, b + db]])
         for da, db in UNIT_OFFSETS:
             cells = [(a + t * da, b + t * db) for t in range(5)]
             if all(c in red for c in cells) and not any(red[c] for c in cells):
                 report.blue_chains += 1
-                if len(report.chain_witnesses) < witness_cap:
+                if len(report.chain_witnesses) < WITNESS_CAP:
                     report.chain_witnesses.append([list(c) for c in cells])
     report.periodicity_certified = radius >= coloring.period() + 5
     return report

@@ -183,8 +183,7 @@ def test_criterion_6_transcription_self_check():
 
 
 def test_criterion_7_uniqueness_enumeration(full_run):
-    run = verify_all(Options(stretch=True, stretch_radius=6,
-                             model_cap=10 ** 6), only=["col1", "col2"])
+    run = verify_all(Options(stretch=True, stretch_radius=6), only=["col1", "col2"])
     ok = True
     details = []
     for sid in ("col1", "col2"):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bluefive.field import (FieldElement, ONE, SQRT3, SQRT11, SQRT33, ZERO,
-                            fe, fe_arith, fe_sign)
+from bluefive.field import FieldElement, ONE, SQRT3, SQRT11, SQRT33, ZERO, fe
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12)
@@ -28,7 +27,7 @@ def test_difference_of_squares():
 def test_turn_angle_identity():
     cos = fe(Fraction(5, 6))
     sin = fe(0, 0, Fraction(1, 6))
-    assert fe_arith("add", fe_arith("mul", cos, cos), fe_arith("mul", sin, sin)) == ONE
+    assert cos * cos + sin * sin == ONE
 
 
 def test_division_by_zero():
@@ -37,11 +36,11 @@ def test_division_by_zero():
 
 
 def test_sign_examples():
-    assert fe_sign(ZERO) == 0
-    assert fe_sign(fe(6) - SQRT33) == 1          # 36 > 33
-    assert fe_sign(fe(Fraction(23, 4)) - SQRT33) == 1  # 529/16 > 33
-    assert fe_sign(SQRT33 - fe(6)) == -1
-    assert fe_sign(fe(Fraction(-1, 1000000)) + ZERO) == -1
+    assert ZERO.sign() == 0
+    assert (fe(6) - SQRT33).sign() == 1          # 36 > 33
+    assert (fe(Fraction(23, 4)) - SQRT33).sign() == 1  # 529/16 > 33
+    assert (SQRT33 - fe(6)).sign() == -1
+    assert (fe(Fraction(-1, 1000000)) + ZERO).sign() == -1
 
 
 def test_serialization_round_trip():
@@ -82,10 +81,10 @@ def test_no_zero_divisors(a, b):
 def test_sign_matches_float_when_clearly_nonzero(a):
     approx = float(a)
     if abs(approx) > 1e-6:
-        assert fe_sign(a) == (1 if approx > 0 else -1)
+        assert a.sign() == (1 if approx > 0 else -1)
 
 
 @given(elements)
 @settings(max_examples=150, deadline=None)
 def test_sign_times_value_nonnegative(a):
-    assert fe_sign(fe(fe_sign(a)) * a) >= 0
+    assert (fe(a.sign()) * a).sign() >= 0

@@ -16,7 +16,7 @@ def test_all_registries_self_check():
 
 def test_self_check_reports_bad_claims():
     figure = load_figure("fig1a")
-    figure.claims["ell5"].append(["A", "X", "D", "E", "B"])
+    figure.claims["ell5"].append({"nodes": ["A", "X", "D", "E", "B"]})
     figure.claims["patterns"].append(
         {"template": "EQ3_CENTERED", "nodes": ["O", "A", "B", "C"], "center_last": True})
     problems = self_check(figure)

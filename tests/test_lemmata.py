@@ -90,8 +90,9 @@ def test_t3t6_self_checks_every_registry(monkeypatch):
     def corrupted(fid):
         figure = load_figure(fid)
         if fid == "fig6":
-            chains = figure.claims["ell5"]
-            chains[chains.index(["M", "N", "R", "S", "V"])] = ["M", "N", "S", "R", "V"]
+            chain = next(c for c in figure.claims["ell5"]
+                         if c["nodes"] == ["M", "N", "R", "S", "V"])
+            chain["nodes"] = ["M", "N", "S", "R", "V"]
         return figure
 
     monkeypatch.setattr(lemmata, "load_figure", corrupted)
@@ -101,6 +102,64 @@ def test_t3t6_self_checks_every_registry(monkeypatch):
     assert check.oid == "transcription-self-check" and check.status == "fail"
     assert check.detail == {"failures": ["fig6: M-N-S-R-V is not a unit five-chain"]}
     assert report.status == "failed"
+
+
+def test_claim_obligations_resolve_to_one_figure_claim(full_run):
+    """Each chain or placement obligation id names exactly one claim among
+    its script's figures, and each claim id names one obligation."""
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    sections = {"ell5": 0, "patterns": 0}
+    for sid in SCRIPT_ORDER:
+        _, obligations, figures = lemmata._BUILDERS[sid](granted, Options())
+        claims = [(section, claim) for figure in figures for section in sections
+                  for claim in figure.claims[section] if "id" in claim]
+        ids = [claim["id"] for _, claim in claims]
+        assert len(set(ids)) == len(ids), sid
+        assert sorted(ids) == sorted(ob.oid for ob in obligations
+                                     if ob.kind == lemmata.CLAIM), sid
+        for section, _ in claims:
+            sections[section] += 1
+    assert sections == {"ell5": 20, "patterns": 25}
+    run, _ = full_run
+    kinds = [o.kind for r in run.reports.values() for o in r.obligations
+             if o.kind in ("CHAIN_CLAIM", "PATTERN_PRESENT") and o.status == "pass"]
+    assert (kinds.count("CHAIN_CLAIM"), kinds.count("PATTERN_PRESENT")) == (20, 25)
+
+
+def _bluetr_with_edited_chains(monkeypatch, edit):
+    def edited(fid):
+        figure = load_figure(fid)
+        edit({c.get("id"): c for c in figure.claims["ell5"]})
+        return figure
+
+    monkeypatch.setattr(lemmata, "load_figure", edited)
+    report = run_script("bluetr")
+    assert report.status == "failed"
+    return {o.oid: o for o in report.obligations}
+
+
+def test_corrupted_claim_fails_self_check_and_obligation(monkeypatch):
+    def swap(chains):
+        chains["chain-xadeb"]["nodes"] = ["X", "A", "E", "D", "B"]
+
+    results = _bluetr_with_edited_chains(monkeypatch, swap)
+    assert results["transcription-self-check"].detail == {
+        "failures": ["fig1a: X-A-E-D-B is not a unit five-chain"]}
+    chain = results["chain-xadeb"]
+    assert (chain.kind, chain.status) == ("CHAIN_CLAIM", "fail")
+    assert chain.detail == {"chain": ["X", "A", "E", "D", "B"]}
+    assert results["chain-yafgc"].status == "pass"
+
+
+def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
+    def relabel(chains):
+        chains["chain-yafgc"]["id"] = "chain-xadeb"
+
+    results = _bluetr_with_edited_chains(monkeypatch, relabel)
+    assert results["transcription-self-check"].status == "pass"
+    for oid, found in (("chain-xadeb", 2), ("chain-yafgc", 0)):
+        assert (results[oid].kind, results[oid].status) == ("CLAIM", "fail")
+        assert results[oid].detail == {"claims_with_id": found}
 
 
 def test_dependencies_acyclic_and_ordered():

@@ -193,6 +193,23 @@ def test_replayer_rejects_tampered_trace():
         replay_unsat_trace(problem.clauses, bad)
 
 
+def test_replayer_rejects_assume_after_decide():
+    # forcing v1 blue needs a case split: with v1 red every sign of v2, v3 dies
+    problem = _problem(3, [(-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3)])
+    refuted = forced_color(problem, "v1", record_trace=True).when_red
+    trace = [tuple(ev) for ev in refuted.trace]
+    assert trace[0] == ("assume", 1) and trace[1][0] == "decide"
+    assert replay_unsat_trace(problem.clauses, trace)
+    moved = [trace[1], trace[0]] + trace[2:]
+    # the assumption re-issued after the flip makes a trace that replays
+    # clean except for its level
+    flip = next(i for i, ev in enumerate(trace) if ev[0] == "flip")
+    reissued = trace[:flip + 1] + [("assume", 1)] + trace[flip + 1:]
+    for bad in (moved, reissued):
+        with pytest.raises(CertificateError, match="decision level 0"):
+            replay_unsat_trace(problem.clauses, bad)
+
+
 def test_replayer_rejects_truncated_trace():
     problem = _problem(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)])
     verdict = solve(problem, record_trace=True)

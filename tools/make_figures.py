@@ -4,7 +4,9 @@
 Each registry records exact coordinates, the colours shown in the
 construction diagram (red / blue / undetermined), the rule ids its
 instance uses, and the named facts (unit pairs, five-chains, template
-placements) that the transcription self-check re-verifies.
+placements) that the transcription self-check re-verifies.  A five-chain
+or placement that a verification script proves carries the id of that
+script's obligation, which reads its nodes from here.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ def fig1a():
     claims = {
         "blue_unit": [["D", "O"], ["E", "O"], ["F", "O"], ["G", "O"]],
         "unit": [["X", "Y"], ["X", "A"], ["Y", "A"]],
-        "ell5": [["X", "A", "D", "E", "B"], ["Y", "A", "F", "G", "C"]],
+        "ell5": [
+            {"id": "chain-xadeb", "nodes": ["X", "A", "D", "E", "B"]},
+            {"id": "chain-yafgc", "nodes": ["Y", "A", "F", "G", "C"]},
+        ],
         "patterns": [{"template": "EQ3_CENTERED", "nodes": ["A", "B", "C", "O"],
                       "center_last": True}],
     }
@@ -77,7 +82,8 @@ def fig1b():
         "ell5": [],
         "patterns": [
             {"template": "EQ3_CENTERED", "nodes": ["A", "B", "C", "O"], "center_last": True},
-            {"template": "EQ3_CENTERED", "nodes": ["A'", "B'", "C'", "O"], "center_last": True},
+            {"id": "turned-triangle", "template": "EQ3_CENTERED",
+             "nodes": ["A'", "B'", "C'", "O"], "center_last": True},
         ],
     }
     dump("fig1b", order, colors,
@@ -112,9 +118,11 @@ def fig3():
                  ["D", "D''"], ["F", "F''"], ["X", "X''"], ["X'", "X''"]],
         "ell5": [],
         "patterns": [
-            {"template": "T7", "nodes": ["A", "B", "C", "D", "E", "F", "G"]},
-            {"template": "EQ3_CENTERED", "nodes": ["X'", "A'", "F'", "B"], "center_last": True},
-            {"template": "EQ3_CENTERED", "nodes": ["X''", "D''", "F''", "C"], "center_last": True},
+            {"id": "seven-red", "template": "T7", "nodes": ["A", "B", "C", "D", "E", "F", "G"]},
+            {"id": "triangle-b", "template": "EQ3_CENTERED",
+             "nodes": ["X'", "A'", "F'", "B"], "center_last": True},
+            {"id": "triangle-c", "template": "EQ3_CENTERED",
+             "nodes": ["X''", "D''", "F''", "C"], "center_last": True},
         ],
     }
     dump("fig3", order, colors,
@@ -138,13 +146,16 @@ def fig4():
         "blue_unit": [["E", "B"], ["F", "B"], ["G", "C"], ["H", "C"],
                       ["I", "A"], ["J", "A"]],
         "unit": [["K", "L"], ["K", "M"], ["N", "P"], ["N", "Q"]],
-        "ell5": [["L", "M", "Y", "G", "H"], ["K", "J", "I", "Z", "N"],
-                 ["P", "Q", "F", "E", "X"]],
+        "ell5": [
+            {"id": "s1-chain-lmygh", "nodes": ["L", "M", "Y", "G", "H"]},
+            {"id": "s1-chain-kjizn", "nodes": ["K", "J", "I", "Z", "N"]},
+            {"id": "s1-chain-pqfex", "nodes": ["P", "Q", "F", "E", "X"]},
+        ],
         "patterns": [
-            {"template": "T3", "nodes": ["A", "B", "C"]},
-            {"template": "T4", "nodes": ["A", "B", "C", "X"]},
-            {"template": "T4", "nodes": ["A", "B", "C", "Y"]},
-            {"template": "T4", "nodes": ["A", "B", "C", "Z"]},
+            {"id": "s1-t3", "template": "T3", "nodes": ["A", "B", "C"]},
+            {"id": "s1-t4-X", "template": "T4", "nodes": ["A", "B", "C", "X"]},
+            {"id": "s1-t4-Y", "template": "T4", "nodes": ["A", "B", "C", "Y"]},
+            {"id": "s1-t4-Z", "template": "T4", "nodes": ["A", "B", "C", "Z"]},
         ],
     }
     dump("fig4", [(n, node(*pts[n])) for n in order], colors,
@@ -167,12 +178,15 @@ def fig5():
         "blue_unit": [["H", "C"], ["I", "C"], ["K", "B"], ["L", "B"],
                       ["M", "D"], ["N", "D"]],
         "unit": [["P", "Q"], ["P", "R"]],
-        "ell5": [["F", "H", "I", "G", "P"], ["X", "N", "M", "Q", "R"]],
+        "ell5": [
+            {"id": "s2-chain-fhigp", "nodes": ["F", "H", "I", "G", "P"]},
+            {"id": "s2-chain-xnmqr", "nodes": ["X", "N", "M", "Q", "R"]},
+        ],
         "patterns": [
-            {"template": "T4", "nodes": ["A", "B", "C", "D"]},
-            {"template": "T5", "nodes": ["A", "B", "C", "D", "X"]},
-            {"template": "T5", "nodes": ["A", "B", "C", "D", "F"]},
-            {"template": "T5", "nodes": ["A", "B", "C", "D", "G"]},
+            {"id": "s2-t4", "template": "T4", "nodes": ["A", "B", "C", "D"]},
+            {"id": "s2-t5-X", "template": "T5", "nodes": ["A", "B", "C", "D", "X"]},
+            {"id": "s2-t5-F", "template": "T5", "nodes": ["A", "B", "C", "D", "F"]},
+            {"id": "s2-t5-G", "template": "T5", "nodes": ["A", "B", "C", "D", "G"]},
         ],
     }
     dump("fig5", [(n, node(*pts[n])) for n in order], colors,
@@ -198,15 +212,21 @@ def fig6():
         "blue_unit": [["G", "A"], ["H", "A"], ["I", "E"], ["J", "E"],
                       ["K", "C"], ["L", "C"], ["M", "D"], ["N", "D"]],
         "unit": [["Q", "P"], ["Q", "U"], ["Q", "T"], ["S", "R"], ["S", "V"], ["S", "W"]],
-        "ell5": [["Q", "P", "K", "L", "F"], ["T", "U", "G", "H", "X"],
-                 ["F", "M", "N", "R", "S"], ["M", "N", "R", "S", "V"],
-                 ["V", "W", "J", "I", "Y"]],
+        "ell5": [
+            {"id": "s3-chain-qpklf", "nodes": ["Q", "P", "K", "L", "F"]},
+            {"id": "s3-chain-tughx", "nodes": ["T", "U", "G", "H", "X"]},
+            {"id": "s3-chain-fmnrs", "nodes": ["F", "M", "N", "R", "S"]},
+            {"nodes": ["M", "N", "R", "S", "V"]},
+            {"id": "s3-chain-vwjiy", "nodes": ["V", "W", "J", "I", "Y"]},
+        ],
         "patterns": [
-            {"template": "T5", "nodes": ["A", "B", "C", "D", "E"]},
-            {"template": "EQ3_CENTERED", "nodes": ["X", "E", "C", "B"], "center_last": True},
-            {"template": "EQ3_CENTERED", "nodes": ["Y", "A", "D", "B"], "center_last": True},
-            {"template": "T7", "nodes": ["A", "B", "C", "D", "E", "P", "R"]},
-            {"template": "T6", "nodes": ["A", "B", "C", "D", "E", "F"]},
+            {"id": "s3-t5", "template": "T5", "nodes": ["A", "B", "C", "D", "E"]},
+            {"id": "s3-tri-x", "template": "EQ3_CENTERED",
+             "nodes": ["X", "E", "C", "B"], "center_last": True},
+            {"id": "s3-tri-y", "template": "EQ3_CENTERED",
+             "nodes": ["Y", "A", "D", "B"], "center_last": True},
+            {"id": "s3-t7", "template": "T7", "nodes": ["A", "B", "C", "D", "E", "P", "R"]},
+            {"id": "s3-t6", "template": "T6", "nodes": ["A", "B", "C", "D", "E", "F"]},
         ],
     }
     dump("fig6", [(n, node(*pts[n])) for n in order], colors,
@@ -244,16 +264,25 @@ def figcol1():
                       ["S1'", "D"], ["S2'", "E"], ["S4'", "A'"], ["V'", "E"]],
         "unit": [["R", "Q"], ["R", "P"], ["X", "X1"], ["X", "X2"],
                  ["Y", "X1'"], ["Y", "X2'"]],
-        "ell5": [["K", "L", "I", "Q", "P"], ["A'", "J", "N", "M", "R"],
-                 ["S1", "S2", "S3", "S4", "B'"], ["S1'", "S2'", "J", "S4'", "F'"],
-                 ["U", "V", "W", "X1", "X2"], ["I", "V'", "M", "X1'", "X2'"]],
+        "ell5": [
+            {"id": "chain-kliqp", "nodes": ["K", "L", "I", "Q", "P"]},
+            {"id": "chain-ajnmr", "nodes": ["A'", "J", "N", "M", "R"]},
+            {"id": "chain-srow", "nodes": ["S1", "S2", "S3", "S4", "B'"]},
+            {"id": "chain-srow-mirror", "nodes": ["S1'", "S2'", "J", "S4'", "F'"]},
+            {"id": "chain-uvwx", "nodes": ["U", "V", "W", "X1", "X2"]},
+            {"id": "chain-uvwx-mirror", "nodes": ["I", "V'", "M", "X1'", "X2'"]},
+        ],
         "patterns": [
-            {"template": "T6", "nodes": ["A", "B", "C", "D", "E", "F"]},
-            {"template": "T6", "nodes": ["A'", "B'", "C'", "D'", "E'", "F'"]},
-            {"template": "EQ3_CENTERED", "nodes": ["A", "D", "I", "F"], "center_last": True},
-            {"template": "EQ3_CENTERED", "nodes": ["C", "F", "J", "D"], "center_last": True},
-            {"template": "EQ3_CENTERED", "nodes": ["A", "D", "U", "B"], "center_last": True},
-            {"template": "T3", "nodes": ["A'", "B'", "F'"]},
+            {"id": "block-t6", "template": "T6", "nodes": ["A", "B", "C", "D", "E", "F"]},
+            {"id": "block-t6-shifted", "template": "T6",
+             "nodes": ["A'", "B'", "C'", "D'", "E'", "F'"]},
+            {"id": "tri-i", "template": "EQ3_CENTERED",
+             "nodes": ["A", "D", "I", "F"], "center_last": True},
+            {"id": "tri-j", "template": "EQ3_CENTERED",
+             "nodes": ["C", "F", "J", "D"], "center_last": True},
+            {"id": "tri-u", "template": "EQ3_CENTERED",
+             "nodes": ["A", "D", "U", "B"], "center_last": True},
+            {"id": "anchor-t3", "template": "T3", "nodes": ["A'", "B'", "F'"]},
         ],
     }
     dump("figcol1", [(n, node(*pts[n])) for n in order], colors,
@@ -279,11 +308,14 @@ def figcol2():
         "blue_unit": [["E", "B"], ["F", "B"], ["I", "B"], ["H", "B"],
                       ["K", "B"], ["J", "B"]],
         "unit": [["N", "B'"]],
-        "ell5": [["D", "E", "F", "G", "B'"], ["C", "H", "I", "G", "N"],
-                 ["H", "I", "G", "N", "A'"]],
+        "ell5": [
+            {"id": "chain-defgb", "nodes": ["D", "E", "F", "G", "B'"]},
+            {"id": "chain-chign", "nodes": ["C", "H", "I", "G", "N"]},
+            {"id": "chain-higna", "nodes": ["H", "I", "G", "N", "A'"]},
+        ],
         "patterns": [
-            {"template": "T3", "nodes": ["A", "B", "D"]},
-            {"template": "T3", "nodes": ["A", "B", "G"]},
+            {"id": "t3-D", "template": "T3", "nodes": ["A", "B", "D"]},
+            {"id": "t3-G", "template": "T3", "nodes": ["A", "B", "G"]},
         ],
     }
     dump("figcol2", [(n, node(*pts[n])) for n in order], colors,
