@@ -81,31 +81,42 @@ class Configuration:
 
     # -- candidate pair search ------------------------------------------------
 
+    def _float_points(self) -> list[tuple[float, float]]:
+        cache = self._bucket_cache.get("floats")
+        if cache is None:
+            cache = [(float(pt.x), float(pt.y)) for pt in self.points]
+            self._bucket_cache["floats"] = cache
+        return cache
+
     def _buckets(self) -> dict[tuple[int, int], list[int]]:
         cache = self._bucket_cache.get("grid")
         if cache is None:
             cache = {}
-            for i, pt in enumerate(self.points):
-                key = (int(float(pt.x) // 1), int(float(pt.y) // 1))
-                cache.setdefault(key, []).append(i)
+            for i, (x, y) in enumerate(self._float_points()):
+                cache.setdefault((int(x // 1), int(y // 1)), []).append(i)
             self._bucket_cache["grid"] = cache
         return cache
 
     def pairs_with_dist2(self, d2: FieldElement) -> list[tuple[int, int]]:
         """All unordered index pairs at exactly squared distance d2.
 
-        A float grid narrows the candidates; every candidate is confirmed
-        with exact arithmetic, and the grid margin is far wider than any
-        rounding error, so no true pair can be missed.  Results are cached;
-        configurations are immutable once built.
+        Floats only filter: a float grid narrows the candidates, and a
+        candidate is dropped only when its float squared distance is
+        further than 1e-6*(1 + |d2|) from float(d2), orders of magnitude
+        wider than any rounding error, so no true pair can be missed.
+        Every survivor is confirmed with exact arithmetic.  Results are
+        cached; configurations are immutable once built.
         """
         key = ("pairs", d2)
         cached = self._bucket_cache.get(key)
         if cached is not None:
             return cached
-        radius = float(d2) ** 0.5
-        reach = int(radius) + 2
+        target = float(d2)
+        tol = 1e-6 * (1.0 + abs(target))
+        reach = int(max(target, 0.0) ** 0.5) + 2
         grid = self._buckets()
+        xy = self._float_points()
+        pts = self.points
         out = []
         for (bx, by), idxs in grid.items():
             for dx in range(-reach, reach + 1):
@@ -114,9 +125,14 @@ class Configuration:
                     if other is None:
                         continue
                     for i in idxs:
+                        xi, yi = xy[i]
                         for j in other:
-                            if i < j and dist2(self.points[i], self.points[j]) == d2:
-                                out.append((i, j))
+                            if i < j:
+                                ex = xy[j][0] - xi
+                                ey = xy[j][1] - yi
+                                if (abs(ex * ex + ey * ey - target) <= tol
+                                        and dist2(pts[i], pts[j]) == d2):
+                                    out.append((i, j))
         out.sort()
         self._bucket_cache[key] = out
         return out
@@ -248,6 +264,12 @@ def _rigid_maps(src0: Point, src1: Point, dst0: Point, dst1: Point):
     return apply
 
 
+def _dist2_key(p: Point, q: Point) -> tuple[int, ...]:
+    """The squared distance as its canonical integer tuple (n0..n3, d)."""
+    d = dist2(p, q)
+    return (d.n0, d.n1, d.n2, d.n3, d.d)
+
+
 def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     """All congruent embeddings of the template, mirror images included.
 
@@ -278,9 +300,8 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
 
     variants = [tpl.points,
                 tuple(Point(p.x, -p.y) for p in tpl.points)]
-    tpl_multiset = sorted(
-        dist2(tpl.points[i], tpl.points[j]).serialize()
-        for i in range(m) for j in range(i + 1, m))
+    tpl_multiset = sorted(_dist2_key(tpl.points[i], tpl.points[j])
+                          for i in range(m) for j in range(i + 1, m))
 
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
@@ -301,9 +322,8 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
                 if key in seen:
                     continue
                 seen.add(key)
-                got = sorted(
-                    dist2(cfg.points[emb[i]], cfg.points[emb[j]]).serialize()
-                    for i in range(m) for j in range(i + 1, m))
+                got = sorted(_dist2_key(cfg.points[emb[i]], cfg.points[emb[j]])
+                             for i in range(m) for j in range(i + 1, m))
                 if got != tpl_multiset:
                     raise AssertionError("embedding failed the distance multiset check")
                 out.append(key)

@@ -2,23 +2,25 @@
 
 Every coordinate the verifier ever touches lives in this field: lattice
 nodes need sqrt3, the chord rotation (cos 5/6, sin sqrt11/6) brings in
-sqrt11, and products of the two bring in sqrt33.  Elements are stored on
-the basis (1, sqrt3, sqrt11, sqrt33) with rational coefficients, so
-equality is structural and exact.
+sqrt11, and products of the two bring in sqrt33.  An element is stored as
+four integer numerators over one shared positive denominator,
+
+    (n0 + n1*sqrt3 + n2*sqrt11 + n3*sqrt33) / d,
+
+in lowest terms (gcd(n0, n1, n2, n3, d) == 1).  The basis is linearly
+independent over Q, so every value has exactly one such form, and
+equality and hashing compare the integer tuple.  Each operation does its
+arithmetic in Python ints and reduces with one gcd.  Fraction appears only
+at the edges: constructor input, the c0..c3 views and serialisation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction, str]
-
-# Starting enclosures for the two radicals; sign() bisects these.
-_SQRT3_LO = Fraction(17320508, 10**7)
-_SQRT3_HI = Fraction(17320509, 10**7)
-_SQRT11_LO = Fraction(33166247, 10**7)
-_SQRT11_HI = Fraction(33166248, 10**7)
 
 _SQRT3_FLOAT = 3.0 ** 0.5
 _SQRT11_FLOAT = 11.0 ** 0.5
@@ -36,17 +38,19 @@ def _rat(x: RationalLike) -> Fraction:
 
 
 class FieldElement:
-    """c0 + c1*sqrt3 + c2*sqrt11 + c3*sqrt33 with rational ci, canonical form."""
+    """(n0 + n1*sqrt3 + n2*sqrt11 + n3*sqrt33) / d with integer ni and
+    d > 0, in lowest terms.  c0..c3 are the coefficients as Fractions."""
 
-    __slots__ = ("c0", "c1", "c2", "c3", "_hash")
+    __slots__ = ("n0", "n1", "n2", "n3", "d")
 
     def __init__(self, c0: RationalLike = 0, c1: RationalLike = 0,
                  c2: RationalLike = 0, c3: RationalLike = 0) -> None:
-        object.__setattr__(self, "c0", _rat(c0))
-        object.__setattr__(self, "c1", _rat(c1))
-        object.__setattr__(self, "c2", _rat(c2))
-        object.__setattr__(self, "c3", _rat(c3))
-        object.__setattr__(self, "_hash", None)
+        cs = [_rat(c) for c in (c0, c1, c2, c3)]
+        # over the lcm of reduced denominators the numerators share no factor
+        d = lcm(*(c.denominator for c in cs))
+        for set_n, c in zip(_SETTERS, cs):
+            set_n(self, c.numerator * (d // c.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("FieldElement is immutable")
@@ -57,45 +61,71 @@ class FieldElement:
     def coerce(x: "FieldElement | RationalLike") -> "FieldElement":
         if isinstance(x, FieldElement):
             return x
-        return FieldElement(_rat(x))
+        if type(x) is int:
+            return _raw(x, 0, 0, 0, 1)
+        return FieldElement(x)
+
+    @staticmethod
+    def from_ints(n0: int, n1: int, n2: int, n3: int, d: int = 1) -> "FieldElement":
+        """(n0 + n1*sqrt3 + n2*sqrt11 + n3*sqrt33) / d for integers, d != 0."""
+        if d == 0:
+            raise ZeroDivisionError("field element with zero denominator")
+        if d < 0:
+            n0, n1, n2, n3, d = -n0, -n1, -n2, -n3, -d
+        return _reduced(n0, n1, n2, n3, d)
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2, self.c3)
 
+    c0 = property(lambda self: Fraction(self.n0, self.d))
+    c1 = property(lambda self: Fraction(self.n1, self.d))
+    c2 = property(lambda self: Fraction(self.n2, self.d))
+    c3 = property(lambda self: Fraction(self.n3, self.d))
+
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other) -> "FieldElement":
-        o = FieldElement.coerce(other)
-        return FieldElement(self.c0 + o.c0, self.c1 + o.c1,
-                            self.c2 + o.c2, self.c3 + o.c3)
+        o = other if isinstance(other, FieldElement) else FieldElement.coerce(other)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.n0 + o.n0, self.n1 + o.n1,
+                            self.n2 + o.n2, self.n3 + o.n3, d)
+        return _reduced(self.n0 * e + o.n0 * d, self.n1 * e + o.n1 * d,
+                        self.n2 * e + o.n2 * d, self.n3 * e + o.n3 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.c0, -self.c1, -self.c2, -self.c3)
+        return _raw(-self.n0, -self.n1, -self.n2, -self.n3, self.d)
 
     def __sub__(self, other) -> "FieldElement":
-        o = FieldElement.coerce(other)
-        return FieldElement(self.c0 - o.c0, self.c1 - o.c1,
-                            self.c2 - o.c2, self.c3 - o.c3)
+        o = other if isinstance(other, FieldElement) else FieldElement.coerce(other)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.n0 - o.n0, self.n1 - o.n1,
+                            self.n2 - o.n2, self.n3 - o.n3, d)
+        return _reduced(self.n0 * e - o.n0 * d, self.n1 * e - o.n1 * d,
+                        self.n2 * e - o.n2 * d, self.n3 * e - o.n3 * d, d * e)
 
     def __rsub__(self, other) -> "FieldElement":
         return FieldElement.coerce(other) - self
 
     def __mul__(self, other) -> "FieldElement":
-        o = FieldElement.coerce(other)
-        a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
-        b0, b1, b2, b3 = o.c0, o.c1, o.c2, o.c3
+        o = other if isinstance(other, FieldElement) else FieldElement.coerce(other)
+        a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
+        b0, b1, b2, b3 = o.n0, o.n1, o.n2, o.n3
         if not (a2 or a3 or b2 or b3):
             # both operands lie in Q(sqrt3); lattice geometry stays here
-            return FieldElement(a0 * b0 + 3 * a1 * b1, a0 * b1 + a1 * b0)
+            return _reduced(a0 * b0 + 3 * a1 * b1, a0 * b1 + a1 * b0, 0, 0,
+                            self.d * o.d)
         # sqrt3*sqrt3=3, sqrt11*sqrt11=11, sqrt3*sqrt11=sqrt33,
         # sqrt33*sqrt33=33, sqrt3*sqrt33=3*sqrt11, sqrt11*sqrt33=11*sqrt3
-        return FieldElement(
+        return _reduced(
             a0 * b0 + 3 * a1 * b1 + 11 * a2 * b2 + 33 * a3 * b3,
             a0 * b1 + a1 * b0 + 11 * (a2 * b3 + a3 * b2),
             a0 * b2 + a2 * b0 + 3 * (a1 * b3 + a3 * b1),
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+            self.d * o.d,
         )
 
     __rmul__ = __mul__
@@ -104,23 +134,18 @@ class FieldElement:
         """Multiplicative inverse via conjugates over Q < Q(sqrt3) < Q(sqrt3,sqrt11)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # write self = u + v*sqrt11 with u, v in Q(sqrt3) as pairs (x + y*sqrt3)
-        u = (self.c0, self.c1)
-        v = (self.c2, self.c3)
-
-        def qmul(p, q):
-            return (p[0] * q[0] + 3 * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
-        # self * (u - v*sqrt11) = u^2 - 11 v^2 =: n in Q(sqrt3)
-        uu = qmul(u, u)
-        vv = qmul(v, v)
-        n = (uu[0] - 11 * vv[0], uu[1] - 11 * vv[1])
-        # invert n in Q(sqrt3): n * (n0 - n1*sqrt3) = n0^2 - 3 n1^2 in Q
-        norm = n[0] * n[0] - 3 * n[1] * n[1]
-        n_inv = (n[0] / norm, -n[1] / norm)
-        top0 = qmul(u, n_inv)
-        top1 = qmul((-v[0], -v[1]), n_inv)
-        return FieldElement(top0[0], top0[1], top1[0], top1[1])
+        # self = (u + v*sqrt11)/d with u = u0 + u1*sqrt3, v = v0 + v1*sqrt3
+        u0, u1, v0, v1, d = self.n0, self.n1, self.n2, self.n3, self.d
+        # (u + v*sqrt11)(u - v*sqrt11) = u^2 - 11 v^2 =: m0 + m1*sqrt3
+        m0 = u0 * u0 + 3 * u1 * u1 - 11 * (v0 * v0 + 3 * v1 * v1)
+        m1 = 2 * (u0 * u1 - 11 * v0 * v1)
+        # (m0 + m1*sqrt3)(m0 - m1*sqrt3) = q, a nonzero integer
+        q = m0 * m0 - 3 * m1 * m1
+        if q < 0:
+            q, d = -q, -d
+        # 1/self = d (u - v*sqrt11)(m0 - m1*sqrt3) / q
+        return _reduced(d * (u0 * m0 - 3 * u1 * m1), d * (u1 * m0 - u0 * m1),
+                        -d * (v0 * m0 - 3 * v1 * m1), -d * (v1 * m0 - v0 * m1), q)
 
     def __truediv__(self, other) -> "FieldElement":
         return self * FieldElement.coerce(other).inverse()
@@ -143,67 +168,42 @@ class FieldElement:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.c0 or self.c1 or self.c2 or self.c3)
+        return not (self.n0 or self.n1 or self.n2 or self.n3)
 
     def is_rational(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3)
+        return not (self.n1 or self.n2 or self.n3)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = FieldElement(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return (self.c0 == other.c0 and self.c1 == other.c1
-                and self.c2 == other.c2 and self.c3 == other.c3)
+        return (self.d == other.d and self.n0 == other.n0 and self.n1 == other.n1
+                and self.n2 == other.n2 and self.n3 == other.n3)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.c0, self.c1, self.c2, self.c3))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n0, self.n1, self.n2, self.n3, self.d))
 
     def sign(self) -> int:
         """Sign of the real value: -1, 0 or +1, decided exactly.
 
-        Zero is structural (the basis is linearly independent over Q), so a
-        nonzero coefficient vector has nonzero value and interval refinement
-        of the radical enclosures terminates.
+        d > 0, so this is the sign of p + q*sqrt11 with p = n0 + n1*sqrt3
+        and q = n2 + n3*sqrt3.  When p and q have opposite signs the one
+        of larger square wins, and p^2 - 11 q^2 is again of the form
+        a + b*sqrt3, whose sign follows the same way from a^2 - 3 b^2.
+        Neither difference is ever zero, as sqrt3 and sqrt11 are not in
+        the smaller fields.
         """
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            c = self.c0
-            return -1 if c < 0 else (1 if c > 0 else 0)
-        lo3, hi3 = _SQRT3_LO, _SQRT3_HI
-        lo11, hi11 = _SQRT11_LO, _SQRT11_HI
-        while True:
-            lo = self.c0
-            hi = self.c0
-            for c, (l, h) in ((self.c1, (lo3, hi3)),
-                              (self.c2, (lo11, hi11)),
-                              (self.c3, (lo3 * lo11, hi3 * hi11))):
-                if c > 0:
-                    lo += c * l
-                    hi += c * h
-                elif c < 0:
-                    lo += c * h
-                    hi += c * l
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            # enclosure still straddles 0: halve both radical intervals
-            mid = (lo3 + hi3) / 2
-            if mid * mid <= 3:
-                lo3 = mid
-            else:
-                hi3 = mid
-            mid = (lo11 + hi11) / 2
-            if mid * mid <= 11:
-                lo11 = mid
-            else:
-                hi11 = mid
+        n0, n1, n2, n3 = self.n0, self.n1, self.n2, self.n3
+        sp = _sign_sqrt3(n0, n1)
+        sq = _sign_sqrt3(n2, n3)
+        if sq == 0 or sp == sq:
+            return sp
+        if sp == 0:
+            return sq
+        t = _sign_sqrt3(n0 * n0 + 3 * n1 * n1 - 11 * (n2 * n2 + 3 * n3 * n3),
+                        2 * (n0 * n1 - 11 * n2 * n3))
+        return sp if t > 0 else sq
 
     def __lt__(self, other) -> bool:
         return (self - FieldElement.coerce(other)).sign() < 0
@@ -220,12 +220,15 @@ class FieldElement:
     # -- conversions ----------------------------------------------------------
 
     def __float__(self) -> float:
-        return (float(self.c0) + float(self.c1) * _SQRT3_FLOAT
-                + float(self.c2) * _SQRT11_FLOAT + float(self.c3) * _SQRT33_FLOAT)
+        # n/d is int true division, correctly rounded like float(Fraction(n, d))
+        d = self.d
+        return (self.n0 / d + (self.n1 / d) * _SQRT3_FLOAT
+                + (self.n2 / d) * _SQRT11_FLOAT + (self.n3 / d) * _SQRT33_FLOAT)
 
     def serialize(self) -> list[str]:
         """Four reduced 'p/q' strings in basis order (1, sqrt3, sqrt11, sqrt33)."""
-        return [_fmt_rat(c) for c in self.coefficients()]
+        d = self.d
+        return [_fmt_rat(n, d) for n in (self.n0, self.n1, self.n2, self.n3)]
 
     @staticmethod
     def deserialize(parts) -> "FieldElement":
@@ -248,8 +251,50 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-def _fmt_rat(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
+# slot setters that bypass the immutability guard, for construction only
+_SETTERS = tuple(vars(FieldElement)[s].__set__ for s in FieldElement.__slots__)
+_set_n0, _set_n1, _set_n2, _set_n3, _set_d = _SETTERS
+_new = object.__new__
+
+
+def _raw(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElement:
+    """The element with these numerators, which must be in lowest terms over d > 0."""
+    x = _new(FieldElement)
+    _set_n0(x, n0)
+    _set_n1(x, n1)
+    _set_n2(x, n2)
+    _set_n3(x, n3)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElement:
+    """The element (n0 + n1*sqrt3 + n2*sqrt11 + n3*sqrt33) / d for d > 0."""
+    g = gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        n0 //= g
+        n1 //= g
+        n2 //= g
+        n3 //= g
+        d //= g
+    return _raw(n0, n1, n2, n3, d)
+
+
+def _sign_sqrt3(a: int, b: int) -> int:
+    """Sign of a + b*sqrt3."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    return sb if 3 * b * b > a * a else -sb
+
+
+def _fmt_rat(n: int, d: int) -> str:
+    g = gcd(n, d)
+    n //= g
+    d //= g
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
 ZERO = FieldElement(0)

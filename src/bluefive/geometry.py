@@ -8,11 +8,10 @@ ever taken.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
 
-from .field import FieldElement, HALF, HALF_SQRT3, ONE, ZERO, fe
+from .field import FieldElement, HALF, HALF_SQRT3, ONE, ZERO
 
 
 class Point:
@@ -143,8 +142,8 @@ def rotation60(center: Point, k: int) -> Rotation:
     return rotation(center, _COS60[k], _SIN60[k])
 
 
-CHORD_COS = fe(Fraction(5, 6))
-CHORD_SIN = fe(0, 0, Fraction(1, 6))
+CHORD_COS = FieldElement.from_ints(5, 0, 0, 0, 6)
+CHORD_SIN = FieldElement.from_ints(0, 0, 1, 0, 6)
 
 
 def chord_rotation(center: Point, sense: int) -> Rotation:
@@ -162,7 +161,8 @@ def chord_rotation(center: Point, sense: int) -> Rotation:
 def node(a: int, b: int) -> Point:
     """Node a*e1 + b*e2 of the unit triangular lattice, where e1 = (1, 0)
     and e2 = (1/2, sqrt3/2)."""
-    return Point(Fraction(2 * a + b, 2), FieldElement(0, Fraction(b, 2)))
+    return Point(FieldElement.from_ints(2 * a + b, 0, 0, 0, 2),
+                 FieldElement.from_ints(0, b, 0, 0, 2))
 
 
 def lattice_norm2(a: int, b: int) -> int:
@@ -184,21 +184,20 @@ def hex_indices(radius: int) -> list[tuple[int, int]]:
 
 
 def lattice_coords(p: Point) -> Optional[tuple[int, int]]:
-    """Inverse of node(): (a, b) if p is a canonical lattice node, else None."""
-    y = p.y
-    if y.c0 or y.c2 or y.c3:
+    """Inverse of node(): (a, b) if p is a canonical lattice node, else None.
+
+    A node has x = (2a + b)/2 and y = b*sqrt3/2, so both denominators are
+    1 or 2 and the integers read off the numerators.
+    """
+    x, y = p.x, p.y
+    if (y.n0 or y.n2 or y.n3 or x.n1 or x.n2 or x.n3
+            or x.d > 2 or y.d > 2):
         return None
-    b2 = y.c1 * 2
-    if b2.denominator != 1:
+    b = 2 * y.n1 // y.d
+    a2 = 2 * x.n0 // x.d - b
+    if a2 & 1:
         return None
-    b = int(b2)
-    x = p.x
-    if x.c1 or x.c2 or x.c3:
-        return None
-    a2 = x.c0 - Fraction(b, 2)
-    if a2.denominator != 1:
-        return None
-    return int(a2), b
+    return a2 // 2, b
 
 
 def lattice_rot60(a: int, b: int) -> tuple[int, int]:

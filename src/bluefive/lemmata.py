@@ -1209,7 +1209,8 @@ def write_certificates(run: RunResult, outdir) -> dict:
 
 def replay_certificate(payload: dict) -> bool:
     """Re-check one written certificate with the independent replayer."""
-    from .solver import parse_dimacs, replay_model, replay_unsat_trace
+    from .solver import (check_trace_assumptions, parse_dimacs, replay_model,
+                         replay_unsat_trace)
 
     cert = payload["certificate"]
     if "cnf" not in cert:
@@ -1220,6 +1221,7 @@ def replay_certificate(payload: dict) -> bool:
             continue
         assumptions = entry.get("assumptions", [])
         if entry["kind"] == "unsat":
+            check_trace_assumptions(entry["trace"], assumptions)
             replay_unsat_trace(problem.clauses, entry["trace"])
         else:
             model = [bool(b) for b in entry["model"]]

@@ -569,6 +569,22 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
     return True
 
 
+def check_trace_assumptions(trace: Sequence[Sequence], assumptions: Sequence[int]) -> bool:
+    """Check that an unsat trace assumes only the declared literals.
+
+    Every ``assume`` and ``conflict_assume`` literal must be one of the
+    declared assumptions.  Containment, not equality: the engine emits no
+    ``assume`` for a literal that a unit clause has already set.  Raises
+    CertificateError otherwise.
+    """
+    declared = set(assumptions)
+    for ev in trace:
+        if ev[0] in ("assume", "conflict_assume") and ev[1] not in declared:
+            raise CertificateError(
+                f"trace assumes {ev[1]}, which is not a declared assumption")
+    return True
+
+
 def replay_model(clauses: Sequence[Sequence[int]], model: Sequence[bool],
                  assumptions: Sequence[int] = ()) -> bool:
     if not check_model(clauses, model, assumptions):

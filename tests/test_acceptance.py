@@ -8,12 +8,10 @@ model cap of the enumeration mode.
 import json
 import random
 
-import pytest
-
 from _oracles import chain_sets_brute, embeddings_brute
 from bluefive.configuration import (Configuration, ell_chains, emit_clauses,
                                     match_template, template)
-from bluefive.field import ONE, fe
+from bluefive.field import ONE
 from bluefive.figures import FIGURE_IDS, figure_instance, load_figure, self_check
 from bluefive.geometry import (chord_rotation, dist2, hex_indices, node,
                                lattice_vectors_of_norm2)

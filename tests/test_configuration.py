@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,9 @@ from bluefive.configuration import (Configuration, ExtensionSchema, RuleSet,
                                     instance_to_json, is_unit_chain, match_template,
                                     pattern_rule, placement_count, template,
                                     template_extensions, unit_pairs)
+from bluefive.field import fe
 from bluefive.figures import FIGURE_IDS, load_figure
-from bluefive.geometry import chord_rotation, hex_indices, node
+from bluefive.geometry import chord_rotation, dist2, hex_indices, node
 from bluefive.solver import UnprovedRuleError, solve
 
 
@@ -43,6 +45,32 @@ def test_unit_pairs_examples():
     t6 = Configuration(
         (f"t{i}", p) for i, p in enumerate(template("T6").points))
     assert unit_pairs(t6) == []
+
+
+def _pairs_brute(cfg, d2):
+    pts = cfg.points
+    return [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+            if dist2(pts[i], pts[j]) == d2]
+
+
+def test_pair_search_equals_exhaustive_scan():
+    """The float-filtered pair search finds exactly the pairs an exact
+    all-pairs scan finds, for every squared distance that occurs and for
+    some that occur nowhere."""
+    rng = random.Random(11)
+    patch = _lattice_cfg([ab for ab in hex_indices(4) if rng.random() < 0.6])
+    rot = chord_rotation(node(0, 0), -1)
+    entries = [(f"p{i}", node(a, b)) for i, (a, b) in enumerate(hex_indices(2))]
+    turned = Configuration(entries + [(f"q{i}", rot(p)) for i, (_, p) in enumerate(entries)])
+    for cfg in (load_figure("fig3").cfg, turned, patch):
+        values = {dist2(p, q) for i, p in enumerate(cfg.points) for q in cfg.points[i + 1:]}
+        if cfg is not patch:
+            assert any(not d2.is_rational() for d2 in values)
+        for d2 in values:
+            assert cfg.pairs_with_dist2(d2) == _pairs_brute(cfg, d2)
+        for absent in (fe(0), fe(2), fe(0, 0, 1), fe(3, 0, 0, Fraction(1, 10**9))):
+            assert absent not in values
+            assert cfg.pairs_with_dist2(absent) == []
 
 
 def test_single_run_gives_one_chain():
@@ -100,9 +128,6 @@ def test_placement_claims():
 
 
 def test_template_smallest_distances():
-    from bluefive.field import fe
-    from bluefive.geometry import dist2
-
     for tid in ("T3", "T4", "T5", "T6", "T7"):
         pts = template(tid).points
         smallest = min(dist2(pts[i], pts[j])

@@ -1,8 +1,7 @@
 import importlib.util
 import pathlib
-from fractions import Fraction
 
-from bluefive.field import ONE, fe
+from bluefive.field import ONE
 from bluefive.figures import FIGURE_IDS, figure_instance, load_figure, self_check
 from bluefive.geometry import chord_rotation, dist2, node, reflection
 from bluefive.solver import BRUTE_FORCE_MAX_FREE, brute_force, solve

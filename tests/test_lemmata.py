@@ -6,11 +6,11 @@ import pytest
 import bluefive.lemmata as lemmata
 from bluefive.configuration import RuleSet, emit_clauses
 from bluefive.figures import load_figure
-from bluefive.geometry import chord_rotation, node
 from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
                               replay_certificate, run_script, verify_all,
                               write_certificates)
-from bluefive.solver import forced_color, solve
+from bluefive.solver import (CertificateError, parse_dimacs, replay_unsat_trace,
+                             solve)
 
 
 def test_all_scripts_pass(full_run):
@@ -192,6 +192,35 @@ def test_certificates_replay(full_run, tmp_path):
     for fname in names:
         payload = json.loads((tmp_path / fname).read_text())
         assert replay_certificate(payload)
+
+
+def test_refutation_trace_bound_to_declared_assumption(full_run, tmp_path):
+    """A FORCED refutation may assume only what its entry declares: with the
+    declared assumption negated, or with one more assume in the trace, the
+    trace still replays on its own but the certificate is rejected."""
+    run, _ = full_run
+    manifest = write_certificates(run, tmp_path)
+    payload = next(p for p in (json.loads((tmp_path / f).read_text())
+                               for f in sorted(manifest["files"]))
+                   if p["kind"] == "FORCED")
+    cert = payload["certificate"]
+    problem = parse_dimacs(cert["cnf"], cert["varmap"])
+    trace = cert["refuted_side"]["trace"]
+    [declared] = cert["refuted_side"]["assumptions"]
+    at = trace.index(["assume", declared]) + 1
+    assigned = {abs(ev[1]) for ev in trace if ev[0] != "conflict"}
+    free = next(v for v in range(1, problem.var_count + 1) if v not in assigned)
+
+    negated = json.loads(json.dumps(payload))
+    negated["certificate"]["refuted_side"]["assumptions"] = [-declared]
+    extra = json.loads(json.dumps(payload))
+    extra["certificate"]["refuted_side"]["trace"].insert(at, ["assume", free])
+    for bad in (negated, extra):
+        side = bad["certificate"]["refuted_side"]
+        assert replay_unsat_trace(problem.clauses, side["trace"])
+        with pytest.raises(CertificateError, match="not a declared assumption"):
+            replay_certificate(bad)
+    assert replay_certificate(payload)
 
 
 def test_certificate_files_hash_match(full_run, tmp_path):
