@@ -152,13 +152,9 @@ def _canonical_direction(v: Point) -> Point:
 
 def unit_directions(cfg: Configuration) -> list[Point]:
     """Distinct unit-length difference vectors, one sign representative each."""
-    seen: dict[Point, None] = {}
-    for i, j in cfg.pairs_with_dist2(ONE):
-        v = _canonical_direction(cfg.points[j] - cfg.points[i])
-        seen.setdefault(v, None)
-    dirs = list(seen)
-    dirs.sort(key=lambda p: p.coord_key())
-    return dirs
+    dirs = {_canonical_direction(cfg.points[j] - cfg.points[i])
+            for i, j in cfg.pairs_with_dist2(ONE)}
+    return sorted(dirs, key=Point.coord_key)
 
 
 def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
@@ -182,9 +178,8 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
                 run.append(j)
             if len(run) == k:
                 chains.append(tuple(run))
-    keyed = [(tuple(cfg.points[i].coord_key() for i in run), run) for run in chains]
-    keyed.sort(key=lambda kv: kv[0])
-    result = [tuple(cfg.names[i] for i in run) for _, run in keyed]
+    chains.sort(key=lambda run: tuple(cfg.points[i].coord_key() for i in run))
+    result = [tuple(cfg.names[i] for i in run) for run in chains]
     cfg._bucket_cache[key] = result
     return result
 
@@ -210,12 +205,7 @@ class Template:
 def _template(tid: str, lattice_pts: Sequence[tuple[int, int]],
               expect_min: int) -> Template:
     pts = tuple(node(a, b) for a, b in lattice_pts)
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = dist2(pts[i], pts[j])
-            if best is None or d < best:
-                best = d
+    best = min(dist2(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
     if best != fe(expect_min):
         raise AssertionError(f"template {tid}: smallest squared distance is {best}")
     return Template(tid, pts)
@@ -365,17 +355,17 @@ def template_extensions(small_id: str, big_id: str,
     if not anchor_orders:
         raise ValueError(f"anchor is not congruent to template {small_id}")
     big_cfg = Configuration((f"_b{i}", p) for i, p in enumerate(big.points))
-    sub_positions = match_template(big_cfg, small)
 
+    # Every embedding of the small template into the big one is listed,
+    # so mapping each onto one ordering of the anchor finds every placement.
+    targets = [anchor_cfg.point_of(n) for n in anchor_orders[0]]
     found: dict[frozenset, tuple[Point, ...]] = {}
-    for order in anchor_orders:
-        targets = [anchor_cfg.point_of(n) for n in order]
-        for sub in sub_positions:
-            srcs = [big_cfg.point_of(n) for n in sub]
-            mapped = _rigid_maps(srcs[0], srcs[1], targets[0], targets[1])
-            if all(mapped(s) == t for s, t in zip(srcs, targets)):
-                image = tuple(mapped(p) for p in big.points)
-                found.setdefault(frozenset(image), image)
+    for sub in match_template(big_cfg, small):
+        srcs = [big_cfg.point_of(n) for n in sub]
+        mapped = _rigid_maps(srcs[0], srcs[1], targets[0], targets[1])
+        if all(mapped(s) == t for s, t in zip(srcs, targets)):
+            image = tuple(mapped(p) for p in big.points)
+            found.setdefault(frozenset(image), image)
     images = list(found.values())
     images.sort(key=lambda pts: [c for p in pts for c in p.serialize()["x"] + p.serialize()["y"]])
     return images
@@ -460,10 +450,9 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
 
     def add(clause: Sequence[int]) -> None:
         key = frozenset(clause)
-        if key in seen:
-            return
-        seen.add(key)
-        clauses.append(tuple(clause))
+        if key not in seen:
+            seen.add(key)
+            clauses.append(tuple(clause))
 
     if RED_L2_FORBIDDEN in rules.base:
         for i, j in cfg.pairs_with_dist2(ONE):
@@ -473,16 +462,9 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
             add(tuple(cfg.index_of(nm) + 1 for nm in chain))
 
     for rule in rules.derived:
-        tpl = template(rule.template_id)
-        for emb in match_template(cfg, tpl):
-            lits = []
-            for nm, role in zip(emb, rule.roles):
-                v = cfg.index_of(nm) + 1
-                if role == "red":
-                    lits.append(-v)
-                elif role == "blue":
-                    lits.append(v)
-            add(tuple(lits))
+        for emb in match_template(cfg, template(rule.template_id)):
+            add(tuple((-1 if role == "red" else 1) * (cfg.index_of(nm) + 1)
+                      for nm, role in zip(emb, rule.roles)))
 
     if rules.existential is not None:
         t3 = template("T3")
@@ -530,13 +512,8 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     name_to_var = {nm: i + 1 for i, nm in enumerate(names)}
     for alias, primary in cfg.aliases.items():
         name_to_var[alias] = cfg.index[primary] + 1
-    return ColoringProblem(
-        var_count=len(names),
-        clauses=clauses,
-        names=names,
-        is_aux=is_aux,
-        name_to_var=name_to_var,
-    )
+    return ColoringProblem(var_count=len(names), clauses=clauses, names=names,
+                           is_aux=is_aux, name_to_var=name_to_var)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,7 @@ _SQRT33_FLOAT = 33.0 ** 0.5
 
 
 def _rat(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 

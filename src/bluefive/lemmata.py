@@ -148,13 +148,8 @@ class Stage:
             lit = v if colour == "red" else -v
             if (lit,) not in clauses:
                 clauses.append((lit,))
-        return ColoringProblem(
-            var_count=base.var_count,
-            clauses=clauses,
-            names=base.names,
-            is_aux=base.is_aux,
-            name_to_var=base.name_to_var,
-        )
+        return ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
+                               is_aux=base.is_aux, name_to_var=base.name_to_var)
 
 
 @dataclass
@@ -254,10 +249,7 @@ def _image_ob(oid: str, cfg: Configuration, iso_fn, src: str, dst: str,
 
 
 def _points_key(pts) -> list:
-    out = []
-    for p in sorted(pts, key=lambda q: q.coord_key()):
-        out.append([str(p.x), str(p.y)])
-    return out
+    return [[str(p.x), str(p.y)] for p in sorted(pts, key=lambda q: q.coord_key())]
 
 
 def _rules(base_extra: Sequence = (), schema: Optional[ExtensionSchema] = None,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 FORCED_RED = "ForcedRed"
 FORCED_BLUE = "ForcedBlue"
 FREE = "Free"
@@ -383,24 +381,34 @@ def brute_force(problem: ColoringProblem) -> Verdict:
     if not residual:
         return Verdict("sat", model=build_model(0))
 
-    total = 1 << len(free)
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        sat = np.ones(stop - start, dtype=bool)
+    # Blocks of at most 2**20 assignments: bit j of an int is index
+    # block * 2**low + j.  Each of the `low` lowest free variables has a
+    # truth column; the higher ones are constant in a block.  A clause is
+    # the OR of its literal columns, the instance the AND of its clauses.
+    low = min(len(free), 20)
+    pos, size = [], 1
+    for _ in range(low):  # double the block: old columns repeat, a new one is high
+        pos = [col | col << size for col in pos] + [((1 << size) - 1) << size]
+        size <<= 1
+    full = (1 << size) - 1
+    neg = [full ^ col for col in pos]
+    for block in range(1 << (len(free) - low)):
+        sat = full
         for lits in residual:
-            cmask = np.zeros(stop - start, dtype=bool)
+            clause = 0
             for lit in lits:
-                bit = np.uint64(bit_of[abs(lit)])
-                isset = ((idx >> bit) & np.uint64(1)).astype(bool)
-                cmask |= isset if lit > 0 else ~isset
-            sat &= cmask
-            if not sat.any():
+                bit = bit_of[abs(lit)]
+                if bit < low:
+                    clause |= pos[bit] if lit > 0 else neg[bit]
+                elif ((block >> (bit - low)) & 1) == (lit > 0):
+                    clause = full
+                    break
+            sat &= clause
+            if not sat:
                 break
-        hits = np.nonzero(sat)[0]
-        if hits.size:
-            model = build_model(start + int(hits[0]))
+        if sat:
+            # the lowest satisfying index
+            model = build_model((block << low) + (sat & -sat).bit_length() - 1)
             if not check_model(problem.clauses, model):
                 raise AssertionError("brute force produced an invalid model")
             return Verdict("sat", model=model)
@@ -425,7 +433,9 @@ def export_dimacs(problem: ColoringProblem) -> tuple[str, str]:
 
 
 def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringProblem:
-    var_count = None
+    """Read DIMACS CNF text and an optional 'index name' variable map;
+    ValueError on a bad header, clause count or variable map."""
+    header = None
     clauses: list[tuple[int, ...]] = []
     for raw in cnf_text.splitlines():
         line = raw.strip()
@@ -435,30 +445,38 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
-            var_count = int(parts[2])
+            if header is not None:
+                raise ValueError(f"second problem line: {line!r}")
+            header = (int(parts[2]), int(parts[3]))
             continue
-        lits = [int(tok) for tok in line.split()]
+        lits = list(map(int, line.split()))
         if not lits or lits[-1] != 0:
             raise ValueError(f"clause line must end with 0: {line!r}")
         clauses.append(tuple(lits[:-1]))
-    if var_count is None:
+    if header is None:
         raise ValueError("missing 'p cnf' header")
+    var_count, clause_count = header
+    if clause_count != len(clauses):
+        raise ValueError(f"header declares {clause_count} clauses, found {len(clauses)}")
     names = [f"x{v}" for v in range(1, var_count + 1)]
     if varmap_text is not None:
+        mapped: set[int] = set()
         for raw in varmap_text.splitlines():
             line = raw.strip()
             if not line:
                 continue
-            idx_s, name = line.split(" ", 1)
-            names[int(idx_s) - 1] = name
+            idx_s, _, name = line.partition(" ")
+            idx = int(idx_s)
+            if not name or not 1 <= idx <= var_count or idx in mapped:
+                raise ValueError(f"variable map line {line!r} needs a name "
+                                 f"and a new index in 1..{var_count}")
+            mapped.add(idx)
+            names[idx - 1] = name
+    if len(set(names)) != var_count:
+        raise ValueError("variable map gives two variables the same name")
     is_aux = [n.startswith("aux:") for n in names]
-    return ColoringProblem(
-        var_count=var_count,
-        clauses=clauses,
-        names=names,
-        is_aux=is_aux,
-        name_to_var={n: i + 1 for i, n in enumerate(names)},
-    )
+    return ColoringProblem(var_count=var_count, clauses=clauses, names=names, is_aux=is_aux,
+                           name_to_var={n: i + 1 for i, n in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +484,28 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
 # ---------------------------------------------------------------------------
 
 
+# arguments after each event's tag: a clause id for "conflict", else a literal first
+_EVENT_ARITY = {"assume": 1, "conflict_assume": 1, "decide": 1, "flip": 1,
+                "imply": 2, "conflict": 1}
+
+
+def _event_tag(ev) -> str:
+    """The tag of a well-formed trace event; raises CertificateError otherwise."""
+    if type(ev) in (list, tuple) and ev and type(ev[0]) is str:
+        tag = ev[0]
+        if tag not in _EVENT_ARITY:
+            raise CertificateError(f"unknown trace event {tag!r}")
+        if (len(ev) == 1 + _EVENT_ARITY[tag] and type(ev[1]) is int
+                and (len(ev) == 2 or type(ev[2]) is int) and (ev[1] or tag == "conflict")):
+            return tag
+    raise CertificateError(f"malformed trace event {ev!r}")
+
+
 def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequence]) -> bool:
     """Re-check an unsat trace step by step, independently of the engine.
 
-    Verifies that every assumption comes before the first decision, every
+    Verifies that every event has a known tag and arity, every
+    assumption comes before the first decision, every
     implication is forced by its reason clause, every conflict clause is
     fully falsified, every flip answers a conflict on the deepest open
     decision, and that the final conflict happens with no open decision
@@ -483,7 +519,7 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
     conflict_pending = False
 
     def clause_at(cid) -> Sequence[int]:
-        if not isinstance(cid, int) or not 0 <= cid < len(clauses):
+        if not 0 <= cid < len(clauses):
             raise CertificateError(f"clause id {cid!r} out of range")
         return clauses[cid]
 
@@ -499,7 +535,7 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
         return var in assign and assign[var] != (lit > 0)
 
     for ev in trace:
-        tag = ev[0]
+        tag = _event_tag(ev)
         if conflict_pending and tag not in ("flip",):
             raise CertificateError(f"expected flip after conflict, got {tag}")
         if tag == "assume":
@@ -559,8 +595,6 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
             else:
                 raise CertificateError("flip with no open decision")
             conflict_pending = False
-        else:
-            raise CertificateError(f"unknown trace event {tag!r}")
 
     if not conflict_pending:
         raise CertificateError("trace does not end in a conflict")
@@ -575,11 +609,11 @@ def check_trace_assumptions(trace: Sequence[Sequence], assumptions: Sequence[int
     Every ``assume`` and ``conflict_assume`` literal must be one of the
     declared assumptions.  Containment, not equality: the engine emits no
     ``assume`` for a literal that a unit clause has already set.  Raises
-    CertificateError otherwise.
+    CertificateError otherwise, and on a malformed event.
     """
     declared = set(assumptions)
     for ev in trace:
-        if ev[0] in ("assume", "conflict_assume") and ev[1] not in declared:
+        if _event_tag(ev) in ("assume", "conflict_assume") and ev[1] not in declared:
             raise CertificateError(
                 f"trace assumes {ev[1]}, which is not a declared assumption")
     return True

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -199,6 +200,17 @@ def test_template_extension_counts():
     assert len(template_extensions("T3", "T6", t3_pts)) == 4
     t4_pts = t3_pts + [node(3, 0)]
     assert len(template_extensions("T4", "T5", t4_pts)) == 4
+
+
+def test_template_extensions_do_not_depend_on_anchor_order():
+    t4_pts = [node(0, 0), node(2, -1), node(1, 1), node(3, 0)]
+    turn = chord_rotation(node(0, 0), 1)
+    for anchor in (t4_pts, [turn(p) for p in t4_pts]):
+        want = {frozenset(img) for img in template_extensions("T4", "T5", anchor)}
+        assert len(want) == 4 and all(set(anchor) < img for img in want)
+        for order in itertools.permutations(anchor):
+            got = template_extensions("T4", "T5", list(order))
+            assert {frozenset(img) for img in got} == want
 
 
 def test_emit_clause_counts_for_first_figure():

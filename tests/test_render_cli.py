@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import bluefive
 
 from bluefive.cli import RENDER_TARGETS, main
 from bluefive.geometry import hex_indices
@@ -137,3 +143,24 @@ def test_cli_oracle_rejects_wrongly_typed_instances(tmp_path, capsys, instance, 
     path.write_text(json.dumps(instance))
     assert main(["oracle", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+_WITHOUT_NUMPY = """
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import bluefive
+for mod in pkgutil.iter_modules(bluefive.__path__):
+    importlib.import_module("bluefive." + mod.name)
+from bluefive.cli import main
+sys.exit(max([main(["oracle", path]) for path in sys.argv[1:]]))
+"""
+
+
+def test_runs_on_the_standard_library_alone():
+    package = pathlib.Path(bluefive.__file__).resolve().parent
+    paths = [str(package / "data" / "figures" / f"{fid}.json") for fid in ("fig1a", "figcol1")]
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *paths],
+                          env=dict(os.environ, PYTHONPATH=str(package.parent)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("AGREE") == 2

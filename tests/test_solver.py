@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
                              ColoringProblem, brute_force, check_model,
-                             enumerate_models, export_dimacs, forced_color,
-                             parse_dimacs, replay_model, replay_unsat_trace,
-                             solve)
+                             check_trace_assumptions, enumerate_models,
+                             export_dimacs, forced_color, parse_dimacs,
+                             replay_model, replay_unsat_trace, solve)
 
 
 def _problem(nvars, clauses):
@@ -126,6 +127,48 @@ def test_brute_force_agrees_on_examples():
     assert brute_force(p).kind == solve(p).kind == "unsat"
 
 
+def _lowest_model(problem):
+    """The first model in index order: variables pinned by unit clauses keep
+    their value, and the free ones count up with the lowest as bit 0."""
+    pinned = {}
+    for clause in problem.clauses:
+        if len(clause) == 1 and pinned.setdefault(abs(clause[0]), clause[0] > 0) != (clause[0] > 0):
+            return None
+    free = [v for v in range(1, problem.var_count + 1) if v not in pinned]
+    for bits in itertools.product((False, True), repeat=len(free)):
+        model = [pinned.get(v, False) for v in range(1, problem.var_count + 1)]
+        for v, val in zip(reversed(free), bits):
+            model[v - 1] = val
+        if all(any(model[abs(lit) - 1] == (lit > 0) for lit in c) for c in problem.clauses):
+            return tuple(model)
+    return None
+
+
+def test_brute_force_returns_the_lowest_index_model():
+    rng = random.Random(5)
+    units = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 12)
+        clauses = []
+        for _ in range(rng.randint(0, 30)):
+            vs = rng.sample(range(1, nvars + 1), min(rng.randint(1, 3), nvars))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        units += any(len(c) == 1 for c in clauses)
+        problem = _problem(nvars, clauses)
+        want = _lowest_model(problem)
+        verdict = brute_force(problem)
+        assert verdict.kind == ("unsat" if want is None else "sat")
+        assert verdict.model == want
+    assert units > 100
+
+
+def test_brute_force_scans_blocks_of_2_20_assignments():
+    # 22 free variables: v21 and v22 are constant inside each block
+    problem = _problem(22, [(21, 21), (-22, -22), (-1, 2), (1, 22, 3)])
+    assert brute_force(problem).model == tuple(v in (1, 2, 21) for v in range(1, 23))
+    assert brute_force(_problem(22, [(21, 22), (-21, -21), (-22, -22)])).kind == "unsat"
+
+
 def _random_instance(rng):
     nvars = rng.randint(2, 18)
     nclauses = rng.randint(1, 40)
@@ -222,3 +265,43 @@ def test_model_replay_rejects_bad_model():
     problem = _problem(2, [(1, 2)])
     with pytest.raises(CertificateError):
         replay_model(problem.clauses, (False, False))
+
+
+_CNF = "p cnf 2 2\n1 -2 0\n2 0\n"
+
+
+@pytest.mark.parametrize("cnf, varmap, message", [
+    (_CNF, "1 A\n2 B\n0 B\n", "variable map line '0 B'"),
+    (_CNF, "1 A\n2 B\n-1 Z\n", "variable map line '-1 Z'"),
+    (_CNF, "1 A\n2 B\n3 C\n", "variable map line '3 C'"),
+    (_CNF + "p cnf 5 2\n", None, "second problem line"),
+    ("p cnf 2 3\n1 -2 0\n2 0\n", None, "declares 3 clauses, found 2"),
+    (_CNF, "1 A\n2 A\n", "two variables the same name"),
+], ids=["varmap-index-0", "varmap-index-negative", "varmap-index-undeclared",
+        "second-header", "clause-count", "varmap-name-twice"])
+def test_parse_dimacs_rejects_bad_input(cnf, varmap, message):
+    with pytest.raises(ValueError, match=message):
+        parse_dimacs(cnf, varmap)
+
+
+def test_parse_dimacs_rejects_repeated_or_unnamed_variables():
+    for varmap in ("1 A\n2 B\n1 C\n", "1 A\n2\n"):
+        with pytest.raises(ValueError, match="needs a name and a new index"):
+            parse_dimacs(_CNF, varmap)
+    assert parse_dimacs(_CNF, "2 B\n1 A\n").names == ["A", "B"]
+
+
+@pytest.mark.parametrize("event", [[], ["imply", 1], ["conflict"], ["decide"],
+                                   ["decide", 0], ["imply", 1, "0"], 7, ["nosuch", 1]],
+                         ids=["empty", "imply-without-clause", "conflict-without-clause",
+                              "decide-without-literal", "zero-literal",
+                              "string-clause-id", "not-a-list", "unknown-tag"])
+def test_malformed_trace_events_are_certificate_errors(event):
+    problem = _problem(2, [(1,), (-1, 2), (-2, -1)])
+    trace = list(solve(problem, record_trace=True).trace)
+    assert replay_unsat_trace(problem.clauses, trace)
+    bad = trace[:1] + [event] + trace[1:]
+    with pytest.raises(CertificateError):
+        replay_unsat_trace(problem.clauses, bad)
+    with pytest.raises(CertificateError):
+        check_trace_assumptions(bad, [])

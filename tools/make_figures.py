@@ -21,18 +21,11 @@ from bluefive.geometry import Point, chord_rotation, node, point
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "bluefive" / "data" / "figures"
 
 
-def dump(fid: str, entries, colors, rules, claims, helpers=()):
-    points = []
-    for name, pt in entries:
-        rec = {"name": name, "x": pt.x.serialize(), "y": pt.y.serialize()}
-        if name in colors:
-            rec["color"] = colors[name]
-        if name in helpers:
-            rec["helper"] = True
-        points.append(rec)
+def dump(fid: str, entries, colors, rules, claims):
     data = {
         "id": fid,
-        "points": points,
+        "points": [{"name": name, "x": pt.x.serialize(), "y": pt.y.serialize()}
+                   for name, pt in entries],
         "fixed": {n: c for n, c in sorted(colors.items())},
         "rules": rules,
         "claims": claims,
@@ -252,7 +245,6 @@ def figcol1():
              "K", "L", "I", "Q", "P", "J", "N", "M", "R",
              "U", "V", "W", "X1", "X2", "S1", "S2", "S3", "S4", "X", "Y",
              "S1'", "S2'", "S4'", "V'", "X1'", "X2'"]
-    helpers = {"S1'", "S2'", "S4'", "V'", "X1'", "X2'"}
     colors = {"A": "red", "B": "red", "C": "red", "D": "red", "E": "red", "F": "red",
               "K": "blue", "L": "blue", "I": "blue", "J": "blue", "N": "blue",
               "M": "blue", "U": "blue", "V": "blue", "W": "blue",
@@ -287,7 +279,7 @@ def figcol1():
     }
     dump("figcol1", [(n, node(*pts[n])) for n in order], colors,
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "RED_EQ3_RED_CENTER"],
-         claims, helpers)
+         claims)
 
 
 def figcol2():
@@ -300,7 +292,6 @@ def figcol2():
     }
     order = ["A", "B", "A'''", "B'''", "C", "H", "I", "G", "N", "A'",
              "F", "E", "D", "B''", "B'", "J", "K", "W0", "A''"]
-    helpers = {"W0"}
     colors = {"A": "red", "B": "red",
               "H": "blue", "I": "blue", "G": "blue", "F": "blue", "E": "blue",
               "D": "blue", "J": "blue", "K": "blue"}
@@ -320,7 +311,7 @@ def figcol2():
     }
     dump("figcol2", [(n, node(*pts[n])) for n in order], colors,
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "NO_RED_T3"],
-         claims, helpers)
+         claims)
 
 
 if __name__ == "__main__":
