@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldElement, ONE, fe
-from .geometry import (Point, cross, dist2, dot, node)
+from .geometry import (Point, cross, dist2, dot, lattice_coords, lattice_mirror,
+                       lattice_norm2, lattice_vectors_of_norm2, node)
 from .solver import ColoringProblem, UnprovedRuleError
 
 # rule identifiers
@@ -79,7 +80,22 @@ class Configuration:
         return Configuration([(self.names[i], self.points[i]) for i in keep_idx]
                              + [(a, self.point_of(a)) for a in aliases])
 
-    # -- candidate pair search ------------------------------------------------
+    # -- lattice index and candidate pair search -----------------------------
+
+    def _lattice(self) -> Optional[tuple[list[tuple[int, int]], dict[tuple[int, int], int]]]:
+        """The lattice coordinates of every point and the index map keyed
+        by them, or None when some point is not a node of the unit
+        triangular lattice.
+
+        lattice_coords inverts node(), a bijection between integer pairs
+        and nodes, so looking a node up by its (a, b) finds exactly the
+        index that point_index finds by its exact coordinates.
+        """
+        if "lattice" not in self._bucket_cache:
+            coords = [lattice_coords(pt) for pt in self.points]
+            self._bucket_cache["lattice"] = None if None in coords else (
+                coords, {ab: i for i, ab in enumerate(coords)})
+        return self._bucket_cache["lattice"]
 
     def _float_points(self) -> list[tuple[float, float]]:
         cache = self._bucket_cache.get("floats")
@@ -100,8 +116,14 @@ class Configuration:
     def pairs_with_dist2(self, d2: FieldElement) -> list[tuple[int, int]]:
         """All unordered index pairs at exactly squared distance d2.
 
-        Floats only filter: a float grid narrows the candidates, and a
-        candidate is dropped only when its float squared distance is
+        When every point is a lattice node the search is exact in
+        integers: the squared distance of node(a, b) and node(c, d) is the
+        norm (a-c)^2 + (a-c)(b-d) + (b-d)^2, so it is a non-negative
+        integer n, and the pairs at n are the nodes whose index difference
+        is one of lattice_vectors_of_norm2(n).
+
+        Otherwise floats only filter: a float grid narrows the candidates,
+        and a candidate is dropped only when its float squared distance is
         further than 1e-6*(1 + |d2|) from float(d2), orders of magnitude
         wider than any rounding error, so no true pair can be missed.
         Every survivor is confirmed with exact arithmetic.  Results are
@@ -111,6 +133,14 @@ class Configuration:
         cached = self._bucket_cache.get(key)
         if cached is not None:
             return cached
+        lattice = self._lattice()
+        out = (self._float_filtered_pairs(d2) if lattice is None
+               else _lattice_pairs(d2, *lattice))
+        out.sort()
+        self._bucket_cache[key] = out
+        return out
+
+    def _float_filtered_pairs(self, d2: FieldElement) -> list[tuple[int, int]]:
         target = float(d2)
         tol = 1e-6 * (1.0 + abs(target))
         reach = int(max(target, 0.0) ** 0.5) + 2
@@ -133,9 +163,22 @@ class Configuration:
                                 if (abs(ex * ex + ey * ey - target) <= tol
                                         and dist2(pts[i], pts[j]) == d2):
                                     out.append((i, j))
-        out.sort()
-        self._bucket_cache[key] = out
         return out
+
+
+def _lattice_pairs(d2: FieldElement, coords: list[tuple[int, int]],
+                   index: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    if d2.d != 1 or d2.n1 or d2.n2 or d2.n3 or d2.n0 < 0:
+        return []
+    vectors = lattice_vectors_of_norm2(d2.n0)
+    out = []
+    for i, (a, b) in enumerate(coords):
+        for va, vb in vectors:
+            j = index.get((a + va, b + vb))
+            # vectors come in +-v pairs, so each pair is met from both ends
+            if j is not None and i < j:
+                out.append((i, j))
+    return out
 
 
 def unit_pairs(cfg: Configuration) -> list[tuple[str, str]]:
@@ -152,33 +195,61 @@ def _canonical_direction(v: Point) -> Point:
 
 def unit_directions(cfg: Configuration) -> list[Point]:
     """Distinct unit-length difference vectors, one sign representative each."""
-    dirs = {_canonical_direction(cfg.points[j] - cfg.points[i])
-            for i, j in cfg.pairs_with_dist2(ONE)}
-    return sorted(dirs, key=Point.coord_key)
+    pairs = cfg.pairs_with_dist2(ONE)
+    lattice = cfg._lattice()
+    if lattice is None:
+        diffs = {cfg.points[j] - cfg.points[i] for i, j in pairs}
+    else:
+        coords = lattice[0]
+        steps = {(coords[j][0] - coords[i][0], coords[j][1] - coords[i][1]) for i, j in pairs}
+        diffs = {node(a, b) for a, b in steps}
+    return sorted({_canonical_direction(v) for v in diffs}, key=Point.coord_key)
+
+
+def _lattice_step(ab: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    return (ab[0] + v[0], ab[1] + v[1])
+
+
+def _lattice_order(ab: tuple[int, int]) -> tuple[int, int]:
+    """node(a, b) has x = (2a + b)/2 and y = b*sqrt3/2, so (2a + b, b)
+    orders nodes exactly as Point.coord_key does."""
+    return (2 * ab[0] + ab[1], ab[1])
 
 
 def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
-    """All runs of k nodes at unit spacing on a line, one orientation each."""
+    """All runs of k nodes at unit spacing on a line, one orientation each.
+
+    On a configuration of lattice nodes the walk steps through integer
+    coordinates: a unit direction between two nodes is itself a lattice
+    vector, and the index map finds a node exactly when point_index would.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     key = ("chains", k)
     cached = cfg._bucket_cache.get(key)
     if cached is not None:
         return cached
+    lattice = cfg._lattice()
+    if lattice is None:
+        pts, index, steps = cfg.points, cfg.point_index, unit_directions(cfg)
+        step, order = Point.__add__, Point.coord_key
+    else:
+        (pts, index), steps = lattice, [lattice_coords(v) for v in unit_directions(cfg)]
+        step, order = _lattice_step, _lattice_order
     chains = []
-    for v in unit_directions(cfg):
-        for i, start in enumerate(cfg.points):
+    for v in steps:
+        for i, start in enumerate(pts):
             run = [i]
             pt = start
             for _ in range(k - 1):
-                pt = pt + v
-                j = cfg.point_index.get(pt)
+                pt = step(pt, v)
+                j = index.get(pt)
                 if j is None:
                     break
                 run.append(j)
             if len(run) == k:
                 chains.append(tuple(run))
-    chains.sort(key=lambda run: tuple(cfg.points[i].coord_key() for i in run))
+    chains.sort(key=lambda run: tuple(order(pts[i]) for i in run))
     result = [tuple(cfg.names[i] for i in run) for run in chains]
     cfg._bucket_cache[key] = result
     return result
@@ -254,10 +325,36 @@ def _rigid_maps(src0: Point, src1: Point, dst0: Point, dst1: Point):
     return apply
 
 
-def _dist2_key(p: Point, q: Point) -> tuple[int, ...]:
-    """The squared distance as its canonical integer tuple (n0..n3, d)."""
-    d = dist2(p, q)
-    return (d.n0, d.n1, d.n2, d.n3, d.d)
+def _lattice_maps(src0: tuple[int, int], src1: tuple[int, int],
+                  dst0: tuple[int, int], dst1: tuple[int, int]):
+    """_rigid_maps in Eisenstein integers, node(a, b) being a + b*w with
+    w = e2 = e^(i*pi/3).
+
+    With u = src1 - src0 and v = dst1 - dst0 of equal norm N(u), the
+    direct map is z -> dst0 + (z - src0) * v * conj(u) / N(u), where
+    w^2 = w - 1, conj(a + b*w) = (a + b) - b*w and N(a + b*w) =
+    a^2 + ab + b^2.  Everything but the division is integer arithmetic;
+    the image is a node exactly when N(u) divides both of its
+    coordinates, and otherwise the map returns None.
+    """
+    ua, ub = src1[0] - src0[0], src1[1] - src0[1]
+    va, vb = dst1[0] - dst0[0], dst1[1] - dst0[1]
+    n = lattice_norm2(ua, ub)
+    ca, cb = ua + ub, -ub
+    wa, wb = va * ca - vb * cb, va * cb + vb * ca + vb * cb
+    (s0a, s0b), (d0a, d0b) = src0, dst0
+
+    def apply(z: tuple[int, int]) -> Optional[tuple[int, int]]:
+        za, zb = z[0] - s0a, z[1] - s0b
+        qa, ra = divmod(za * wa - zb * wb, n)
+        qb, rb = divmod(za * wb + zb * wa + zb * wb, n)
+        return None if ra or rb else (d0a + qa, d0b + qb)
+
+    return apply
+
+
+def _lattice_dist2(p: tuple[int, int], q: tuple[int, int]) -> int:
+    return lattice_norm2(p[0] - q[0], p[1] - q[1])
 
 
 def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
@@ -268,6 +365,12 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     mirrored rigid map, and keeps those whose full image lands on nodes.
     Every returned embedding is re-verified against the template's
     pairwise squared-distance multiset.
+
+    When the configuration and the template are all lattice nodes, the
+    same loop runs on integer coordinates (_lattice_maps): the mirror
+    across the e1 axis is complex conjugation, (a, b) -> (a + b, -b), and
+    squared distances are integer norms.  An image that is not a node
+    cannot be in the configuration, so dropping it loses no embedding.
     """
     m = len(tpl.points)
     if m < 2:
@@ -278,31 +381,29 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     cached = cfg._bucket_cache.get(cache_key)
     if cached is not None:
         return cached
-    best = (0, 1)
-    best_d = dist2(tpl.points[0], tpl.points[1])
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = dist2(tpl.points[i], tpl.points[j])
-            if d > best_d:
-                best_d = d
-                best = (i, j)
-    i0, j0 = best
-
-    variants = [tpl.points,
-                tuple(Point(p.x, -p.y) for p in tpl.points)]
-    tpl_multiset = sorted(_dist2_key(tpl.points[i], tpl.points[j])
-                          for i in range(m) for j in range(i + 1, m))
+    lattice = cfg._lattice()
+    tpl_coords = [lattice_coords(p) for p in tpl.points]
+    if lattice is None or None in tpl_coords:
+        pts, index, span, place = cfg.points, cfg.point_index, dist2, _rigid_maps
+        variants = [tpl.points, [Point(p.x, -p.y) for p in tpl.points]]
+    else:
+        (pts, index), span, place = lattice, _lattice_dist2, _lattice_maps
+        variants = [tpl_coords, [lattice_mirror(a, b) for a, b in tpl_coords]]
+    spans = [(span(variants[0][i], variants[0][j]), i, j)
+             for i in range(m) for j in range(i + 1, m)]
+    best_d, i0, j0 = max(spans, key=lambda s: s[0])  # the first of the longest
+    tpl_multiset = sorted(d for d, _, _ in spans)
 
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
-    for a, b in cfg.pairs_with_dist2(best_d):
+    for a, b in cfg.pairs_with_dist2(FieldElement.coerce(best_d)):
         for p_idx, q_idx in ((a, b), (b, a)):
-            dst0, dst1 = cfg.points[p_idx], cfg.points[q_idx]
-            for pts in variants:
-                mapped = _rigid_maps(pts[i0], pts[j0], dst0, dst1)
+            dst0, dst1 = pts[p_idx], pts[q_idx]
+            for shape in variants:
+                mapped = place(shape[i0], shape[j0], dst0, dst1)
                 emb = []
-                for p in pts:
-                    k = cfg.point_index.get(mapped(p))
+                for p in shape:
+                    k = index.get(mapped(p))
                     if k is None:
                         break
                     emb.append(k)
@@ -312,7 +413,7 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
                 if key in seen:
                     continue
                 seen.add(key)
-                got = sorted(_dist2_key(cfg.points[emb[i]], cfg.points[emb[j]])
+                got = sorted(span(pts[emb[i]], pts[emb[j]])
                              for i in range(m) for j in range(i + 1, m))
                 if got != tpl_multiset:
                     raise AssertionError("embedding failed the distance multiset check")

@@ -226,10 +226,14 @@ def lattice_symmetries() -> list:
 
 
 def lattice_vectors_of_norm2(n: int) -> list[tuple[int, int]]:
-    """All integer pairs (a, b) with a^2 + ab + b^2 = n, by exhaustive scan."""
+    """All integer pairs (a, b) with a^2 + ab + b^2 = n, by exhaustive scan.
+
+    a^2 + ab + b^2 = (a + b/2)^2 + 3b^2/4, so |b| <= sqrt(4n/3), and by
+    symmetry |a| too; that bounds the scan.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    bound = isqrt(n) + 1
+    bound = isqrt(4 * n // 3) + 1
     out = []
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):

@@ -140,13 +140,16 @@ class Stage:
         if not exclude and not self.accumulated:
             return base
         cut = {base.name_to_var[self.cfg.primary(n)] for n in exclude}
-        clauses = [c for c in base.clauses if not any(abs(l) in cut for l in c)]
+        clauses = ([c for c in base.clauses if not any(abs(l) in cut for l in c)]
+                   if cut else list(base.clauses))
+        units = {c for c in clauses if len(c) == 1}
         for name, colour in self.accumulated.items():
             v = base.name_to_var[self.cfg.primary(name)]
             if v in cut:
                 continue
             lit = v if colour == "red" else -v
-            if (lit,) not in clauses:
+            if (lit,) not in units:
+                units.add((lit,))
                 clauses.append((lit,))
         return ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
                                is_aux=base.is_aux, name_to_var=base.name_to_var)

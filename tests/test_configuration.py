@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from _oracles import chain_sets_brute, embeddings_brute
-from bluefive.configuration import (Configuration, ExtensionSchema, RuleSet,
-                                    ell_chains, emit_clauses, instance_from_json,
-                                    instance_to_json, is_unit_chain, match_template,
-                                    pattern_rule, placement_count, template,
-                                    template_extensions, unit_pairs)
+from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
+                                    RuleSet, Template, ell_chains, emit_clauses,
+                                    instance_from_json, instance_to_json, is_unit_chain,
+                                    match_template, pattern_rule, placement_count,
+                                    template, template_extensions, unit_pairs)
 from bluefive.field import fe
 from bluefive.figures import FIGURE_IDS, load_figure
-from bluefive.geometry import chord_rotation, dist2, hex_indices, node
+from bluefive.geometry import Point, chord_rotation, dist2, hex_indices, node
 from bluefive.solver import UnprovedRuleError, solve
 
 
@@ -72,6 +72,52 @@ def test_pair_search_equals_exhaustive_scan():
         for absent in (fe(0), fe(2), fe(0, 0, 1), fe(3, 0, 0, Fraction(1, 10**9))):
             assert absent not in values
             assert cfg.pairs_with_dist2(absent) == []
+
+
+# Longest edge of norm 7, which 12 lattice vectors have: anchoring it on
+# the six that are not unit multiples of (2, 1) is a rotation that is not a
+# lattice symmetry, so the third point's image is not a node.
+N7 = Template("N7", (node(0, 0), node(1, 0), node(2, 1)))
+
+
+def _with_distant_non_node(cfg):
+    """The same configuration plus one far point that is not a lattice
+    node, which sends every query down the exact path."""
+    far = Point(fe(1000), fe(Fraction(1, 3)))
+    return Configuration(list(zip(cfg.names, cfg.points)) + [("far", far)])
+
+
+def test_integer_path_agrees_with_exact_path():
+    rng = random.Random(5)
+    cases = [_lattice_cfg(hex_indices(3)),
+             _lattice_cfg([ab for ab in hex_indices(4) if rng.random() < 0.7]),
+             load_figure("fig4").cfg, load_figure("fig5").cfg]
+    for cfg in cases:
+        mixed = _with_distant_non_node(cfg)
+        assert cfg._lattice() is not None and mixed._lattice() is None
+        values = {dist2(p, q) for i, p in enumerate(cfg.points) for q in cfg.points[i + 1:]}
+        for d2 in values | {fe(0), fe(2), fe(-1), fe(Fraction(1, 2)), fe(0, 1)}:
+            assert cfg.pairs_with_dist2(d2) == mixed.pairs_with_dist2(d2), d2
+        for k in range(2, 6):
+            assert ell_chains(cfg, k) == ell_chains(mixed, k), k
+        for tpl in list(TEMPLATES.values()) + [N7]:
+            assert match_template(cfg, tpl) == match_template(mixed, tpl), tpl.id
+
+
+def test_patch_with_turned_copy_against_brute_force():
+    rot = chord_rotation(node(0, 0), 1)
+    patch = [(f"p{i}", node(a, b)) for i, (a, b) in enumerate(hex_indices(2))]
+    cfg = Configuration(patch + [(f"q{i}", rot(p)) for i, (_, p) in enumerate(patch)])
+    lattice_part = cfg.restrict([nm for nm, _ in patch])
+    assert cfg._lattice() is None and lattice_part._lattice() is not None
+    for c in (cfg, lattice_part):
+        assert {frozenset(ch) for ch in ell_chains(c, 3)} == chain_sets_brute(c, 3)
+        for tid in ("T3", "EQ3_CENTERED", "L2"):
+            tpl = template(tid)
+            assert set(match_template(c, tpl)) == embeddings_brute(c, tpl), tid
+        got = match_template(c, N7)
+        assert len(got) == len(set(got)) > 0
+        assert set(got) == embeddings_brute(c, N7)
 
 
 def test_single_run_gives_one_chain():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -124,3 +125,14 @@ def test_lattice_vectors_of_norm2():
     assert lattice_vectors_of_norm2(2) == []
     assert sorted(lattice_vectors_of_norm2(25)) == sorted(
         [(5, 0), (-5, 0), (0, 5), (0, -5), (5, -5), (-5, 5)])
+
+
+def test_lattice_vectors_of_norm2_against_wide_scan():
+    # |a| and |b| reach sqrt(4n/3) > sqrt(n); the wide scan covers both
+    for n in range(401):
+        r = 2 * isqrt(n) + 2
+        want = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+                if lattice_norm2(a, b) == n]
+        assert lattice_vectors_of_norm2(n) == want, n
+    assert len(lattice_vectors_of_norm2(48)) == 6
+    assert len(lattice_vectors_of_norm2(7)) == 12

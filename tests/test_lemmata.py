@@ -4,10 +4,11 @@ import json
 import pytest
 
 import bluefive.lemmata as lemmata
-from bluefive.configuration import RuleSet, emit_clauses
+from bluefive.configuration import Configuration, RuleSet, emit_clauses
 from bluefive.figures import load_figure
+from bluefive.geometry import node
 from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
-                              replay_certificate, run_script, verify_all,
+                              Stage, replay_certificate, run_script, verify_all,
                               write_certificates)
 from bluefive.solver import (CertificateError, parse_dimacs, replay_unsat_trace,
                              solve)
@@ -321,3 +322,14 @@ def test_report_and_manifest_bytes_unchanged(full_run, tmp_path):
     assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
     manifest = (tmp_path / "manifest.json").read_bytes()
     assert hashlib.sha256(manifest).hexdigest() == MANIFEST_SHA256
+
+
+def test_stage_problem_adds_each_forced_colour_once_in_order():
+    cfg = Configuration([(f"p{i}", node(i, 0)) for i in range(4)] + [("twin", node(2, 0))])
+    stage = Stage("s", cfg, RuleSet(base=("RED_L2_FORBIDDEN",)), {"p0": "red"})
+    base = list(stage.base_problem().clauses)
+    assert base == [(-1, -2), (-2, -3), (-3, -4), (1,)]
+    stage.accumulated.update({"p0": "red", "p2": "blue", "twin": "blue", "p3": "red"})
+    assert stage.problem().clauses == base + [(-3,), (4,)]
+    assert stage.problem(exclude=("p3",)).clauses == [(-1, -2), (-2, -3), (1,), (-3,)]
+    assert stage.base_problem().clauses == base
