@@ -11,17 +11,13 @@ search code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 FORCED_RED = "ForcedRed"
 FORCED_BLUE = "ForcedBlue"
 FREE = "Free"
 INCONSISTENT = "Inconsistent"
-
-# reason codes for trail entries
-_R_DECISION = -1
-_R_FLIP = -2
-_R_ASSUMPTION = -3
 
 BRUTE_FORCE_MAX_FREE = 25
 
@@ -45,12 +41,14 @@ class ColoringProblem:
     name_to_var: dict[str, int]
 
     def __post_init__(self) -> None:
-        if len(self.names) != self.var_count or len(self.is_aux) != self.var_count:
+        nv = self.var_count
+        if len(self.names) != nv or len(self.is_aux) != nv:
             raise ValueError("names/is_aux must cover every variable")
-        for clause in self.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise ValueError(f"literal {lit} references an undeclared variable")
+        lits = set(chain.from_iterable(self.clauses))
+        if lits and (0 in lits or min(lits) < -nv or max(lits) > nv):
+            bad = next(lit for lit in chain.from_iterable(self.clauses)
+                       if lit == 0 or abs(lit) > nv)
+            raise ValueError(f"literal {bad} references an undeclared variable")
 
     def node_var_of(self, name: str) -> int:
         try:
@@ -74,118 +72,133 @@ class Verdict:
 
 
 class _Engine:
-    """One DPLL run over a fixed clause set."""
+    """One DPLL run over a fixed clause set.
+
+    Values and watch lists are indexed by literal: literal ``l`` lives at
+    ``val[l]`` and ``-l`` at ``val[-l]`` (Python's negative indexing), and
+    both entries are set together, so a literal's value is one list read.
+    A value is 1 (true), -1 (false) or 0 (unassigned).
+    """
 
     def __init__(self, problem: ColoringProblem, assumptions: Sequence[int],
                  trace: Optional[list[tuple]]) -> None:
         nv = problem.var_count
+        for lit in assumptions:
+            if lit == 0 or not -nv <= lit <= nv:  # val[lit] would alias another literal
+                raise ValueError(f"assumption {lit} references an undeclared variable")
         self.nv = nv
-        self.assign = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false
+        self.val = val = [0] * (2 * nv + 1)
         self.trail: list[int] = []
         self.lim: list[int] = []          # trail position of each decision
         self.flipped: list[bool] = []
         self.proj: list[bool] = []        # was the decision on a projected var
         self.qhead = 0
         self.trace = trace
-        self.clauses = [list(c) for c in problem.clauses]
-        self.watch: list[list[int]] = [[] for _ in range(2 * nv + 2)]
-        self.failed = None  # set to a conflict marker if setup is contradictory
+        self.clauses = clauses = list(map(list, problem.clauses))
+        self.watch: list[list[int]] = [[] for _ in range(2 * nv + 1)]
+        self.failed = True  # until setup ends without a contradiction
 
         units: list[tuple[int, int]] = []
-        for cid, clause in enumerate(self.clauses):
-            if not clause:
-                self.failed = ("conflict", cid)
-                if self.trace is not None:
-                    self.trace.append(("conflict", cid))
-                return
-            if len(clause) == 1:
+        watch = self.watch
+        for cid, clause in enumerate(clauses):
+            if len(clause) > 1:
+                watch[clause[0]].append(cid)
+                watch[clause[1]].append(cid)
+            elif clause:
                 units.append((clause[0], cid))
             else:
-                self.watch[_widx(clause[0])].append(cid)
-                self.watch[_widx(clause[1])].append(cid)
+                if trace is not None:
+                    trace.append(("conflict", cid))
+                return
         for lit, cid in units:
-            if not self._enqueue(lit, cid):
-                self.failed = ("conflict", cid)
+            cur = val[lit]
+            if cur == -1:
+                if trace is not None:
+                    trace.append(("conflict", cid))
                 return
+            if cur == 0:
+                self._assign(lit)
+                if trace is not None:
+                    trace.append(("imply", lit, cid))
         for lit in assumptions:
-            if self.trace is not None and self.assign[abs(lit)] == 0:
-                self.trace.append(("assume", lit))
-            if not self._enqueue(lit, _R_ASSUMPTION, quiet=True):
-                if self.trace is not None:
-                    self.trace.append(("conflict_assume", lit))
-                self.failed = ("conflict_assume", lit)
+            cur = val[lit]
+            if cur == -1:
+                if trace is not None:
+                    trace.append(("conflict_assume", lit))
                 return
+            if cur == 0:
+                if trace is not None:
+                    trace.append(("assume", lit))
+                self._assign(lit)
+        self.failed = False
 
     # ------------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: int, quiet: bool = False) -> bool:
-        var = abs(lit)
-        val = 1 if lit > 0 else -1
-        cur = self.assign[var]
-        if cur != 0:
-            if cur == val:
-                return True
-            if self.trace is not None and reason >= 0:
-                self.trace.append(("conflict", reason))
-            return False
-        self.assign[var] = val
+    def _assign(self, lit: int) -> None:
+        self.val[lit] = 1
+        self.val[-lit] = -1
         self.trail.append(lit)
-        if self.trace is not None and not quiet:
-            if reason >= 0:
-                self.trace.append(("imply", lit, reason))
-            elif reason == _R_DECISION:
-                self.trace.append(("decide", lit))
-            elif reason == _R_FLIP:
-                self.trace.append(("flip", lit))
-        return True
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
 
     def propagate(self) -> Optional[int]:
-        """Run unit propagation; return a conflicting clause id or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            wl = self.watch[_widx(neg)]
+        """Run unit propagation; return a conflicting clause id or None.
+
+        Each clause keeps its two watched literals in positions 0 and 1.
+        When a watch turns false it moves to position 1, and is replaced
+        by the first later literal that is not false.
+        """
+        val = self.val
+        watch = self.watch
+        clauses = self.clauses
+        trail = self.trail
+        trace = self.trace
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            wl = watch[neg]
             i = 0
             while i < len(wl):
                 cid = wl[i]
-                clause = self.clauses[cid]
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[cid]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == neg:
+                    first = clause[0] = clause[1]
+                    clause[1] = neg
+                if val[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watch[_widx(clause[1])].append(cid)
+                    lit = clause[k]
+                    if val[lit] != -1:
+                        clause[k] = clause[1]
+                        clause[1] = lit
+                        watch[lit].append(cid)
                         wl[i] = wl[-1]
                         wl.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # clause is unit or conflicting under the current trail
-                if self._value(first) == -1:
-                    if self.trace is not None:
-                        self.trace.append(("conflict", cid))
-                    return cid
-                if not self._enqueue(first, cid):
-                    return cid
-                i += 1
+                else:
+                    # clause is unit or conflicting under the current trail
+                    if val[first] == -1:
+                        self.qhead = qhead
+                        if trace is not None:
+                            trace.append(("conflict", cid))
+                        return cid
+                    val[first] = 1
+                    val[-first] = -1
+                    trail.append(first)
+                    if trace is not None:
+                        trace.append(("imply", first, cid))
+                    i += 1
+        self.qhead = qhead
         return None
 
     def decide(self, var: int, projected: bool) -> None:
         self.lim.append(len(self.trail))
         self.flipped.append(False)
         self.proj.append(projected)
-        self._enqueue(var, _R_DECISION)  # red (true) branch first
+        self._assign(var)  # red (true) branch first
+        if self.trace is not None:
+            self.trace.append(("decide", var))
 
     def backtrack(self, after_model: bool) -> bool:
         """Chronological backtrack; flip the relevant deepest decision.
@@ -194,17 +207,21 @@ class _Engine:
         projected decision may (deeper branches would repeat the same
         projection).  Returns False when the tree is exhausted.
         """
+        val = self.val
+        trail = self.trail
         while self.lim:
             dpos = self.lim[-1]
-            dlit = self.trail[dpos]
-            for lit_ in reversed(self.trail[dpos:]):
-                self.assign[abs(lit_)] = 0
-            del self.trail[dpos:]
+            dlit = trail[dpos]
+            for lit in trail[dpos:]:
+                val[lit] = val[-lit] = 0
+            del trail[dpos:]
             self.qhead = dpos
             flippable = not self.flipped[-1] and (self.proj[-1] or not after_model)
             if flippable:
                 self.flipped[-1] = True
-                self._enqueue(-dlit, _R_FLIP)
+                self._assign(-dlit)
+                if self.trace is not None:
+                    self.trace.append(("flip", -dlit))
                 return True
             self.lim.pop()
             self.flipped.pop()
@@ -212,17 +229,14 @@ class _Engine:
         return False
 
     def next_var(self, order: Sequence[int]) -> Optional[int]:
+        val = self.val
         for v in order:
-            if self.assign[v] == 0:
+            if val[v] == 0:
                 return v
         return None
 
     def model(self) -> tuple[bool, ...]:
-        return tuple(self.assign[v] == 1 for v in range(1, self.nv + 1))
-
-
-def _widx(lit: int) -> int:
-    return 2 * lit if lit > 0 else -2 * lit + 1
+        return tuple([x == 1 for x in self.val[1:self.nv + 1]])
 
 
 def check_model(clauses: Iterable[Sequence[int]], model: Sequence[bool],
@@ -249,7 +263,7 @@ def _search(problem: ColoringProblem, assumptions: Sequence[int],
     over `proj_vars` would.  Events go to `trace` when it is a list.
     """
     eng = _Engine(problem, assumptions, trace)
-    if eng.failed is not None:
+    if eng.failed:
         return
     proj_set = set(proj_vars)
     rest = [v for v in range(1, problem.var_count + 1) if v not in proj_set]
@@ -424,7 +438,7 @@ def export_dimacs(problem: ColoringProblem) -> tuple[str, str]:
     """Byte-deterministic DIMACS CNF text plus an 'index name' variable map."""
     lines = [f"p cnf {problem.var_count} {len(problem.clauses)}"]
     for clause in problem.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     cnf = "\n".join(lines) + "\n"
     vm_lines = []
     for v in range(1, problem.var_count + 1):

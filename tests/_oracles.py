@@ -5,12 +5,18 @@ walker: chains are found by exhaustive subset growth, embeddings by
 distance-preserving bijection search.  Both enumerations are exact and
 complete (pruning only discards subsets whose partial distance multiset
 already fails, which can never exclude a true hit).
+
+`ReferenceEngine` and `reference_search` are the solver's DPLL engine as
+first written, kept as the reference that the solver's traces, models
+and verdicts must match exactly.
 """
 
 from collections import Counter
+from typing import Iterator, Optional, Sequence
 
 from bluefive.field import FieldElement
 from bluefive.geometry import collinear, dist2
+from bluefive.solver import check_model
 
 
 def _pair_key(p, q):
@@ -98,3 +104,204 @@ def embeddings_brute(cfg, tpl):
 
     subsets([], 0, Counter())
     return set(hits)
+
+
+# ---------------------------------------------------------------------------
+# Reference DPLL engine
+# ---------------------------------------------------------------------------
+
+# reason codes for trail entries
+_R_DECISION = -1
+_R_FLIP = -2
+_R_ASSUMPTION = -3
+
+
+class ReferenceEngine:
+    """The solver's DPLL engine in its first, plainly written form.
+
+    Values are indexed by variable and watch lists by `_widx`; every
+    literal read goes through `_value`.  `bluefive.solver._Engine` must
+    make the same decisions, implications, clause-literal swaps and
+    trace events.
+    """
+
+    def __init__(self, problem, assumptions: Sequence[int],
+                 trace: Optional[list[tuple]]) -> None:
+        nv = problem.var_count
+        self.nv = nv
+        self.assign = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false
+        self.trail: list[int] = []
+        self.lim: list[int] = []          # trail position of each decision
+        self.flipped: list[bool] = []
+        self.proj: list[bool] = []        # was the decision on a projected var
+        self.qhead = 0
+        self.trace = trace
+        self.clauses = [list(c) for c in problem.clauses]
+        self.watch: list[list[int]] = [[] for _ in range(2 * nv + 2)]
+        self.failed = None  # set to a conflict marker if setup is contradictory
+
+        units: list[tuple[int, int]] = []
+        for cid, clause in enumerate(self.clauses):
+            if not clause:
+                self.failed = ("conflict", cid)
+                if self.trace is not None:
+                    self.trace.append(("conflict", cid))
+                return
+            if len(clause) == 1:
+                units.append((clause[0], cid))
+            else:
+                self.watch[_widx(clause[0])].append(cid)
+                self.watch[_widx(clause[1])].append(cid)
+        for lit, cid in units:
+            if not self._enqueue(lit, cid):
+                self.failed = ("conflict", cid)
+                return
+        for lit in assumptions:
+            if self.trace is not None and self.assign[abs(lit)] == 0:
+                self.trace.append(("assume", lit))
+            if not self._enqueue(lit, _R_ASSUMPTION, quiet=True):
+                if self.trace is not None:
+                    self.trace.append(("conflict_assume", lit))
+                self.failed = ("conflict_assume", lit)
+                return
+
+    # ------------------------------------------------------------------
+
+    def _enqueue(self, lit: int, reason: int, quiet: bool = False) -> bool:
+        var = abs(lit)
+        val = 1 if lit > 0 else -1
+        cur = self.assign[var]
+        if cur != 0:
+            if cur == val:
+                return True
+            if self.trace is not None and reason >= 0:
+                self.trace.append(("conflict", reason))
+            return False
+        self.assign[var] = val
+        self.trail.append(lit)
+        if self.trace is not None and not quiet:
+            if reason >= 0:
+                self.trace.append(("imply", lit, reason))
+            elif reason == _R_DECISION:
+                self.trace.append(("decide", lit))
+            elif reason == _R_FLIP:
+                self.trace.append(("flip", lit))
+        return True
+
+    def _value(self, lit: int) -> int:
+        v = self.assign[abs(lit)]
+        return v if lit > 0 else -v
+
+    def propagate(self) -> Optional[int]:
+        """Run unit propagation; return a conflicting clause id or None."""
+        while self.qhead < len(self.trail):
+            lit = self.trail[self.qhead]
+            self.qhead += 1
+            neg = -lit
+            wl = self.watch[_widx(neg)]
+            i = 0
+            while i < len(wl):
+                cid = wl[i]
+                clause = self.clauses[cid]
+                if clause[0] == neg:
+                    clause[0], clause[1] = clause[1], clause[0]
+                first = clause[0]
+                if self._value(first) == 1:
+                    i += 1
+                    continue
+                moved = False
+                for k in range(2, len(clause)):
+                    if self._value(clause[k]) != -1:
+                        clause[1], clause[k] = clause[k], clause[1]
+                        self.watch[_widx(clause[1])].append(cid)
+                        wl[i] = wl[-1]
+                        wl.pop()
+                        moved = True
+                        break
+                if moved:
+                    continue
+                # clause is unit or conflicting under the current trail
+                if self._value(first) == -1:
+                    if self.trace is not None:
+                        self.trace.append(("conflict", cid))
+                    return cid
+                if not self._enqueue(first, cid):
+                    return cid
+                i += 1
+        return None
+
+    def decide(self, var: int, projected: bool) -> None:
+        self.lim.append(len(self.trail))
+        self.flipped.append(False)
+        self.proj.append(projected)
+        self._enqueue(var, _R_DECISION)  # red (true) branch first
+
+    def backtrack(self, after_model: bool) -> bool:
+        """Chronological backtrack; flip the relevant deepest decision.
+
+        After a conflict any decision may flip; after a model only a
+        projected decision may (deeper branches would repeat the same
+        projection).  Returns False when the tree is exhausted.
+        """
+        while self.lim:
+            dpos = self.lim[-1]
+            dlit = self.trail[dpos]
+            for lit_ in reversed(self.trail[dpos:]):
+                self.assign[abs(lit_)] = 0
+            del self.trail[dpos:]
+            self.qhead = dpos
+            flippable = not self.flipped[-1] and (self.proj[-1] or not after_model)
+            if flippable:
+                self.flipped[-1] = True
+                self._enqueue(-dlit, _R_FLIP)
+                return True
+            self.lim.pop()
+            self.flipped.pop()
+            self.proj.pop()
+        return False
+
+    def next_var(self, order: Sequence[int]) -> Optional[int]:
+        for v in order:
+            if self.assign[v] == 0:
+                return v
+        return None
+
+    def model(self) -> tuple[bool, ...]:
+        return tuple(self.assign[v] == 1 for v in range(1, self.nv + 1))
+
+
+def _widx(lit: int) -> int:
+    return 2 * lit if lit > 0 else -2 * lit + 1
+
+
+def reference_search(problem, assumptions: Sequence[int],
+                     proj_vars: Sequence[int],
+                     trace: Optional[list[tuple]]) -> Iterator[tuple[bool, ...]]:
+    """Yield full models in search-tree order, deciding `proj_vars` first.
+
+    After a model only a projected decision flips, as a blocking clause
+    over `proj_vars` would.  Events go to `trace` when it is a list.
+    """
+    eng = ReferenceEngine(problem, assumptions, trace)
+    if eng.failed is not None:
+        return
+    proj_set = set(proj_vars)
+    rest = [v for v in range(1, problem.var_count + 1) if v not in proj_set]
+    while True:
+        if eng.propagate() is not None:
+            if not eng.backtrack(after_model=False):
+                return
+            continue
+        var = eng.next_var(proj_vars)
+        projected = var is not None
+        if var is None:
+            var = eng.next_var(rest)
+        if var is None:
+            model = eng.model()
+            if not check_model(problem.clauses, model, assumptions):
+                raise AssertionError("solver produced an invalid model")
+            yield model
+            if not eng.backtrack(after_model=True):
+                return
+            continue
+        eng.decide(var, projected=projected)

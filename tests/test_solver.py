@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from _oracles import reference_search
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
                              ColoringProblem, brute_force, check_model,
                              check_trace_assumptions, enumerate_models,
@@ -18,6 +19,24 @@ def _problem(nvars, clauses):
         name_to_var={n: i + 1 for i, n in enumerate(names)})
 
 
+@pytest.mark.parametrize("clauses, message", [
+    ([(1, 0)], "literal 0 references"),
+    ([(1,), (-2, 3), (0,)], "literal 3 references"),
+    ([(2, -3), (1,)], "literal -3 references"),
+], ids=["zero", "above-var-count", "below-minus-var-count"])
+def test_problem_rejects_undeclared_literals(clauses, message):
+    with pytest.raises(ValueError, match=message):
+        _problem(2, clauses)
+
+
+def test_problem_rejects_names_or_flags_of_the_wrong_length():
+    for names, is_aux in ((["a"], [False, False]), (["a", "b"], [False]),
+                          (["a", "b", "c"], [False] * 3)):
+        with pytest.raises(ValueError, match="must cover every variable"):
+            ColoringProblem(var_count=2, clauses=[(1, -2)], names=names, is_aux=is_aux,
+                            name_to_var={n: i + 1 for i, n in enumerate(names)})
+
+
 def test_empty_problem_is_sat():
     verdict = solve(_problem(3, []))
     assert verdict.kind == "sat"
@@ -26,6 +45,25 @@ def test_empty_problem_is_sat():
 
 def test_contradictory_units():
     assert solve(_problem(1, [(1,), (-1,)])).kind == "unsat"
+
+
+@pytest.mark.parametrize("clauses, assumptions, trace", [
+    ([(1, 2), (), (-1,)], [], [("conflict", 1)]),
+    ([(1,), (2, -1), (-1,)], [2], [("imply", 1, 0), ("conflict", 2)]),
+    ([(-2,), (1, 2)], [1, 2], [("imply", -2, 0), ("assume", 1), ("conflict_assume", 2)]),
+], ids=["empty-clause", "contradictory-units", "assumption-falsified-by-unit"])
+def test_setup_failures_give_replayable_traces(clauses, assumptions, trace):
+    problem = _problem(2, clauses)
+    verdict = solve(problem, assumptions, record_trace=True)
+    assert verdict.kind == "unsat" and verdict.trace == trace
+    assert replay_unsat_trace(problem.clauses, verdict.trace)
+    assert check_trace_assumptions(verdict.trace, assumptions)
+
+
+@pytest.mark.parametrize("lit", [0, 3, -3])
+def test_solve_rejects_undeclared_assumptions(lit):
+    with pytest.raises(ValueError, match=f"assumption {lit} references"):
+        solve(_problem(2, [(1,), ()]), [1, lit])
 
 
 def test_deterministic_first_model():
@@ -205,6 +243,67 @@ def test_solve_and_enumeration_agree():
             assert models == [verdict.model]
         else:
             assert (models, exhausted) == ([], True)
+
+
+def _ref_solve(problem, assumptions):
+    trace = []
+    for model in reference_search(problem, assumptions, range(1, problem.var_count + 1), trace):
+        return "sat", model, trace
+    return "unsat", None, trace
+
+
+def _ref_models(problem, cap, proj_vars):
+    models = []
+    for full in reference_search(problem, (), proj_vars, None):
+        models.append(tuple(full[v - 1] for v in proj_vars))
+        if len(models) >= cap:
+            return models, False
+    return models, True
+
+
+def test_engine_matches_reference_engine():
+    """Verdicts, models and trace events equal the reference engine's."""
+    rng = random.Random(8)
+    seen = {"unit": 0, "duplicate": 0, "tautology": 0, "assume-against-unit": 0,
+            "unsat": 0, "flip": 0}
+    for _ in range(300):
+        nvars = rng.randint(1, 14)
+        # literals drawn with replacement: clauses repeat literals and
+        # hold both signs of a variable
+        clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, nvars)
+                         for _ in range(rng.choice((2, 3, 3, 4, 6))))
+                   for _ in range(rng.randint(0, 5 * nvars))]
+        units = [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(rng.randint(0, 2))]
+        for lit in units:
+            clauses.insert(rng.randint(0, len(clauses)), (lit,))
+        problem = _problem(nvars, clauses)
+        seen["unit"] += bool(units)
+        seen["duplicate"] += any(len(set(c)) < len(c) for c in clauses)
+        seen["tautology"] += any(-lit in c for c in clauses for lit in c)
+
+        assumptions = [rng.choice((1, -1)) * rng.randint(1, nvars)
+                       for _ in range(rng.randint(0, 3))]
+        if units and rng.random() < 0.3:
+            assumptions.insert(rng.randint(0, len(assumptions)), -rng.choice(units))
+            seen["assume-against-unit"] += 1
+        verdict = solve(problem, assumptions, record_trace=True)
+        want = _ref_solve(problem, assumptions)
+        assert (verdict.kind, verdict.model, verdict.trace) == want
+
+        var = rng.randint(1, nvars)
+        res = forced_color(problem, f"v{var}", record_trace=True)
+        for side, lit in ((res.when_blue, -var), (res.when_red, var)):
+            assert (side.kind, side.model, side.trace) == _ref_solve(problem, [lit])
+        seen["unsat"] += res.when_blue.kind == "unsat"
+        seen["flip"] += any(ev[0] == "flip" for ev in res.when_blue.trace)
+
+        cap = rng.randint(1, 40)
+        everything = list(range(1, nvars + 1))
+        project = sorted(rng.sample(everything, rng.randint(1, nvars)))
+        assert enumerate_models(problem, cap) == _ref_models(problem, cap, everything)
+        assert (enumerate_models(problem, cap, project=project)
+                == _ref_models(problem, cap, project))
+    assert min(seen.values()) >= 30, seen
 
 
 def test_monotonicity_adding_clauses_keeps_unsat():
