@@ -53,7 +53,7 @@ class Configuration:
             else:
                 self.aliases[name] = self.names[existing]
                 self.index[name] = existing
-        self._bucket_cache: dict = {}
+        self._cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -80,7 +80,7 @@ class Configuration:
         return Configuration([(self.names[i], self.points[i]) for i in keep_idx]
                              + [(a, self.point_of(a)) for a in aliases])
 
-    # -- lattice index and candidate pair search -----------------------------
+    # -- lattice index and pair search ---------------------------------------
 
     def _lattice(self) -> Optional[tuple[list[tuple[int, int]], dict[tuple[int, int], int]]]:
         """The lattice coordinates of every point and the index map keyed
@@ -91,27 +91,11 @@ class Configuration:
         and nodes, so looking a node up by its (a, b) finds exactly the
         index that point_index finds by its exact coordinates.
         """
-        if "lattice" not in self._bucket_cache:
+        if "lattice" not in self._cache:
             coords = [lattice_coords(pt) for pt in self.points]
-            self._bucket_cache["lattice"] = None if None in coords else (
+            self._cache["lattice"] = None if None in coords else (
                 coords, {ab: i for i, ab in enumerate(coords)})
-        return self._bucket_cache["lattice"]
-
-    def _float_points(self) -> list[tuple[float, float]]:
-        cache = self._bucket_cache.get("floats")
-        if cache is None:
-            cache = [(float(pt.x), float(pt.y)) for pt in self.points]
-            self._bucket_cache["floats"] = cache
-        return cache
-
-    def _buckets(self) -> dict[tuple[int, int], list[int]]:
-        cache = self._bucket_cache.get("grid")
-        if cache is None:
-            cache = {}
-            for i, (x, y) in enumerate(self._float_points()):
-                cache.setdefault((int(x // 1), int(y // 1)), []).append(i)
-            self._bucket_cache["grid"] = cache
-        return cache
+        return self._cache["lattice"]
 
     def pairs_with_dist2(self, d2: FieldElement) -> list[tuple[int, int]]:
         """All unordered index pairs at exactly squared distance d2.
@@ -122,47 +106,20 @@ class Configuration:
         integer n, and the pairs at n are the nodes whose index difference
         is one of lattice_vectors_of_norm2(n).
 
-        Otherwise floats only filter: a float grid narrows the candidates,
-        and a candidate is dropped only when its float squared distance is
-        further than 1e-6*(1 + |d2|) from float(d2), orders of magnitude
-        wider than any rounding error, so no true pair can be missed.
-        Every survivor is confirmed with exact arithmetic.  Results are
-        cached; configurations are immutable once built.
+        Otherwise every pair is compared exactly in the field; no shipped
+        configuration off the lattice has more than a few dozen points.
+        Results are cached; configurations are immutable once built.
         """
         key = ("pairs", d2)
-        cached = self._bucket_cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         lattice = self._lattice()
-        out = (self._float_filtered_pairs(d2) if lattice is None
-               else _lattice_pairs(d2, *lattice))
-        out.sort()
-        self._bucket_cache[key] = out
-        return out
-
-    def _float_filtered_pairs(self, d2: FieldElement) -> list[tuple[int, int]]:
-        target = float(d2)
-        tol = 1e-6 * (1.0 + abs(target))
-        reach = int(max(target, 0.0) ** 0.5) + 2
-        grid = self._buckets()
-        xy = self._float_points()
         pts = self.points
-        out = []
-        for (bx, by), idxs in grid.items():
-            for dx in range(-reach, reach + 1):
-                for dy in range(-reach, reach + 1):
-                    other = grid.get((bx + dx, by + dy))
-                    if other is None:
-                        continue
-                    for i in idxs:
-                        xi, yi = xy[i]
-                        for j in other:
-                            if i < j:
-                                ex = xy[j][0] - xi
-                                ey = xy[j][1] - yi
-                                if (abs(ex * ex + ey * ey - target) <= tol
-                                        and dist2(pts[i], pts[j]) == d2):
-                                    out.append((i, j))
+        out = (sorted(_lattice_pairs(d2, *lattice)) if lattice is not None
+               else [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                     if dist2(pts[i], pts[j]) == d2])
+        self._cache[key] = out
         return out
 
 
@@ -179,11 +136,6 @@ def _lattice_pairs(d2: FieldElement, coords: list[tuple[int, int]],
             if j is not None and i < j:
                 out.append((i, j))
     return out
-
-
-def unit_pairs(cfg: Configuration) -> list[tuple[str, str]]:
-    """All unordered node pairs at squared distance exactly 1."""
-    return [(cfg.names[i], cfg.names[j]) for i, j in cfg.pairs_with_dist2(ONE)]
 
 
 def _canonical_direction(v: Point) -> Point:
@@ -226,7 +178,7 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
     if k < 2:
         raise ValueError("k must be >= 2")
     key = ("chains", k)
-    cached = cfg._bucket_cache.get(key)
+    cached = cfg._cache.get(key)
     if cached is not None:
         return cached
     lattice = cfg._lattice()
@@ -251,7 +203,7 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
                 chains.append(tuple(run))
     chains.sort(key=lambda run: tuple(order(pts[i]) for i in run))
     result = [tuple(cfg.names[i] for i in run) for run in chains]
-    cfg._bucket_cache[key] = result
+    cfg._cache[key] = result
     return result
 
 
@@ -378,7 +330,7 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     if len(cfg) < m:
         return []
     cache_key = ("match", tpl.id)
-    cached = cfg._bucket_cache.get(cache_key)
+    cached = cfg._cache.get(cache_key)
     if cached is not None:
         return cached
     lattice = cfg._lattice()
@@ -419,7 +371,7 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
                     raise AssertionError("embedding failed the distance multiset check")
                 out.append(key)
     result = [tuple(cfg.names[i] for i in emb) for emb in out]
-    cfg._bucket_cache[cache_key] = result
+    cfg._cache[cache_key] = result
     return result
 
 
@@ -490,10 +442,10 @@ class PatternRule:
 
 @dataclass(frozen=True)
 class ExtensionSchema:
-    """Every all-red T3 (or each listed anchor) extends to an all-red T6."""
+    """Each listed all-red T3 anchor extends to an all-red T6."""
     lemma_id: str
+    anchors: tuple[tuple[str, ...], ...]
     proved: bool = False
-    anchors: Optional[tuple[tuple[str, ...], ...]] = None
 
 
 _PATTERN_RULE_DEFS: dict[str, tuple[str, tuple[str, ...], str]] = {
@@ -520,10 +472,8 @@ class RuleSet:
     def rule_ids(self) -> list:
         ids: list = list(self.base) + [r.rule_id for r in self.derived]
         if self.existential is not None:
-            entry: dict = {"rule": T3_TO_T6_SCHEMA}
-            if self.existential.anchors is not None:
-                entry["anchors"] = [list(a) for a in self.existential.anchors]
-            ids.append(entry)
+            ids.append({"rule": T3_TO_T6_SCHEMA,
+                        "anchors": [list(a) for a in self.existential.anchors]})
         return ids
 
 
@@ -568,15 +518,8 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
                       for nm, role in zip(emb, rule.roles)))
 
     if rules.existential is not None:
-        t3 = template("T3")
-        if rules.existential.anchors is not None:
-            anchor_sets = [tuple(cfg.primary(nm) for nm in anchor)
-                           for anchor in rules.existential.anchors]
-        else:
-            uniq: dict[frozenset, tuple[str, ...]] = {}
-            for emb in match_template(cfg, t3):
-                uniq.setdefault(frozenset(emb), tuple(sorted(emb, key=cfg.index_of)))
-            anchor_sets = sorted(uniq.values(), key=lambda t: [cfg.index_of(nm) for nm in t])
+        anchor_sets = [tuple(cfg.primary(nm) for nm in anchor)
+                       for anchor in rules.existential.anchors]
         for anchor in anchor_sets:
             pts = [cfg.point_of(nm) for nm in anchor]
             candidates = template_extensions("T3", "T6", pts)
@@ -648,18 +591,18 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
         if isinstance(entry, dict):
             if entry.get("rule") != T3_TO_T6_SCHEMA:
                 raise ValueError(f"unknown rule entry {entry!r}")
-            anchors = entry.get("anchors")
-            if anchors:
-                anchors = tuple(tuple(_json_field(a, list, "an anchor"))
-                                for a in _json_field(anchors, list, "'anchors'"))
-            existential = ExtensionSchema(lemma_id="t3t6", proved=True,
-                                          anchors=anchors or None)
+            anchors = tuple(tuple(_json_field(a, list, "an anchor"))
+                            for a in _json_field(entry.get("anchors"), list, "'anchors'"))
+            if not anchors:
+                raise ValueError(f"{T3_TO_T6_SCHEMA} needs at least one anchor")
+            existential = ExtensionSchema(lemma_id="t3t6", anchors=anchors, proved=True)
         elif not isinstance(entry, str):
             raise ValueError(f"unknown rule id {entry!r}")
         elif entry in BASE_RULES:
             base.append(entry)
         elif entry == T3_TO_T6_SCHEMA:
-            existential = ExtensionSchema(lemma_id="t3t6", proved=True, anchors=None)
+            raise ValueError(f"{entry} needs anchors: write it as an object with an "
+                             "'anchors' list")
         elif entry in _PATTERN_RULE_DEFS:
             derived.append(pattern_rule(entry, proved=True))
         else:

@@ -2,11 +2,14 @@
 
 Each registry is a JSON data file holding exact coordinates, the colours
 the diagram shows (red / blue / undetermined), the rule ids of its
-instance, and the named facts (unit pairs, five-chains, template
-placements) that `self_check` re-verifies against the coordinates.  A
-five-chain or placement with an "id" is also the sole statement of the
-verification obligation of that id.  The registries double as
-ready-to-run instance files for the oracle command.
+instance, and the named facts that `self_check` re-verifies against the
+coordinates.  Besides blue unit pairs there are four claim sections:
+squared distances (`dist2`), turned or mirrored images (`images`),
+five-chains (`ell5`) and template placements (`patterns`), each decided
+by one checker in CLAIM_CHECKS.  A claim with an "id" is also the sole
+statement of the verification obligation of that id, which the same
+checker decides.  The registries double as ready-to-run instance files
+for the oracle command.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .configuration import (Configuration, RuleSet, instance_from_json, is_unit_chain,
-                            placement_count, template, unit_pairs)
-from .field import ONE
-from .geometry import dist2
+                            placement_count, template)
+from .field import ONE, fe
+from .geometry import chord_rotation, dist2, reflection
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig3", "fig4", "fig5", "fig6", "figcol1", "figcol2")
 
@@ -52,6 +55,50 @@ def figure_instance(fid: str):
     return figure.cfg, figure.colors, figure.rules
 
 
+def _check_dist2(cfg: Configuration, claim: dict):
+    a, b = claim["nodes"]
+    got, want = dist2(cfg.point_of(a), cfg.point_of(b)), fe(claim["equals"])
+    return ({"dist2": str(got), "expected": str(want)},
+            got != want and f"{a},{b} is at squared distance {got}, not {want}")
+
+
+def _image_map(cfg: Configuration, spec: list):
+    kind, p, q = spec
+    if kind == "chord":
+        return chord_rotation(cfg.point_of(p), q)
+    if kind == "mirror":
+        return reflection(cfg.point_of(p), cfg.point_of(q))
+    raise ValueError(f"unknown map kind {kind!r}")
+
+
+def _check_image(cfg: Configuration, claim: dict):
+    src, dst = claim["nodes"]
+    got, want = _image_map(cfg, claim["map"])(cfg.point_of(src)), cfg.point_of(dst)
+    return ({"image": f"({got.x}, {got.y})", "expected": f"({want.x}, {want.y})"},
+            got != want and f"{claim['map']} takes {src} to ({got.x}, {got.y}), not to {dst}")
+
+
+def _check_chain(cfg: Configuration, claim: dict):
+    names = list(claim["nodes"])
+    return ({"chain": names},
+            not (len(names) == 5 and is_unit_chain(cfg, names))
+            and f"{'-'.join(names)} is not a unit five-chain")
+
+
+def _check_placement(cfg: Configuration, claim: dict):
+    names, tid = list(claim["nodes"]), claim["template"]
+    hits = placement_count(cfg, template(tid), names, claim.get("center_last", False))
+    want = sorted({cfg.primary(n) for n in names})
+    return ({"template": tid, "nodes": names, "embeddings": hits},
+            not hits and f"nodes {want} do not form a {tid}")
+
+
+# One checker per claim section: checker(cfg, claim) returns the detail an
+# obligation reports and a failure message, or a false value when it holds.
+CLAIM_CHECKS = {"dist2": _check_dist2, "images": _check_image,
+                "ell5": _check_chain, "patterns": _check_placement}
+
+
 def self_check(figure: Figure) -> list[str]:
     """Verify every named claim against the exact coordinates.
 
@@ -60,27 +107,14 @@ def self_check(figure: Figure) -> list[str]:
     """
     cfg = figure.cfg
     problems: list[str] = []
-    claims = figure.claims
-
-    for blue_name, red_name in claims.get("blue_unit", ()):
+    for blue_name, red_name in figure.claims.get("blue_unit", ()):
         if dist2(cfg.point_of(blue_name), cfg.point_of(red_name)) != ONE:
             problems.append(f"{figure.id}: {blue_name} is not at unit distance from {red_name}")
         if figure.colors.get(blue_name, "blue") != "blue":
             problems.append(f"{figure.id}: {blue_name} is not drawn blue")
-
-    pair_set = {frozenset(p) for p in unit_pairs(cfg)}
-    for a, b in claims.get("unit", ()):
-        if frozenset((cfg.primary(a), cfg.primary(b))) not in pair_set:
-            problems.append(f"{figure.id}: {a},{b} is not a unit pair")
-
-    for chain in claims.get("ell5", ()):
-        names = chain["nodes"]
-        if len(names) != 5 or not is_unit_chain(cfg, names):
-            problems.append(f"{figure.id}: {'-'.join(names)} is not a unit five-chain")
-
-    for pat in claims.get("patterns", ()):
-        if not placement_count(cfg, template(pat["template"]), pat["nodes"],
-                               pat.get("center_last", False)):
-            want = sorted({cfg.primary(n) for n in pat["nodes"]})
-            problems.append(f"{figure.id}: nodes {want} do not form a {pat['template']}")
+    for section, check in CLAIM_CHECKS.items():
+        for claim in figure.claims.get(section, ()):
+            failure = check(cfg, claim)[1]
+            if failure:
+                problems.append(f"{figure.id}: {failure}")
     return problems

@@ -11,9 +11,12 @@ list of machine-checkable obligations over a fixed configuration:
 * UNSAT           - a case instance is contradictory,
 * SAT_WITNESS     - an explicit colouring satisfies an instance.
 
-Chain and placement obligations are written as CLAIM: the nodes live
-only in the figure claim that carries the obligation's id, and the
-claim's section decides the reported kind.  Scripts run in dependency
+Squared-distance, image, chain and placement obligations are written as
+CLAIM: the fact lives only in the figure claim that carries the
+obligation's id, the checker of the claim's section in
+figures.CLAIM_CHECKS decides it (the same one the transcription
+self-check runs), and the section decides the reported kind: dist2 and
+images report GEOM_IDENTITY.  Scripts run in dependency
 order; a passing script unlocks its derived rule for the scripts above
 it.  Forced colours accumulate inside a script, mirroring how the
 argument walks point by point.
@@ -30,13 +33,12 @@ from typing import Callable, Optional, Sequence
 
 from .configuration import (BLUE_EQ3_RED_CENTER, Configuration, ExtensionSchema,
                             NO_RED_T3, RED_EQ3_RED_CENTER, RuleSet, T7_ALL_RED,
-                            emit_clauses, is_unit_chain, pattern_rule,
-                            placement_count, template, template_extensions)
-from .field import fe
-from .figures import Figure, load_figure, self_check
-from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords,
+                            emit_clauses, pattern_rule, template_extensions)
+from .field import ONE, fe
+from .figures import CLAIM_CHECKS, Figure, load_figure, self_check
+from .geometry import (Point, chord_rotation, dist2, hex_indices, lattice_coords,
                        lattice_norm2, lattice_symmetries, lattice_vectors_of_norm2,
-                       node, point, reflection, rotation60)
+                       node, point, rotation60)
 from .solver import (ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
                      enumerate_models, export_dimacs, forced_color, solve)
 from .tilings import PATTERN_A, PATTERN_B, PeriodicColoring, distance5_invariance
@@ -47,10 +49,11 @@ PATTERN_PRESENT = "PATTERN_PRESENT"
 FORCED = "FORCED"
 UNSAT = "UNSAT"
 SAT_WITNESS = "SAT_WITNESS"
-# written kind of a chain or placement obligation; reported as the kind of
-# the figure claim section that holds its id
+# written kind of an obligation stated by a figure claim; reported as the
+# kind of the claim section that holds its id
 CLAIM = "CLAIM"
-_CLAIM_KINDS = {"ell5": CHAIN_CLAIM, "patterns": PATTERN_PRESENT}
+_CLAIM_KINDS = {"dist2": GEOM_IDENTITY, "images": GEOM_IDENTITY,
+                "ell5": CHAIN_CLAIM, "patterns": PATTERN_PRESENT}
 
 SCRIPT_ORDER = ("bluetr", "redtr", "t7", "t3t6", "col1", "col2", "theorem")
 
@@ -229,30 +232,27 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _dist2_ob(oid: str, cfg: Configuration, a: str, b: str, expected: int,
-              statement: str) -> Obligation:
-    want = fe(expected)
-
-    def check():
-        got = dist2(cfg.point_of(a), cfg.point_of(b))
-        return got == want, {"dist2": str(got), "expected": str(want)}
-
-    return Obligation(oid, GEOM_IDENTITY, statement, check=check)
-
-
-def _image_ob(oid: str, cfg: Configuration, iso_fn, src: str, dst: str,
-              statement: str) -> Obligation:
-    def check():
-        got = iso_fn()(cfg.point_of(src))
-        want = cfg.point_of(dst)
-        return got == want, {"image": f"({got.x}, {got.y})",
-                             "expected": f"({want.x}, {want.y})"}
-
-    return Obligation(oid, GEOM_IDENTITY, statement, check=check)
-
-
 def _points_key(pts) -> list:
     return [[str(p.x), str(p.y)] for p in sorted(pts, key=lambda q: q.coord_key())]
+
+
+def _dist2_check(pts: dict[str, Point], want: dict[tuple[str, str], int]):
+    """Is each named pair at its wanted squared distance?  The detail
+    shows every squared distance found."""
+    got = {(a, b): dist2(pts[a], pts[b]) for a, b in want}
+    return (all(got[pair] == fe(k) for pair, k in want.items()),
+            {f"d2({a},{b})": str(d2) for (a, b), d2 in got.items()})
+
+
+def _step_check(p: Point, q: Point, want: tuple[int, int], keys: tuple[str, str]):
+    """Is q - p the lattice vector `want`, of squared length its norm?  The
+    detail shows the vector found, as "(a,b)" or as exact coordinates off
+    the lattice, and its squared length, under the two given keys."""
+    v = q - p
+    ab = lattice_coords(v)
+    d2 = dist2(p, q)
+    shown = f"({v.x}, {v.y})" if ab is None else f"({ab[0]},{ab[1]})"
+    return ab == want and d2 == fe(lattice_norm2(*want)), dict(zip(keys, (shown, str(d2))))
 
 
 def _rules(base_extra: Sequence = (), schema: Optional[ExtensionSchema] = None,
@@ -292,12 +292,12 @@ def _build_bluetr(granted: frozenset, options: Options):
     stage = Stage("main", cfg, RuleSet(),
                   {"O": "red", "A": "blue", "B": "blue", "C": "blue"})
     obls = [
-        _dist2_ob("side-ab", cfg, "A", "B", 9, "the anchor triangle has side 3: |AB|^2 = 9"),
-        _dist2_ob("side-bc", cfg, "B", "C", 9, "the anchor triangle has side 3: |BC|^2 = 9"),
-        _dist2_ob("side-ca", cfg, "C", "A", 9, "the anchor triangle has side 3: |CA|^2 = 9"),
-        _dist2_ob("centre-oa", cfg, "O", "A", 3, "O is the centre: |OA|^2 = 3"),
-        _dist2_ob("centre-ob", cfg, "O", "B", 3, "O is the centre: |OB|^2 = 3"),
-        _dist2_ob("centre-oc", cfg, "O", "C", 3, "O is the centre: |OC|^2 = 3"),
+        Obligation("side-ab", CLAIM, "the anchor triangle has side 3: |AB|^2 = 9"),
+        Obligation("side-bc", CLAIM, "the anchor triangle has side 3: |BC|^2 = 9"),
+        Obligation("side-ca", CLAIM, "the anchor triangle has side 3: |CA|^2 = 9"),
+        Obligation("centre-oa", CLAIM, "O is the centre: |OA|^2 = 3"),
+        Obligation("centre-ob", CLAIM, "O is the centre: |OB|^2 = 3"),
+        Obligation("centre-oc", CLAIM, "O is the centre: |OC|^2 = 3"),
     ]
     for nm in ("D", "E", "F", "G"):
         obls.append(Obligation(
@@ -314,8 +314,7 @@ def _build_bluetr(granted: frozenset, options: Options):
     obls.append(Obligation("forced-Y-red", FORCED,
                            "Y is red: otherwise the five-chain Y-A-F-G-C is all blue",
                            stage="main", node="Y", color="red", exclude=("X",)))
-    obls.append(_dist2_ob("xy-unit", cfg, "X", "Y", 1,
-                          "X and Y are at unit distance"))
+    obls.append(Obligation("xy-unit", CLAIM, "X and Y are at unit distance"))
     obls.append(Obligation("contradiction", UNSAT,
                            "a blue side-3 triangle with red centre is impossible: "
                            "the full instance is unsatisfiable",
@@ -339,23 +338,22 @@ def _build_redtr(granted: frozenset, options: Options):
     small = Stage("side-sqrt3", small_cfg, RuleSet(),
                   {"Q": "red", "P1": "red", "P2": "red", "P3": "red"})
 
-    rot = lambda: chord_rotation(cfg.point_of("O"), -1)
+    turn = chord_rotation(point(0, 0), 1)
     obls = [
-        _dist2_ob("side-ab", cfg, "A", "B", 9, "the red triangle has side 3: |AB|^2 = 9"),
-        _dist2_ob("side-bc", cfg, "B", "C", 9, "the red triangle has side 3: |BC|^2 = 9"),
-        _dist2_ob("side-ca", cfg, "C", "A", 9, "the red triangle has side 3: |CA|^2 = 9"),
-        _dist2_ob("centre-oa", cfg, "O", "A", 3, "O is the centre: |OA|^2 = 3"),
+        Obligation("side-ab", CLAIM, "the red triangle has side 3: |AB|^2 = 9"),
+        Obligation("side-bc", CLAIM, "the red triangle has side 3: |BC|^2 = 9"),
+        Obligation("side-ca", CLAIM, "the red triangle has side 3: |CA|^2 = 9"),
+        Obligation("centre-oa", CLAIM, "O is the centre: |OA|^2 = 3"),
         Obligation("chord-pair", GEOM_IDENTITY,
                    "the turning pair (5/6, sqrt11/6) is exactly on the unit circle",
-                   check=lambda: ((chord_rotation(point(0, 0), 1).cos ** 2
-                                   + chord_rotation(point(0, 0), 1).sin ** 2) == fe(1),
-                                  {"cos": "5/6", "sin": "1/6*sqrt11"})),
+                   check=lambda: (turn.cos ** 2 + turn.sin ** 2 == ONE,
+                                  {"cos": str(turn.cos), "sin": str(turn.sin)})),
     ]
     for src, dst in (("A", "A'"), ("B", "B'"), ("C", "C'")):
-        obls.append(_image_ob(f"image-{dst}", cfg, rot, src, dst,
-                              f"{dst} is the turned image of {src} about O"))
-        obls.append(_dist2_ob(f"chord-{src}", cfg, src, dst, 1,
-                              f"the turn moves {src} by exactly distance 1"))
+        obls.append(Obligation(f"image-{dst}", CLAIM,
+                               f"{dst} is the turned image of {src} about O"))
+        obls.append(Obligation(f"chord-{src}", CLAIM,
+                               f"the turn moves {src} by exactly distance 1"))
         obls.append(Obligation(
             f"forced-{dst}-blue", FORCED,
             f"{dst} is blue: it sits at unit distance from red {src}",
@@ -379,26 +377,18 @@ def _build_t7(granted: frozenset, options: Options):
     cfg = figure.cfg
     reds = {nm: "red" for nm in ("A", "B", "C", "D", "E", "F", "G")}
     stage = Stage("main", cfg, _rules((BLUE_EQ3_RED_CENTER,), granted=granted), reds)
-    rot_b = lambda: chord_rotation(cfg.point_of("B"), -1)
-    rot_c = lambda: chord_rotation(cfg.point_of("C"), -1)
-    refl = lambda: reflection(cfg.point_of("B"), cfg.point_of("C"))
     obls = [
         Obligation("seven-red", CLAIM, "A..G form the seven-point sqrt3 shape"),
-        _image_ob("x-mirror", cfg, refl, "F", "X",
-                  "X is the mirror image of F in the line B-C"),
-        _image_ob("image-xp", cfg, rot_b, "X", "X'", "X' is the turned image of X about B"),
-        _image_ob("image-ap", cfg, rot_b, "A", "A'", "A' is the turned image of A about B"),
-        _image_ob("image-fp", cfg, rot_b, "F", "F'", "F' is the turned image of F about B"),
-        _image_ob("image-xpp", cfg, rot_c, "X", "X''", "X'' is the turned image of X about C"),
-        _image_ob("image-dpp", cfg, rot_c, "D", "D''", "D'' is the turned image of D about C"),
-        _image_ob("image-fpp", cfg, rot_c, "F", "F''", "F'' is the turned image of F about C"),
-        _dist2_ob("chord-a", cfg, "A", "A'", 1, "the turn about B moves A by distance 1"),
-        _dist2_ob("chord-f", cfg, "F", "F'", 1, "the turn about B moves F by distance 1"),
-        _dist2_ob("chord-x", cfg, "X", "X'", 1, "the turn about B moves X by distance 1"),
-        _dist2_ob("chord-d", cfg, "D", "D''", 1, "the turn about C moves D by distance 1"),
-        _dist2_ob("chord-f2", cfg, "F", "F''", 1, "the turn about C moves F by distance 1"),
-        _dist2_ob("chord-x2", cfg, "X", "X''", 1, "the turn about C moves X by distance 1"),
+        Obligation("x-mirror", CLAIM, "X is the mirror image of F in the line B-C"),
     ]
+    for oid, src, dst, centre in (("image-xp", "X", "X'", "B"), ("image-ap", "A", "A'", "B"),
+                                  ("image-fp", "F", "F'", "B"), ("image-xpp", "X", "X''", "C"),
+                                  ("image-dpp", "D", "D''", "C"), ("image-fpp", "F", "F''", "C")):
+        obls.append(Obligation(oid, CLAIM, f"{dst} is the turned image of {src} about {centre}"))
+    for oid, src, centre in (("chord-a", "A", "B"), ("chord-f", "F", "B"), ("chord-x", "X", "B"),
+                             ("chord-d", "D", "C"), ("chord-f2", "F", "C"), ("chord-x2", "X", "C")):
+        obls.append(Obligation(oid, CLAIM,
+                               f"the turn about {centre} moves {src} by distance 1"))
     for nm, partner in (("A'", "A"), ("F'", "F")):
         obls.append(Obligation(
             f"forced-{nm}-blue", FORCED,
@@ -427,17 +417,18 @@ def _build_t7(granted: frozenset, options: Options):
     obls.append(Obligation(
         "unit-triangle", GEOM_IDENTITY,
         "X, X', X'' form a unit triangle; X' is X'' turned -60 degrees about X",
-        check=lambda: (
-            dist2(cfg.point_of("X'"), cfg.point_of("X''")) == fe(1)
-            and dist2(cfg.point_of("X"), cfg.point_of("X'")) == fe(1)
-            and dist2(cfg.point_of("X"), cfg.point_of("X''")) == fe(1)
-            and rotation60(cfg.point_of("X"), -1)(cfg.point_of("X''")) == cfg.point_of("X'"),
-            {"d2(X',X'')": "1", "d2(X,X')": "1", "d2(X,X'')": "1"})))
+        check=lambda: _unit_triangle_check(cfg)))
     obls.append(Obligation("contradiction", UNSAT,
                            "seven red points in the sqrt3 shape are impossible: "
                            "X' and X'' are both red at unit distance",
                            stage="main"))
     return {"main": stage}, obls, (figure,)
+
+
+def _unit_triangle_check(cfg: Configuration):
+    pts = {nm: cfg.point_of(nm) for nm in ("X", "X'", "X''")}
+    ok, detail = _dist2_check(pts, {("X'", "X''"): 1, ("X", "X'"): 1, ("X", "X''"): 1})
+    return ok and rotation60(pts["X"], -1)(pts["X''"]) == pts["X'"], detail
 
 
 def _completion_ob(oid: str, cfg: Configuration, small: str, big: str,
@@ -637,10 +628,8 @@ def _build_col1(granted: frozenset, options: Options):
         obls.append(Obligation(
             f"translate-{src}", GEOM_IDENTITY,
             f"{dst} is {src} shifted by the length-5 lattice vector (5,0)",
-            check=(lambda s=src, d=dst: (
-                cfg.point_of(d) == cfg.point_of(s) + node(5, 0)
-                and dist2(cfg.point_of(s), cfg.point_of(d)) == fe(25),
-                {"shift": "(5,0)", "dist2": "25"}))))
+            check=lambda s=src, d=dst: _step_check(cfg.point_of(s), cfg.point_of(d),
+                                                    (5, 0), ("shift", "dist2"))))
     obls.append(Obligation("tri-i", CLAIM, "A, D, I form a side-3 triangle with centre F"))
     obls.append(Obligation("forced-I", FORCED,
                            "I is blue: a red I closes a red side-3 triangle "
@@ -736,14 +725,15 @@ def _col1_symmetry_check(cfg: Configuration):
     centroid = node(2, 0)
     rot = rotation60(centroid, 2)
     block = [cfg.point_of(nm) for nm in ("A", "B", "C", "D", "E", "F")]
-    ok = {rot(p) for p in block} == set(block)
+    invariant = {rot(p) for p in block} == set(block)
+    ok = invariant
     steps = [(5, 0), (-5, 5), (0, -5)]
     origin = node(0, 0)
     rot0 = rotation60(origin, 2)
     for (a, b), (c, d) in zip(steps, steps[1:] + steps[:1]):
         ok = ok and rot0(node(a, b)) == node(c, d)
         ok = ok and lattice_norm2(a, b) == 25
-    return ok, {"block_invariant": True, "steps": [list(s) for s in steps]}
+    return ok, {"block_invariant": invariant, "steps": [list(s) for s in steps]}
 
 
 def _build_col2(granted: frozenset, options: Options):
@@ -765,8 +755,8 @@ def _build_col2(granted: frozenset, options: Options):
                            "blue: two of their alternating triples are blue "
                            "side-3 triangles with a red centre",
                            stage="ring"))
-    obls.append(_dist2_ob("ab-sqrt3", cfg, "A", "B", 3,
-                          "the chosen red neighbour B is at squared distance 3 from A"))
+    obls.append(Obligation("ab-sqrt3", CLAIM,
+                           "the chosen red neighbour B is at squared distance 3 from A"))
     for nm in ("D", "G"):
         obls.append(Obligation(f"t3-{nm}", CLAIM, f"A, B, {nm} form the three-point shape"))
         obls.append(Obligation(f"forced-{nm}", FORCED,
@@ -820,7 +810,8 @@ def _col2_lattice_check(cfg: Configuration, pattern):
         ab = lattice_coords(cfg.point_of(nm))
         facts[nm] = ab is not None and member(*ab)
     ok = all(facts.values()) and abs(det) == 5
-    return ok, {"verified": sorted(facts), "lattice_index": abs(det)}
+    return ok, {"verified": sorted(nm for nm, held in facts.items() if held),
+                "lattice_index": abs(det)}
 
 
 def _build_theorem(granted: frozenset, options: Options):
@@ -860,10 +851,8 @@ def _build_theorem(granted: frozenset, options: Options):
         "witness-pair-geometry", GEOM_IDENTITY,
         "B = (5,0) and C = (49/10, 3*sqrt11/10) are both at distance 5 from "
         "the origin and at distance 1 from each other, exactly",
-        check=lambda: (
-            dist2(a_pt, b_pt) == fe(25) and dist2(a_pt, c_pt) == fe(25)
-            and dist2(b_pt, c_pt) == fe(1),
-            {"d2(A,B)": "25", "d2(A,C)": "25", "d2(B,C)": "1"})))
+        check=lambda: _dist2_check({"A": a_pt, "B": b_pt, "C": c_pt},
+                                   {("A", "B"): 25, ("A", "C"): 25, ("B", "C"): 1})))
     obls.append(Obligation("pair-not-both-red", UNSAT,
                            "B and C cannot both be red: they are a unit pair",
                            stage="witness-pair"))
@@ -871,8 +860,7 @@ def _build_theorem(granted: frozenset, options: Options):
         "blue-point-on-lattice", GEOM_IDENTITY,
         "B lies on the unit lattice through the red point: B - A is the "
         "lattice vector (5,0) of squared length 25",
-        check=lambda: (b_pt == a_pt + node(5, 0) and lattice_norm2(5, 0) == 25,
-                       {"vector": "(5,0)", "norm2": "25"})))
+        check=lambda: _step_check(a_pt, b_pt, (5, 0), ("vector", "norm2"))))
     obls.append(Obligation(
         "norm25-vectors", GEOM_IDENTITY,
         "the lattice vectors of squared length 25 are exactly "
@@ -949,8 +937,6 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
     if ob.kind == GEOM_IDENTITY:
         ok, detail = ob.check()
         status = "pass" if ok else "fail"
-        if emit:
-            certificate = {"identity": detail}
     elif ob.kind == CLAIM:
         found = [(section, figure, claim) for figure in figures for section in _CLAIM_KINDS
                  for claim in figure.claims.get(section, ()) if claim.get("id") == ob.oid]
@@ -959,16 +945,8 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
         else:
             section, figure, claim = found[0]
             kind = _CLAIM_KINDS[section]
-            nodes = list(claim["nodes"])
-            if kind == CHAIN_CLAIM:
-                ok = is_unit_chain(figure.cfg, nodes)
-                detail = {"chain": nodes}
-            else:
-                hits = placement_count(figure.cfg, template(claim["template"]), nodes,
-                                       claim.get("center_last", False))
-                ok = hits > 0
-                detail = {"template": claim["template"], "nodes": nodes, "embeddings": hits}
-            status = "pass" if ok else "fail"
+            detail, failure = CLAIM_CHECKS[section](figure.cfg, claim)
+            status = "fail" if failure else "pass"
     elif ob.kind == FORCED:
         stage = stages[ob.stage]
         problem = stage.problem(ob.exclude)
@@ -1013,6 +991,8 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
                                        {"witness": assumptions})
     else:
         raise ValueError(f"unknown obligation kind {ob.kind!r}")
+    if emit and kind == GEOM_IDENTITY:
+        certificate = {"identity": detail}
 
     return ObligationResult(ob.oid, kind, ob.statement, status, detail,
                             certificate, (time.perf_counter() - t0) * 1e3)

@@ -10,8 +10,8 @@ from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
                                     RuleSet, Template, ell_chains, emit_clauses,
                                     instance_from_json, instance_to_json, is_unit_chain,
                                     match_template, pattern_rule, placement_count,
-                                    template, template_extensions, unit_pairs)
-from bluefive.field import fe
+                                    template, template_extensions)
+from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, load_figure
 from bluefive.geometry import Point, chord_rotation, dist2, hex_indices, node
 from bluefive.solver import UnprovedRuleError, solve
@@ -42,10 +42,10 @@ def test_patch_plus_turned_copy_shares_only_centre():
 
 
 def test_unit_pairs_examples():
-    assert len(unit_pairs(_lattice_cfg([(0, 0), (1, 0)]))) == 1
+    assert len(_lattice_cfg([(0, 0), (1, 0)]).pairs_with_dist2(ONE)) == 1
     t6 = Configuration(
         (f"t{i}", p) for i, p in enumerate(template("T6").points))
-    assert unit_pairs(t6) == []
+    assert t6.pairs_with_dist2(ONE) == []
 
 
 def _pairs_brute(cfg, d2):
@@ -55,9 +55,10 @@ def _pairs_brute(cfg, d2):
 
 
 def test_pair_search_equals_exhaustive_scan():
-    """The float-filtered pair search finds exactly the pairs an exact
-    all-pairs scan finds, for every squared distance that occurs and for
-    some that occur nowhere."""
+    """The pair search, in integers on lattice nodes and by an exact field
+    scan otherwise, finds exactly the pairs a plain all-pairs scan finds,
+    for every squared distance that occurs and for some that occur
+    nowhere."""
     rng = random.Random(11)
     patch = _lattice_cfg([ab for ab in hex_indices(4) if rng.random() < 0.6])
     rot = chord_rotation(node(0, 0), -1)
@@ -199,7 +200,7 @@ def test_match_cardinality_prefilter():
 
 def test_match_l2_equals_unit_pairs():
     cfg = load_figure("fig1a").cfg
-    pairs = {frozenset(p) for p in unit_pairs(cfg)}
+    pairs = {frozenset((cfg.names[i], cfg.names[j])) for i, j in cfg.pairs_with_dist2(ONE)}
     embs = {frozenset(e) for e in match_template(cfg, template("L2"))}
     assert pairs == embs
 

@@ -106,10 +106,12 @@ def test_t3t6_self_checks_every_registry(monkeypatch):
 
 
 def test_claim_obligations_resolve_to_one_figure_claim(full_run):
-    """Each chain or placement obligation id names exactly one claim among
-    its script's figures, and each claim id names one obligation."""
+    """Each squared-distance, image, chain or placement obligation id names
+    exactly one claim among its script's figures, each claim id names one
+    obligation, and the claim's section sets the reported kind."""
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    sections = {"ell5": 0, "patterns": 0}
+    sections = {"dist2": 0, "images": 0, "ell5": 0, "patterns": 0}
+    run, _ = full_run
     for sid in SCRIPT_ORDER:
         _, obligations, figures = lemmata._BUILDERS[sid](granted, Options())
         claims = [(section, claim) for figure in figures for section in sections
@@ -118,10 +120,12 @@ def test_claim_obligations_resolve_to_one_figure_claim(full_run):
         assert len(set(ids)) == len(ids), sid
         assert sorted(ids) == sorted(ob.oid for ob in obligations
                                      if ob.kind == lemmata.CLAIM), sid
-        for section, _ in claims:
+        reported = {o.oid: o for o in run.reports[sid].obligations}
+        for section, claim in claims:
             sections[section] += 1
-    assert sections == {"ell5": 20, "patterns": 25}
-    run, _ = full_run
+            result = reported[claim["id"]]
+            assert (result.kind, result.status) == (lemmata._CLAIM_KINDS[section], "pass")
+    assert sections == {"dist2": 21, "images": 10, "ell5": 20, "patterns": 25}
     kinds = [o.kind for r in run.reports.values() for o in r.obligations
              if o.kind in ("CHAIN_CLAIM", "PATTERN_PRESENT") and o.status == "pass"]
     assert (kinds.count("CHAIN_CLAIM"), kinds.count("PATTERN_PRESENT")) == (20, 25)
@@ -150,6 +154,57 @@ def test_corrupted_claim_fails_self_check_and_obligation(monkeypatch):
     assert (chain.kind, chain.status) == ("CHAIN_CLAIM", "fail")
     assert chain.detail == {"chain": ["X", "A", "E", "D", "B"]}
     assert results["chain-yafgc"].status == "pass"
+
+
+def test_corrupted_distance_and_image_claims_fail_self_check_and_obligation(monkeypatch):
+    def edited(fid):
+        figure = load_figure(fid)
+        claims = {c["id"]: c for section in ("dist2", "images")
+                  for c in figure.claims[section] if "id" in c}
+        claims["side-ab"]["equals"] = 8
+        claims["image-B'"]["nodes"] = ["B", "C'"]
+        return figure
+
+    monkeypatch.setattr(lemmata, "load_figure", edited)
+    report = run_script("redtr", granted=frozenset(GRANTS["bluetr"]))
+    assert report.status == "failed"
+    results = {o.oid: o for o in report.obligations}
+    cfg = load_figure("fig1b").cfg
+    bp, cp = cfg.point_of("B'"), cfg.point_of("C'")
+    assert results["transcription-self-check"].detail == {"failures": [
+        "fig1b: A,B is at squared distance 9, not 8",
+        f"fig1b: ['chord', 'O', -1] takes B to ({bp.x}, {bp.y}), not to C'"]}
+    side, image = results["side-ab"], results["image-B'"]
+    assert (side.kind, side.status) == (image.kind, image.status) == ("GEOM_IDENTITY", "fail")
+    assert side.detail == {"dist2": "9", "expected": "8"}
+    assert image.detail == {"image": f"({bp.x}, {bp.y})", "expected": f"({cp.x}, {cp.y})"}
+    assert results["side-bc"].status == results["image-A'"].status == "pass"
+
+
+def _moved(fid: str, name: str, to):
+    figure = load_figure(fid)
+    figure.cfg = Configuration((nm, to if nm == name else pt)
+                               for nm, pt in zip(figure.cfg.names, figure.cfg.points))
+    return figure
+
+
+@pytest.mark.parametrize("sid, fid, name, to, oid, detail", [
+    ("t7", "fig3", "X''", node(0, 0), "unit-triangle",
+     {"d2(X',X'')": "3", "d2(X,X')": "1", "d2(X,X'')": "3"}),
+    ("col1", "figcol1", "A", node(-1, 0), "translate-A", {"shift": "(6,0)", "dist2": "36"}),
+    ("col1", "figcol1", "A", node(-1, 0), "step-symmetry",
+     {"block_invariant": False, "steps": [[5, 0], [-5, 5], [0, -5]]}),
+    ("col2", "figcol2", "B", node(5, 5), "line-lattice",
+     {"verified": ["A'", "A''", "A'''", "B'", "B''", "B'''", "C"], "lattice_index": 5}),
+])
+def test_geometric_details_show_the_values_checked(monkeypatch, sid, fid, name, to, oid,
+                                                   detail):
+    monkeypatch.setattr(lemmata, "load_figure",
+                        lambda f: _moved(f, name, to) if f == fid else load_figure(f))
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    _, obligations, _ = lemmata._BUILDERS[sid](granted, Options(patch_radius=2))
+    ob = next(o for o in obligations if o.oid == oid)
+    assert ob.check() == (False, detail)
 
 
 def test_claim_obligation_needs_exactly_one_claim(monkeypatch):

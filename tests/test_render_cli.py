@@ -137,6 +137,10 @@ _ORIGIN = {"name": "A", "x": ["0", "0", "0", "0"], "y": ["0", "0", "0", "0"]}
     ({"points": [], "rules": 7}, "'rules' must be a JSON array"),
     ({"points": [dict(_ORIGIN, name=3)]}, "a point name must be a JSON string"),
     ({"points": [dict(_ORIGIN, x="0000")]}, "4 coefficient strings"),
+    ({"points": [], "rules": ["T3_TO_T6_SCHEMA"]}, "T3_TO_T6_SCHEMA needs anchors"),
+    ({"points": [], "rules": [{"rule": "T3_TO_T6_SCHEMA"}]}, "'anchors' must be a JSON array"),
+    ({"points": [], "rules": [{"rule": "T3_TO_T6_SCHEMA", "anchors": []}]},
+     "needs at least one anchor"),
 ])
 def test_cli_oracle_rejects_wrongly_typed_instances(tmp_path, capsys, instance, message):
     path = tmp_path / "bad.json"

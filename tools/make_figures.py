@@ -3,10 +3,11 @@
 
 Each registry records exact coordinates, the colours shown in the
 construction diagram (red / blue / undetermined), the rule ids its
-instance uses, and the named facts (unit pairs, five-chains, template
-placements) that the transcription self-check re-verifies.  A five-chain
-or placement that a verification script proves carries the id of that
-script's obligation, which reads its nodes from here.
+instance uses, and the named facts that the transcription self-check
+re-verifies: blue unit pairs, squared distances (`dist2`), turned or
+mirrored images (`images`), five-chains (`ell5`) and template placements
+(`patterns`).  A fact that a verification script proves carries the id
+of that script's obligation, which reads it from here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pathlib
 from fractions import Fraction
 
 from bluefive.field import SQRT3, fe
-from bluefive.geometry import Point, chord_rotation, node, point
+from bluefive.geometry import chord_rotation, node, point
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "bluefive" / "data" / "figures"
 
@@ -36,6 +37,22 @@ def dump(fid: str, entries, colors, rules, claims):
     print(f"wrote {path}")
 
 
+def dist2(oid, a: str, b: str, equals: int) -> dict:
+    """The claim |ab|^2 = equals, carrying the obligation id if one proves it."""
+    claim = {"nodes": [a, b], "equals": equals}
+    return claim if oid is None else {"id": oid, **claim}
+
+
+def units(*pairs) -> list[dict]:
+    return [dist2(None, a, b, 1) for a, b in pairs]
+
+
+def image(oid: str, mapping: list, src: str, dst: str) -> dict:
+    """The claim that the map ["chord", centre, sense] or ["mirror", p, q]
+    takes src to dst."""
+    return {"id": oid, "map": mapping, "nodes": [src, dst]}
+
+
 def fig1a():
     pts = {
         "A": node(0, 0), "F": node(0, 1), "G": node(0, 2), "C": node(0, 3),
@@ -47,7 +64,13 @@ def fig1a():
               "D": "blue", "E": "blue", "F": "blue", "G": "blue"}
     claims = {
         "blue_unit": [["D", "O"], ["E", "O"], ["F", "O"], ["G", "O"]],
-        "unit": [["X", "Y"], ["X", "A"], ["Y", "A"]],
+        "dist2": [
+            dist2("side-ab", "A", "B", 9), dist2("side-bc", "B", "C", 9),
+            dist2("side-ca", "C", "A", 9), dist2("centre-oa", "O", "A", 3),
+            dist2("centre-ob", "O", "B", 3), dist2("centre-oc", "O", "C", 3),
+            dist2("xy-unit", "X", "Y", 1), dist2(None, "X", "A", 1), dist2(None, "Y", "A", 1),
+        ],
+        "images": [],
         "ell5": [
             {"id": "chain-xadeb", "nodes": ["X", "A", "D", "E", "B"]},
             {"id": "chain-yafgc", "nodes": ["Y", "A", "F", "G", "C"]},
@@ -71,7 +94,15 @@ def fig1b():
               "A'": "blue", "B'": "blue", "C'": "blue"}
     claims = {
         "blue_unit": [["A'", "A"], ["B'", "B"], ["C'", "C"]],
-        "unit": [["A", "A'"], ["B", "B'"], ["C", "C'"]],
+        "dist2": [
+            dist2("side-ab", "A", "B", 9), dist2("side-bc", "B", "C", 9),
+            dist2("side-ca", "C", "A", 9), dist2("centre-oa", "O", "A", 3),
+            dist2("chord-A", "A", "A'", 1), dist2("chord-B", "B", "B'", 1),
+            dist2("chord-C", "C", "C'", 1),
+        ],
+        "images": [image("image-A'", ["chord", "O", -1], "A", "A'"),
+                   image("image-B'", ["chord", "O", -1], "B", "B'"),
+                   image("image-C'", ["chord", "O", -1], "C", "C'")],
         "ell5": [],
         "patterns": [
             {"template": "EQ3_CENTERED", "nodes": ["A", "B", "C", "O"], "center_last": True},
@@ -107,8 +138,21 @@ def fig3():
               "X": "blue", "A'": "blue", "F'": "blue", "D''": "blue", "F''": "blue"}
     claims = {
         "blue_unit": [["A'", "A"], ["F'", "F"], ["D''", "D"], ["F''", "F"]],
-        "unit": [["A", "A'"], ["F", "F'"], ["X", "X'"],
-                 ["D", "D''"], ["F", "F''"], ["X", "X''"], ["X'", "X''"]],
+        "dist2": [
+            dist2("chord-a", "A", "A'", 1), dist2("chord-f", "F", "F'", 1),
+            dist2("chord-x", "X", "X'", 1), dist2("chord-d", "D", "D''", 1),
+            dist2("chord-f2", "F", "F''", 1), dist2("chord-x2", "X", "X''", 1),
+            dist2(None, "X'", "X''", 1),
+        ],
+        "images": [
+            image("x-mirror", ["mirror", "B", "C"], "F", "X"),
+            image("image-xp", ["chord", "B", -1], "X", "X'"),
+            image("image-ap", ["chord", "B", -1], "A", "A'"),
+            image("image-fp", ["chord", "B", -1], "F", "F'"),
+            image("image-xpp", ["chord", "C", -1], "X", "X''"),
+            image("image-dpp", ["chord", "C", -1], "D", "D''"),
+            image("image-fpp", ["chord", "C", -1], "F", "F''"),
+        ],
         "ell5": [],
         "patterns": [
             {"id": "seven-red", "template": "T7", "nodes": ["A", "B", "C", "D", "E", "F", "G"]},
@@ -138,7 +182,8 @@ def fig4():
     claims = {
         "blue_unit": [["E", "B"], ["F", "B"], ["G", "C"], ["H", "C"],
                       ["I", "A"], ["J", "A"]],
-        "unit": [["K", "L"], ["K", "M"], ["N", "P"], ["N", "Q"]],
+        "dist2": units(["K", "L"], ["K", "M"], ["N", "P"], ["N", "Q"]),
+        "images": [],
         "ell5": [
             {"id": "s1-chain-lmygh", "nodes": ["L", "M", "Y", "G", "H"]},
             {"id": "s1-chain-kjizn", "nodes": ["K", "J", "I", "Z", "N"]},
@@ -170,7 +215,8 @@ def fig5():
     claims = {
         "blue_unit": [["H", "C"], ["I", "C"], ["K", "B"], ["L", "B"],
                       ["M", "D"], ["N", "D"]],
-        "unit": [["P", "Q"], ["P", "R"]],
+        "dist2": units(["P", "Q"], ["P", "R"]),
+        "images": [],
         "ell5": [
             {"id": "s2-chain-fhigp", "nodes": ["F", "H", "I", "G", "P"]},
             {"id": "s2-chain-xnmqr", "nodes": ["X", "N", "M", "Q", "R"]},
@@ -204,7 +250,8 @@ def fig6():
     claims = {
         "blue_unit": [["G", "A"], ["H", "A"], ["I", "E"], ["J", "E"],
                       ["K", "C"], ["L", "C"], ["M", "D"], ["N", "D"]],
-        "unit": [["Q", "P"], ["Q", "U"], ["Q", "T"], ["S", "R"], ["S", "V"], ["S", "W"]],
+        "dist2": units(["Q", "P"], ["Q", "U"], ["Q", "T"], ["S", "R"], ["S", "V"], ["S", "W"]),
+        "images": [],
         "ell5": [
             {"id": "s3-chain-qpklf", "nodes": ["Q", "P", "K", "L", "F"]},
             {"id": "s3-chain-tughx", "nodes": ["T", "U", "G", "H", "X"]},
@@ -254,8 +301,9 @@ def figcol1():
                       ["V", "C"], ["W", "C"],
                       ["S1", "D"], ["S2", "D"], ["S3", "A'"], ["S4", "A'"],
                       ["S1'", "D"], ["S2'", "E"], ["S4'", "A'"], ["V'", "E"]],
-        "unit": [["R", "Q"], ["R", "P"], ["X", "X1"], ["X", "X2"],
-                 ["Y", "X1'"], ["Y", "X2'"]],
+        "dist2": units(["R", "Q"], ["R", "P"], ["X", "X1"], ["X", "X2"],
+                       ["Y", "X1'"], ["Y", "X2'"]),
+        "images": [],
         "ell5": [
             {"id": "chain-kliqp", "nodes": ["K", "L", "I", "Q", "P"]},
             {"id": "chain-ajnmr", "nodes": ["A'", "J", "N", "M", "R"]},
@@ -298,7 +346,8 @@ def figcol2():
     claims = {
         "blue_unit": [["E", "B"], ["F", "B"], ["I", "B"], ["H", "B"],
                       ["K", "B"], ["J", "B"]],
-        "unit": [["N", "B'"]],
+        "dist2": [dist2("ab-sqrt3", "A", "B", 3), dist2(None, "N", "B'", 1)],
+        "images": [],
         "ell5": [
             {"id": "chain-defgb", "nodes": ["D", "E", "F", "G", "B'"]},
             {"id": "chain-chign", "nodes": ["C", "H", "I", "G", "N"]},
