@@ -21,7 +21,7 @@ from typing import Optional
 
 from .configuration import emit_clauses, instance_from_json
 from .figures import FIGURE_IDS
-from .lemmata import (GRANTS, Options, RunResult, SCRIPT_ORDER, verify_all,
+from .lemmata import (GRANTS, Options, RunResult, SCRIPT_ORDER, build_stages, verify_all,
                       write_certificates)
 from .render import render
 from .solver import brute_force, export_dimacs, solve
@@ -109,13 +109,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_export_cnf(args) -> int:
-    from .lemmata import _BUILDERS  # stage construction without verification
-
     if args.lemma not in SCRIPT_ORDER:
         print(f"unknown lemma id {args.lemma!r}", file=sys.stderr)
         return 2
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    stages, _, _ = _BUILDERS[args.lemma](granted, Options(patch_radius=args.radius))
+    stages, _ = build_stages(args.lemma, Options(patch_radius=args.radius), granted)
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for sid, stage in stages.items():

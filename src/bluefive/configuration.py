@@ -436,31 +436,27 @@ class PatternRule:
     rule_id: str
     template_id: str
     roles: tuple[str, ...]
-    lemma_id: str
     proved: bool = False
 
 
 @dataclass(frozen=True)
 class ExtensionSchema:
     """Each listed all-red T3 anchor extends to an all-red T6."""
-    lemma_id: str
     anchors: tuple[tuple[str, ...], ...]
     proved: bool = False
 
 
-_PATTERN_RULE_DEFS: dict[str, tuple[str, tuple[str, ...], str]] = {
-    BLUE_EQ3_RED_CENTER: ("EQ3_CENTERED", ("blue", "blue", "blue", "red"), "bluetr"),
-    RED_EQ3_RED_CENTER: ("EQ3_CENTERED", ("red", "red", "red", "red"), "redtr"),
-    T7_ALL_RED: ("T7", ("red",) * 7, "t7"),
-    NO_RED_T3: ("T3", ("red",) * 3, "hypothesis"),
+_PATTERN_RULE_DEFS: dict[str, tuple[str, tuple[str, ...]]] = {
+    BLUE_EQ3_RED_CENTER: ("EQ3_CENTERED", ("blue", "blue", "blue", "red")),
+    RED_EQ3_RED_CENTER: ("EQ3_CENTERED", ("red", "red", "red", "red")),
+    T7_ALL_RED: ("T7", ("red",) * 7),
+    NO_RED_T3: ("T3", ("red",) * 3),
 }
 
 
-def pattern_rule(rule_id: str, proved: bool = False,
-                 lemma_id: Optional[str] = None) -> PatternRule:
-    template_id, roles, default_lemma = _PATTERN_RULE_DEFS[rule_id]
-    return PatternRule(rule_id, template_id, roles,
-                       lemma_id or default_lemma, proved)
+def pattern_rule(rule_id: str, proved: bool = False) -> PatternRule:
+    template_id, roles = _PATTERN_RULE_DEFS[rule_id]
+    return PatternRule(rule_id, template_id, roles, proved)
 
 
 @dataclass
@@ -488,10 +484,9 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     for rule in rules.derived:
         if not rule.proved:
             raise UnprovedRuleError(
-                f"derived rule {rule.rule_id} has not been established (needs {rule.lemma_id})")
+                f"derived rule {rule.rule_id} has not been established")
     if rules.existential is not None and not rules.existential.proved:
-        raise UnprovedRuleError(
-            f"extension schema has not been established (needs {rules.existential.lemma_id})")
+        raise UnprovedRuleError(f"derived rule {T3_TO_T6_SCHEMA} has not been established")
 
     n = len(cfg)
     names = list(cfg.names)
@@ -595,7 +590,7 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
                             for a in _json_field(entry.get("anchors"), list, "'anchors'"))
             if not anchors:
                 raise ValueError(f"{T3_TO_T6_SCHEMA} needs at least one anchor")
-            existential = ExtensionSchema(lemma_id="t3t6", anchors=anchors, proved=True)
+            existential = ExtensionSchema(anchors=anchors, proved=True)
         elif not isinstance(entry, str):
             raise ValueError(f"unknown rule id {entry!r}")
         elif entry in BASE_RULES:

@@ -322,8 +322,7 @@ def test_schema_clauses_force_extension():
     for i, (a, b) in enumerate([(-2, 1), (-1, -1), (1, -2)]):
         pts[f"x{i}"] = node(a, b)
     cfg = Configuration(pts.items())
-    schema = ExtensionSchema(lemma_id="t3t6", proved=True,
-                             anchors=(("t0", "t1", "t2"),))
+    schema = ExtensionSchema(proved=True, anchors=(("t0", "t1", "t2"),))
     rules = RuleSet(base=(), existential=schema)
     fixed = {"t0": "red", "t1": "red", "t2": "red",
              "x0": "blue", "x1": "blue", "x2": "blue"}

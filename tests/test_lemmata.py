@@ -8,10 +8,10 @@ from bluefive.configuration import Configuration, RuleSet, emit_clauses
 from bluefive.figures import load_figure
 from bluefive.geometry import node
 from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
-                              Stage, replay_certificate, run_script, verify_all,
-                              write_certificates)
-from bluefive.solver import (CertificateError, parse_dimacs, replay_unsat_trace,
-                             solve)
+                              Stage, build_stages, replay_certificate, run_script,
+                              verify_all, write_certificates)
+from bluefive.solver import (CertificateError, UnprovedRuleError, parse_dimacs,
+                             replay_unsat_trace, solve)
 
 
 def test_all_scripts_pass(full_run):
@@ -113,7 +113,8 @@ def test_claim_obligations_resolve_to_one_figure_claim(full_run):
     sections = {"dist2": 0, "images": 0, "ell5": 0, "patterns": 0}
     run, _ = full_run
     for sid in SCRIPT_ORDER:
-        _, obligations, figures = lemmata._BUILDERS[sid](granted, Options())
+        _, figures = build_stages(sid, Options(), granted)
+        obligations = lemmata.OBLIGATIONS[sid]
         claims = [(section, claim) for figure in figures for section in sections
                   for claim in figure.claims[section] if "id" in claim]
         ids = [claim["id"] for _, claim in claims]
@@ -202,9 +203,10 @@ def test_geometric_details_show_the_values_checked(monkeypatch, sid, fid, name, 
     monkeypatch.setattr(lemmata, "load_figure",
                         lambda f: _moved(f, name, to) if f == fid else load_figure(f))
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    _, obligations, _ = lemmata._BUILDERS[sid](granted, Options(patch_radius=2))
-    ob = next(o for o in obligations if o.oid == oid)
-    assert ob.check() == (False, detail)
+    stages, _ = build_stages(sid, Options(patch_radius=2), granted)
+    ob = next(o for o in lemmata.OBLIGATIONS[sid] if o.oid == oid)
+    check = lemmata.GEOM_CHECKS[ob.check]
+    assert check(stages[ob.stage].cfg, ob.args) == (False, detail)
 
 
 def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
@@ -216,6 +218,56 @@ def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
     for oid, found in (("chain-xadeb", 2), ("chain-yafgc", 0)):
         assert (results[oid].kind, results[oid].status) == ("CLAIM", "fail")
         assert results[oid].detail == {"claims_with_id": found}
+
+
+def _stages_with_unproved_rules(granted: frozenset) -> list:
+    found = []
+    for sid in SCRIPT_ORDER:
+        stages, _ = build_stages(sid, Options(patch_radius=2), granted)
+        for name, stage in stages.items():
+            try:
+                stage.base_problem()
+            except UnprovedRuleError:
+                found.append((sid, name))
+    return found
+
+
+def test_registry_rules_are_proved_only_once_granted():
+    """The registries parse every derived rule as proved; a stage may use
+    one only after the script that grants it has passed."""
+    everything = frozenset(g for grants in GRANTS.values() for g in grants)
+    assert _stages_with_unproved_rules(frozenset()) == [
+        ("redtr", "main"), ("t7", "main"), ("t3t6", "t5-to-t6"), ("col1", "patch"),
+        ("col2", "ring")]
+    assert _stages_with_unproved_rules(everything - {"T3_TO_T6_SCHEMA"}) == [("col1", "patch")]
+    assert _stages_with_unproved_rules(everything) == []
+
+
+def test_script_table_rows_resolve():
+    """Ids are unique per script, every named stage, check and node exists,
+    and every colouring stage carries its canonical colouring."""
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    spec_keys = {"figure", "patch", "points", "rules", "fixed", "anchors", "coloring"}
+    for sid in SCRIPT_ORDER:
+        assert all(set(spec) <= spec_keys for spec in lemmata.SCRIPTS[sid]["stages"].values())
+        stages, _ = build_stages(sid, Options(), granted)
+        obligations = lemmata.OBLIGATIONS[sid]
+        ids = [ob.oid for ob in obligations]
+        assert len(set(ids)) == len(ids), sid
+        for ob in obligations:
+            where = (sid, ob.oid)
+            assert (ob.check in lemmata.GEOM_CHECKS) == (ob.kind == "GEOM_IDENTITY"), where
+            if ob.kind in ("FORCED", "SAT_WITNESS") or (ob.kind == "UNSAT" and ob.cnf is None):
+                assert ob.stage in stages, where
+            if ob.stage is None:
+                continue
+            cfg = stages[ob.stage].cfg
+            for name in (ob.node or "", *ob.exclude):
+                assert not name or name in cfg.index, (where, name)
+            if ob.kind == "SAT_WITNESS":
+                assert stages[ob.stage].coloring is not None, where
+    with pytest.raises(TypeError):
+        lemmata.Obligation(oid="x", kind="FORCED", statement="", nod="X")
 
 
 def test_dependencies_acyclic_and_ordered():
