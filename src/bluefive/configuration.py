@@ -82,7 +82,7 @@ class Configuration:
 
     # -- lattice index and pair search ---------------------------------------
 
-    def _lattice(self) -> Optional[tuple[list[tuple[int, int]], dict[tuple[int, int], int]]]:
+    def lattice(self) -> Optional[tuple[list[tuple[int, int]], dict[tuple[int, int], int]]]:
         """The lattice coordinates of every point and the index map keyed
         by them, or None when some point is not a node of the unit
         triangular lattice.
@@ -114,7 +114,7 @@ class Configuration:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        lattice = self._lattice()
+        lattice = self.lattice()
         pts = self.points
         out = (sorted(_lattice_pairs(d2, *lattice)) if lattice is not None
                else [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
@@ -148,7 +148,7 @@ def _canonical_direction(v: Point) -> Point:
 def unit_directions(cfg: Configuration) -> list[Point]:
     """Distinct unit-length difference vectors, one sign representative each."""
     pairs = cfg.pairs_with_dist2(ONE)
-    lattice = cfg._lattice()
+    lattice = cfg.lattice()
     if lattice is None:
         diffs = {cfg.points[j] - cfg.points[i] for i, j in pairs}
     else:
@@ -181,7 +181,7 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
     cached = cfg._cache.get(key)
     if cached is not None:
         return cached
-    lattice = cfg._lattice()
+    lattice = cfg.lattice()
     if lattice is None:
         pts, index, steps = cfg.points, cfg.point_index, unit_directions(cfg)
         step, order = Point.__add__, Point.coord_key
@@ -333,7 +333,7 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     cached = cfg._cache.get(cache_key)
     if cached is not None:
         return cached
-    lattice = cfg._lattice()
+    lattice = cfg.lattice()
     tpl_coords = [lattice_coords(p) for p in tpl.points]
     if lattice is None or None in tpl_coords:
         pts, index, span, place = cfg.points, cfg.point_index, dist2, _rigid_maps
@@ -465,13 +465,6 @@ class RuleSet:
     derived: tuple[PatternRule, ...] = ()
     existential: Optional[ExtensionSchema] = None
 
-    def rule_ids(self) -> list:
-        ids: list = list(self.base) + [r.rule_id for r in self.derived]
-        if self.existential is not None:
-            ids.append({"rule": T3_TO_T6_SCHEMA,
-                        "anchors": [list(a) for a in self.existential.anchors]})
-        return ids
-
 
 def emit_clauses(cfg: Configuration, rules: RuleSet,
                  fixed: dict[str, str]) -> ColoringProblem:
@@ -558,24 +551,6 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
 # ---------------------------------------------------------------------------
 # JSON instance format
 # ---------------------------------------------------------------------------
-
-
-def instance_to_json(cfg: Configuration, fixed: dict[str, str],
-                     rules: RuleSet) -> dict:
-    points = []
-    reverse_aliases: dict[str, list[str]] = {}
-    for alias, primary in cfg.aliases.items():
-        reverse_aliases.setdefault(primary, []).append(alias)
-    for nm, pt in zip(cfg.names, cfg.points):
-        entry = {"name": nm, "x": pt.x.serialize(), "y": pt.y.serialize()}
-        if nm in reverse_aliases:
-            entry["aliases"] = sorted(reverse_aliases[nm])
-        points.append(entry)
-    return {
-        "points": points,
-        "fixed": {nm: fixed[nm] for nm in sorted(fixed)},
-        "rules": rules.rule_ids(),
-    }
 
 
 def rules_from_ids(rule_ids: Iterable) -> RuleSet:

@@ -49,12 +49,6 @@ def load_figure(fid: str) -> Figure:
                   claims=data.get("claims", {}))
 
 
-def figure_instance(fid: str):
-    """(configuration, fixed colours, rules) for the as-depicted instance."""
-    figure = load_figure(fid)
-    return figure.cfg, figure.colors, figure.rules
-
-
 def _check_dist2(cfg: Configuration, claim: dict):
     a, b = claim["nodes"]
     got, want = dist2(cfg.point_of(a), cfg.point_of(b)), fe(claim["equals"])

@@ -461,13 +461,12 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
     elif ob.kind == SAT_WITNESS:
         stage = stages[ob.stage]
         problem = stage.problem()
-        assumptions = []
-        for name, pt in zip(stage.cfg.names, stage.cfg.points):
-            ab = lattice_coords(pt)
-            if ab is None:
-                raise ValueError(f"node {name} is not a lattice node")
-            v = problem.name_to_var[name]
-            assumptions.append(v if stage.coloring.is_red(*ab) else -v)
+        lattice = stage.cfg.lattice()
+        if lattice is None:
+            raise ValueError(f"stage {ob.stage} has a node off the lattice")
+        # node i is variable i + 1, as emit_clauses numbers them
+        assumptions = [v if stage.coloring.is_red(*ab) else -v
+                       for v, ab in enumerate(lattice[0], 1)]
         verdict = solve(problem, assumptions=assumptions)
         status = "pass" if verdict.kind == "sat" else "fail"
         detail = {"verdict": verdict.kind, "nodes": len(assumptions)}
@@ -550,7 +549,6 @@ class RunResult:
 
 
 def verify_all(options: Optional[Options] = None,
-               disable: frozenset = frozenset(),
                only: Optional[Sequence[str]] = None) -> RunResult:
     """Run scripts one after another in dependency order, propagating
     grants and blocks.  `only` selects scripts; their dependencies run too."""
@@ -569,10 +567,7 @@ def verify_all(options: Optional[Options] = None,
     for sid in SCRIPT_ORDER:
         if sid not in wanted:
             continue
-        if sid in disable:
-            reports[sid] = Report(script=sid, status="blocked",
-                                  reason="disabled for this run")
-        elif not all(reports[dep].passed for dep in DEPENDENCIES[sid]):
+        if not all(reports[dep].passed for dep in DEPENDENCIES[sid]):
             reports[sid] = Report(script=sid, status="blocked",
                                   reason="a dependency did not pass")
         else:

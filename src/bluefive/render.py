@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .figures import load_figure
-from .geometry import hex_indices, lattice_coords, node
+from .geometry import hex_indices, node
 from .tilings import PATTERNS, PeriodicColoring
 
 SCALE = 48.0
@@ -98,17 +98,10 @@ def render_svg(points: Iterable[tuple[str, tuple[float, float], Optional[str]]],
 def render_figure(fid: str) -> str:
     figure = load_figure(fid)
     cfg = figure.cfg
-    pts = []
-    coords = []
-    all_lattice = True
-    for name, pt in zip(cfg.names, cfg.points):
-        ab = lattice_coords(pt)
-        if ab is None:
-            all_lattice = False
-        else:
-            coords.append(ab)
-        pts.append((name, (float(pt.x), float(pt.y)), figure.colors.get(name)))
-    return render_svg(pts, lattice=coords if all_lattice else None)
+    lattice = cfg.lattice()
+    pts = [(name, (float(pt.x), float(pt.y)), figure.colors.get(name))
+           for name, pt in zip(cfg.names, cfg.points)]
+    return render_svg(pts, lattice=lattice[0] if lattice else None)
 
 
 def render_pattern(pattern_id: str, radius: int) -> str:

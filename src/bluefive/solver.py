@@ -10,9 +10,10 @@ search code.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 FORCED_RED = "ForcedRed"
 FORCED_BLUE = "ForcedBlue"
@@ -91,7 +92,6 @@ class _Engine:
         self.trail: list[int] = []
         self.lim: list[int] = []          # trail position of each decision
         self.flipped: list[bool] = []
-        self.proj: list[bool] = []        # was the decision on a projected var
         self.qhead = 0
         self.trace = trace
         self.clauses = clauses = list(map(list, problem.clauses))
@@ -192,20 +192,17 @@ class _Engine:
         self.qhead = qhead
         return None
 
-    def decide(self, var: int, projected: bool) -> None:
+    def decide(self, var: int) -> None:
         self.lim.append(len(self.trail))
         self.flipped.append(False)
-        self.proj.append(projected)
         self._assign(var)  # red (true) branch first
         if self.trace is not None:
             self.trace.append(("decide", var))
 
-    def backtrack(self, after_model: bool) -> bool:
-        """Chronological backtrack; flip the relevant deepest decision.
+    def backtrack(self) -> bool:
+        """Chronological backtrack: flip the deepest unflipped decision.
 
-        After a conflict any decision may flip; after a model only a
-        projected decision may (deeper branches would repeat the same
-        projection).  Returns False when the tree is exhausted.
+        Returns False when the tree is exhausted.
         """
         val = self.val
         trail = self.trail
@@ -216,8 +213,7 @@ class _Engine:
                 val[lit] = val[-lit] = 0
             del trail[dpos:]
             self.qhead = dpos
-            flippable = not self.flipped[-1] and (self.proj[-1] or not after_model)
-            if flippable:
+            if not self.flipped[-1]:
                 self.flipped[-1] = True
                 self._assign(-dlit)
                 if self.trace is not None:
@@ -225,7 +221,6 @@ class _Engine:
                 return True
             self.lim.pop()
             self.flipped.pop()
-            self.proj.pop()
         return False
 
     def next_var(self, order: Sequence[int]) -> Optional[int]:
@@ -254,46 +249,39 @@ def check_model(clauses: Iterable[Sequence[int]], model: Sequence[bool],
     return True
 
 
-def _search(problem: ColoringProblem, assumptions: Sequence[int],
-            proj_vars: Sequence[int],
-            trace: Optional[list[tuple]]) -> Iterator[tuple[bool, ...]]:
-    """Yield full models in search-tree order, deciding `proj_vars` first.
+def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
+                 order: Sequence[int],
+                 trace: Optional[list[tuple]]) -> Optional[tuple[bool, ...]]:
+    """The first model in search-tree order, deciding variables in `order`,
+    or None when there is none.  Events go to `trace` when it is a list.
 
-    After a model only a projected decision flips, as a blocking clause
-    over `proj_vars` would.  Events go to `trace` when it is a list.
+    Every implied value holds in all models that extend the decisions, so
+    the first model is the lexicographically first one over `order`,
+    with true before false.
     """
     eng = _Engine(problem, assumptions, trace)
     if eng.failed:
-        return
-    proj_set = set(proj_vars)
-    rest = [v for v in range(1, problem.var_count + 1) if v not in proj_set]
+        return None
     while True:
         if eng.propagate() is not None:
-            if not eng.backtrack(after_model=False):
-                return
+            if not eng.backtrack():
+                return None
             continue
-        var = eng.next_var(proj_vars)
-        projected = var is not None
-        if var is None:
-            var = eng.next_var(rest)
+        var = eng.next_var(order)
         if var is None:
             model = eng.model()
             if not check_model(problem.clauses, model, assumptions):
                 raise AssertionError("solver produced an invalid model")
-            yield model
-            if not eng.backtrack(after_model=True):
-                return
-            continue
-        eng.decide(var, projected=projected)
+            return model
+        eng.decide(var)
 
 
 def solve(problem: ColoringProblem, assumptions: Sequence[int] = (),
           record_trace: bool = False) -> Verdict:
     """Decide the problem; deterministic given the clause set and assumptions."""
     trace: Optional[list[tuple]] = [] if record_trace else None
-    for model in _search(problem, assumptions, range(1, problem.var_count + 1), trace):
-        return Verdict("sat", model=model, trace=trace)
-    return Verdict("unsat", trace=trace)
+    model = _first_model(problem, assumptions, range(1, problem.var_count + 1), trace)
+    return Verdict("unsat" if model is None else "sat", model=model, trace=trace)
 
 
 @dataclass
@@ -325,8 +313,11 @@ def enumerate_models(problem: ColoringProblem, cap: int,
                      ) -> tuple[list[tuple[bool, ...]], bool]:
     """Enumerate distinct models (optionally projected onto `project` vars).
 
-    Models are produced in deterministic search-tree order, projected onto
-    the variables in ascending order.  Returns (models, exhausted).
+    Each search decides the projected variables first and finds the
+    lexicographically first model; a blocking clause over the projected
+    variables then rules out its projection, and the search restarts.  So
+    projections come in lexicographic order (true first) over the
+    variables in ascending order.  Returns (models, exhausted).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -337,12 +328,18 @@ def enumerate_models(problem: ColoringProblem, cap: int,
         for v in proj_vars:
             if not (1 <= v <= problem.var_count):
                 raise ValueError(f"projection variable {v} out of range")
+    proj_set = set(proj_vars)
+    order = proj_vars + [v for v in range(1, problem.var_count + 1) if v not in proj_set]
+    blocked = copy(problem)
+    blocked.clauses = list(problem.clauses)
     models: list[tuple[bool, ...]] = []
-    for full in _search(problem, (), proj_vars, None):
+    while len(models) < cap:
+        full = _first_model(blocked, (), order, None)
+        if full is None:
+            return models, True
         models.append(tuple(full[v - 1] for v in proj_vars))
-        if len(models) >= cap:
-            return models, False
-    return models, True
+        blocked.clauses.append(tuple(-v if full[v - 1] else v for v in proj_vars))
+    return models, False
 
 
 def brute_force(problem: ColoringProblem) -> Verdict:

@@ -12,7 +12,7 @@ from _oracles import chain_sets_brute, embeddings_brute
 from bluefive.configuration import (Configuration, ell_chains, emit_clauses,
                                     match_template, template)
 from bluefive.field import ONE
-from bluefive.figures import FIGURE_IDS, figure_instance, load_figure, self_check
+from bluefive.figures import FIGURE_IDS, load_figure, self_check
 from bluefive.geometry import (chord_rotation, dist2, hex_indices, node,
                                lattice_vectors_of_norm2)
 from bluefive.lemmata import (Options, SCRIPT_ORDER, replay_certificate,
@@ -59,8 +59,8 @@ def test_criterion_2_solver_oracle_equivalence():
     mismatches = 0
     checked = 0
     for fid in FIGURE_IDS:
-        cfg, fixed, rules = figure_instance(fid)
-        problem = emit_clauses(cfg, rules, fixed)
+        figure = load_figure(fid)
+        problem = emit_clauses(figure.cfg, figure.rules, figure.colors)
         fast, slow = solve(problem), brute_force(problem)
         checked += 1
         if fast.kind != slow.kind:

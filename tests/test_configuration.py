@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -8,9 +7,8 @@ import pytest
 from _oracles import chain_sets_brute, embeddings_brute
 from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
                                     RuleSet, Template, ell_chains, emit_clauses,
-                                    instance_from_json, instance_to_json, is_unit_chain,
-                                    match_template, pattern_rule, placement_count,
-                                    template, template_extensions)
+                                    is_unit_chain, match_template, pattern_rule,
+                                    placement_count, template, template_extensions)
 from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, load_figure
 from bluefive.geometry import Point, chord_rotation, dist2, hex_indices, node
@@ -95,7 +93,7 @@ def test_integer_path_agrees_with_exact_path():
              load_figure("fig4").cfg, load_figure("fig5").cfg]
     for cfg in cases:
         mixed = _with_distant_non_node(cfg)
-        assert cfg._lattice() is not None and mixed._lattice() is None
+        assert cfg.lattice() is not None and mixed.lattice() is None
         values = {dist2(p, q) for i, p in enumerate(cfg.points) for q in cfg.points[i + 1:]}
         for d2 in values | {fe(0), fe(2), fe(-1), fe(Fraction(1, 2)), fe(0, 1)}:
             assert cfg.pairs_with_dist2(d2) == mixed.pairs_with_dist2(d2), d2
@@ -110,7 +108,7 @@ def test_patch_with_turned_copy_against_brute_force():
     patch = [(f"p{i}", node(a, b)) for i, (a, b) in enumerate(hex_indices(2))]
     cfg = Configuration(patch + [(f"q{i}", rot(p)) for i, (_, p) in enumerate(patch)])
     lattice_part = cfg.restrict([nm for nm, _ in patch])
-    assert cfg._lattice() is None and lattice_part._lattice() is not None
+    assert cfg.lattice() is None and lattice_part.lattice() is not None
     for c in (cfg, lattice_part):
         assert {frozenset(ch) for ch in ell_chains(c, 3)} == chain_sets_brute(c, 3)
         for tid in ("T3", "EQ3_CENTERED", "L2"):
@@ -330,15 +328,3 @@ def test_schema_clauses_force_extension():
     from bluefive.solver import forced_color
     for i in range(3):
         assert forced_color(problem, f"e{i}").status == "ForcedRed"
-
-
-def test_instance_json_round_trip():
-    figure = load_figure("figcol1")
-    payload = instance_to_json(figure.cfg, figure.colors, figure.rules)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    cfg2, fixed2, rules2 = instance_from_json(json.loads(text))
-    assert cfg2.names == figure.cfg.names
-    assert cfg2.points == figure.cfg.points
-    assert fixed2 == figure.colors
-    assert json.dumps(instance_to_json(cfg2, fixed2, rules2),
-                      sort_keys=True, indent=2) == text

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from bluefive.field import ONE
-from bluefive.figures import FIGURE_IDS, figure_instance, load_figure, self_check
+from bluefive.figures import FIGURE_IDS, load_figure, self_check
 from bluefive.geometry import chord_rotation, dist2, node, reflection
 from bluefive.solver import BRUTE_FORCE_MAX_FREE, brute_force, solve
 from bluefive.configuration import emit_clauses
@@ -76,8 +76,8 @@ def test_figure_instances_within_oracle_budget():
 
 def test_figure_instances_oracle_agreement():
     for fid in FIGURE_IDS:
-        cfg, fixed, rules = figure_instance(fid)
-        problem = emit_clauses(cfg, rules, fixed)
+        figure = load_figure(fid)
+        problem = emit_clauses(figure.cfg, figure.rules, figure.colors)
         fast = solve(problem)
         slow = brute_force(problem)
         assert fast.kind == slow.kind, fid

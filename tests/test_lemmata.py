@@ -10,8 +10,8 @@ from bluefive.geometry import node
 from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
                               Stage, build_stages, replay_certificate, run_script,
                               verify_all, write_certificates)
-from bluefive.solver import (CertificateError, UnprovedRuleError, parse_dimacs,
-                             replay_unsat_trace, solve)
+from bluefive.solver import (CertificateError, UnprovedRuleError, export_dimacs,
+                             parse_dimacs, replay_unsat_trace, solve)
 
 
 def test_all_scripts_pass(full_run):
@@ -52,9 +52,22 @@ def test_forcing_order_col2(full_run):
         boundary = max(positions)
 
 
-def test_gating_blocks_downstream():
-    run = verify_all(disable=frozenset(["bluetr"]))
-    assert run.reports["bluetr"].status == "blocked"
+def _break_dist2_claim(monkeypatch, fid, claim_id):
+    """Have the scripts read `fid` with one squared-distance claim made false."""
+    def corrupted(name):
+        figure = load_figure(name)
+        if name == fid:
+            claim = next(c for c in figure.claims["dist2"] if c.get("id") == claim_id)
+            claim["equals"] += 1
+        return figure
+
+    monkeypatch.setattr(lemmata, "load_figure", corrupted)
+
+
+def test_gating_blocks_downstream(monkeypatch):
+    _break_dist2_claim(monkeypatch, "fig1a", "side-ab")
+    run = verify_all()
+    assert run.reports["bluetr"].status == "failed"
     for sid in ("redtr", "t7", "t3t6", "col1", "col2", "theorem"):
         assert run.reports[sid].status == "blocked", sid
     assert not run.ok
@@ -71,10 +84,11 @@ def test_unknown_script_rejected():
         verify_all(only=["nosuch"])
 
 
-def test_disabled_script_blocks_only_its_dependents():
-    run = verify_all(disable=frozenset(["t7"]))
+def test_disabled_script_blocks_only_its_dependents(monkeypatch):
+    _break_dist2_claim(monkeypatch, "fig3", "chord-a")
+    run = verify_all()
     assert list(run.reports) == list(SCRIPT_ORDER)
-    assert run.reports["t7"].reason == "disabled for this run"
+    assert run.reports["t7"].status == "failed"
     for sid in ("t3t6", "col1", "theorem"):
         assert run.reports[sid].status == "blocked", sid
         assert run.reports[sid].reason == "a dependency did not pass", sid
@@ -429,6 +443,28 @@ def test_report_and_manifest_bytes_unchanged(full_run, tmp_path):
     assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
     manifest = (tmp_path / "manifest.json").read_bytes()
     assert hashlib.sha256(manifest).hexdigest() == MANIFEST_SHA256
+
+
+# sha256 over `cnf + varmap` of every stage's base problem with every
+# grant, in SCRIPT_ORDER and table order: the bytes export-cnf writes
+DIMACS_SHA256 = {
+    7: "2343b415fb272e379499bbd70a65bc04b4a77d997261f48162d6a141a3eee6f8",
+    11: "eebb0ffa50963e3f9e55692d1bd111fab1eadc278dcc458e7aa06d12f630858d",
+}
+
+
+@pytest.mark.parametrize("radius", sorted(DIMACS_SHA256))
+def test_dimacs_bytes_unchanged(radius):
+    """Like the report pin: a change that alters the exported CNF or
+    variable maps on purpose updates the constant and says why."""
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    digest = hashlib.sha256()
+    for sid in SCRIPT_ORDER:
+        stages, _ = build_stages(sid, Options(patch_radius=radius), granted)
+        for stage in stages.values():
+            cnf, varmap = export_dimacs(stage.base_problem())
+            digest.update((cnf + varmap).encode())
+    assert digest.hexdigest() == DIMACS_SHA256[radius]
 
 
 def test_stage_problem_adds_each_forced_colour_once_in_order():

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from _oracles import reference_search
+from bluefive.geometry import hex_indices, node
+from bluefive.lemmata import CENTER_RADIUS, GRANTS, SCRIPTS, Options, build_stages
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
                              ColoringProblem, brute_force, check_model,
                              check_trace_assumptions, enumerate_models,
@@ -304,6 +306,28 @@ def test_engine_matches_reference_engine():
         assert (enumerate_models(problem, cap, project=project)
                 == _ref_models(problem, cap, project))
     assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("script_id, radius, count",
+                         [("col1", 6, 1), ("col2", 6, 1), ("col2", 2, 5)])
+def test_enumeration_matches_reference_on_stretch_patches(script_id, radius, count):
+    """On a patch, projected onto the 19 central cells that the uniqueness
+    enumeration reads, the projections equal the reference engine's and
+    the problem's clause list is left as it was.  At radius 6 the central
+    colouring is unique; col2's radius-2 patch leaves five."""
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    stage = build_stages(script_id, Options(patch_radius=radius), granted)[0]["patch"]
+    problem = stage.problem()
+    a0, b0 = SCRIPTS[script_id]["stages"]["patch"]["patch"]["anchor"]
+    project = sorted(problem.name_to_var[stage.cfg.name_at(node(a0 + a, b0 + b))]
+                     for a, b in hex_indices(CENTER_RADIUS))
+    assert len(project) == 19
+    clauses = list(problem.clauses)
+    for cap in (1, 10):
+        models = enumerate_models(problem, cap, project=project)
+        assert models == _ref_models(problem, cap, project)
+    assert len(models[0]) == count and models[1]
+    assert problem.clauses == clauses
 
 
 def test_monotonicity_adding_clauses_keeps_unsat():
