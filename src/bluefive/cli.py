@@ -2,7 +2,7 @@
 
 Commands:
   verify lemma <id> | verify all     run verification scripts
-  oracle <instance.json>             cross-check solve against brute force
+  oracle <instance.json>             cross-check both searches against brute force
   export-cnf <id> --out DIR          write DIMACS CNF + varmap per stage
   render <target> --svg PATH         draw a figure or pattern patch
   coloring validate <A|B>            validate a periodic pattern
@@ -19,12 +19,13 @@ import pathlib
 import sys
 from typing import Optional
 
-from .configuration import emit_clauses, instance_from_json
+from .configuration import T3_TO_T6_SCHEMA, emit_clauses, instance_from_json
 from .figures import FIGURE_IDS
 from .lemmata import (GRANTS, Options, RunResult, SCRIPT_ORDER, build_stages, verify_all,
                       write_certificates)
 from .render import render
-from .solver import brute_force, export_dimacs, solve
+from .solver import (CertificateError, brute_force, export_dimacs, replay_unsat_trace,
+                     solve)
 from .tilings import PATTERNS, distance5_invariance, validate_pattern
 
 RENDER_TARGETS = tuple(FIGURE_IDS) + ("patternA", "patternB")
@@ -96,14 +97,30 @@ def cmd_oracle(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return 2
-    fast = solve(problem)
+    # the file grants its derived rules; nothing here proves them
+    hypotheses = [rule.rule_id for rule in rules.derived]
+    if rules.existential is not None:
+        hypotheses.append(T3_TO_T6_SCHEMA)
+    learned = solve(problem)
+    traced = solve(problem, record_trace=True)
     slow = brute_force(problem)
-    agree = fast.kind == slow.kind
-    print(f"solve: {fast.kind}   brute force: {slow.kind}   "
-          f"{'AGREE' if agree else 'MISMATCH'}")
+    replays = None
+    if traced.kind == "unsat":
+        try:
+            replays = replay_unsat_trace(problem.clauses, traced.trace)
+        except CertificateError:
+            replays = False
+    agree = (learned.kind == traced.kind == slow.kind and learned.model == traced.model
+             and replays is not False)
+    replay_note = "" if replays is None else f" (trace {'replays' if replays else 'FAILS'})"
+    print(f"solve: {learned.kind}   traced solve: {traced.kind}{replay_note}   "
+          f"brute force: {slow.kind}   {'AGREE' if agree else 'MISMATCH'}")
+    print(f"unproved hypotheses: {', '.join(hypotheses) or 'none'}")
     if args.json:
-        _dump_json(args.json, {"solve": fast.kind, "brute_force": slow.kind,
-                               "agree": agree, "variables": problem.var_count,
+        _dump_json(args.json, {"solve": learned.kind, "traced_solve": traced.kind,
+                               "trace_replays": replays, "brute_force": slow.kind,
+                               "agree": agree, "unproved_hypotheses": hypotheses,
+                               "variables": problem.var_count,
                                "clauses": len(problem.clauses)})
     return 0 if agree else 1
 

@@ -1,11 +1,19 @@
-"""Two-colouring constraint solver: plain DPLL with watched literals.
+"""Two-colouring constraint solver: DPLL with watched literals, and
+clause learning when no trace is recorded.
 
-The engine is deliberately simple so that every verdict is reproducible
-and auditable: variables are decided in ascending index order, the red
-(true) branch is tried first, backtracking is chronological, and an
-optional trace records every decision, propagation, flip and conflict.
-An independent replayer re-checks traces and models without touching the
-search code.
+Every search decides variables in a fixed order (ascending index unless
+the caller gives one), tries the red (true) branch first, never restarts
+and uses no randomness.  A search that records a trace backtracks
+chronologically, and the trace lists every decision, propagation, flip
+and conflict; an independent replayer re-checks traces and models
+without touching the search code.  A search that records no trace learns
+a clause at each conflict by 1-UIP analysis (GRASP, Marques-Silva &
+Sakallah 1999) and jumps back to the clause's second-highest level.  Its
+learned clauses live only for that search, so the replayer's trace
+grammar stays the chronological one.  Both searches find the same model:
+every implied value, learned or not, follows from the clauses and the
+decisions on earlier variables, so the first model found is the
+lexicographically first one over the decision order.
 """
 
 from __future__ import annotations
@@ -73,12 +81,14 @@ class Verdict:
 
 
 class _Engine:
-    """One DPLL run over a fixed clause set.
+    """One search over a fixed clause set.
 
     Values and watch lists are indexed by literal: literal ``l`` lives at
     ``val[l]`` and ``-l`` at ``val[-l]`` (Python's negative indexing), and
     both entries are set together, so a literal's value is one list read.
-    A value is 1 (true), -1 (false) or 0 (unassigned).
+    A value is 1 (true), -1 (false) or 0 (unassigned).  ``reason[l]`` and
+    ``lvl[l]`` hold the clause that implied a true literal ``l`` and its
+    decision level; they are read only while ``l`` is on the trail.
     """
 
     def __init__(self, problem: ColoringProblem, assumptions: Sequence[int],
@@ -89,6 +99,8 @@ class _Engine:
                 raise ValueError(f"assumption {lit} references an undeclared variable")
         self.nv = nv
         self.val = val = [0] * (2 * nv + 1)
+        self.reason = [0] * (2 * nv + 1)
+        self.lvl = [0] * (2 * nv + 1)
         self.trail: list[int] = []
         self.lim: list[int] = []          # trail position of each decision
         self.flipped: list[bool] = []
@@ -137,6 +149,7 @@ class _Engine:
     def _assign(self, lit: int) -> None:
         self.val[lit] = 1
         self.val[-lit] = -1
+        self.lvl[lit] = len(self.lim)
         self.trail.append(lit)
 
     def propagate(self) -> Optional[int]:
@@ -151,6 +164,9 @@ class _Engine:
         clauses = self.clauses
         trail = self.trail
         trace = self.trace
+        reason = self.reason
+        lvl = self.lvl
+        level = len(self.lim)
         qhead = self.qhead
         while qhead < len(trail):
             neg = -trail[qhead]
@@ -186,6 +202,8 @@ class _Engine:
                     val[first] = 1
                     val[-first] = -1
                     trail.append(first)
+                    reason[first] = cid
+                    lvl[first] = level
                     if trace is not None:
                         trace.append(("imply", first, cid))
                     i += 1
@@ -223,6 +241,73 @@ class _Engine:
             self.flipped.pop()
         return False
 
+    def learn(self, conflict: int) -> bool:
+        """1-UIP conflict analysis with a non-chronological backjump.
+
+        Resolves the conflict clause with the reasons of its current-level
+        literals, newest on the trail first, until one current-level
+        literal is left: the first unique implication point.  Level-0
+        literals hold for the whole search and are dropped.  The learned
+        clause follows from the clauses and the level-0 assignments; the
+        engine jumps back to the clause's second-highest level and asserts
+        the negated implication point there.  Returns False when the
+        conflict is at level 0, so the search has no model.
+        """
+        level = len(self.lim)
+        if level == 0:
+            return False
+        val = self.val
+        trail = self.trail
+        lvl = self.lvl
+        reason = self.reason
+        clauses = self.clauses
+        seen: set[int] = set()  # true literals already resolved or kept
+        learnt = [0]  # position 0 becomes the asserting literal
+        pending = 0   # current-level literals not yet resolved away
+        idx = len(trail)
+        clause = clauses[conflict]
+        p = 0
+        while True:
+            for q in clause:
+                t = -q
+                if q != p and t not in seen and lvl[t] > 0:
+                    seen.add(t)
+                    if lvl[t] == level:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            idx -= 1
+            while trail[idx] not in seen:
+                idx -= 1
+            p = trail[idx]
+            pending -= 1
+            if pending == 0:
+                break
+            clause = clauses[reason[p]]
+        learnt[0] = -p
+
+        back = 0
+        if len(learnt) > 1:
+            # watch a literal of the highest remaining level beside the asserting one
+            top = max(range(1, len(learnt)), key=lambda i: lvl[-learnt[i]])
+            learnt[1], learnt[top] = learnt[top], learnt[1]
+            back = lvl[-learnt[1]]
+        dpos = self.lim[back]
+        for lit in trail[dpos:]:
+            val[lit] = val[-lit] = 0
+        del trail[dpos:]
+        del self.lim[back:]
+        del self.flipped[back:]
+        self.qhead = dpos
+        self._assign(-p)
+        if len(learnt) > 1:
+            cid = len(clauses)
+            clauses.append(learnt)
+            self.watch[learnt[0]].append(cid)
+            self.watch[learnt[1]].append(cid)
+            reason[-p] = cid
+        return True
+
     def next_var(self, order: Sequence[int]) -> Optional[int]:
         val = self.val
         for v in order:
@@ -255,16 +340,18 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
     """The first model in search-tree order, deciding variables in `order`,
     or None when there is none.  Events go to `trace` when it is a list.
 
-    Every implied value holds in all models that extend the decisions, so
-    the first model is the lexicographically first one over `order`,
-    with true before false.
+    A traced search backtracks chronologically; an untraced one learns a
+    clause at each conflict.  Every implied value holds in all models
+    that extend the decisions, so either way the first model is the
+    lexicographically first one over `order`, with true before false.
     """
     eng = _Engine(problem, assumptions, trace)
     if eng.failed:
         return None
     while True:
-        if eng.propagate() is not None:
-            if not eng.backtrack():
+        conflict = eng.propagate()
+        if conflict is not None:
+            if not (eng.backtrack() if trace is not None else eng.learn(conflict)):
                 return None
             continue
         var = eng.next_var(order)

@@ -10,6 +10,7 @@ algebra, so the distance-5 invariance facts reduce to lattice membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import hex_indices, lattice_vectors_of_norm2
 
@@ -26,19 +27,27 @@ class PeriodicColoring:
     gen1: tuple[int, int]
     gen2: tuple[int, int]
 
-    @property
+    @cached_property
     def det(self) -> int:
         return self.gen1[0] * self.gen2[1] - self.gen1[1] * self.gen2[0]
 
+    def residues(self, a: int, b: int) -> tuple[int, int]:
+        """Coordinates of (a, b) in the basis gen1, gen2, times det, mod det;
+        two nodes differ by a sublattice vector iff their residues agree."""
+        d = self.det
+        return ((a * self.gen2[1] - b * self.gen2[0]) % d,
+                (-a * self.gen1[1] + b * self.gen1[0]) % d)
+
     def lattice_contains(self, a: int, b: int) -> bool:
         """Is (a, b) in the sublattice spanned by gen1 and gen2?"""
-        d = self.det
-        s = a * self.gen2[1] - b * self.gen2[0]
-        t = -a * self.gen1[1] + b * self.gen1[0]
-        return s % d == 0 and t % d == 0
+        return self.residues(a, b) == (0, 0)
+
+    @cached_property
+    def red_residues(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.residues(ca, cb) for ca, cb in self.cluster)
 
     def is_red(self, a: int, b: int) -> bool:
-        return any(self.lattice_contains(a - ca, b - cb) for ca, cb in self.cluster)
+        return self.residues(a, b) in self.red_residues
 
     def period(self) -> int:
         """Hexagonal diameter of a generating cell, for the patch-size bound."""

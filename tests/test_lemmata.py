@@ -445,6 +445,24 @@ def test_report_and_manifest_bytes_unchanged(full_run, tmp_path):
     assert hashlib.sha256(manifest).hexdigest() == MANIFEST_SHA256
 
 
+def test_learning_and_chronological_search_agree_on_patches():
+    """A certified run searches chronologically (its traces are the
+    certificates) and an uncertified run learns clauses: on col1 and
+    col2 at radius 9 the reports are equal once timings and certificates
+    are removed."""
+    def verdicts(emit):
+        run = verify_all(Options(patch_radius=9, emit_certificates=emit),
+                         only=["col1", "col2"])
+        data = _strip_timings(run.to_json())
+        for report in data["reports"].values():
+            for ob in report["obligations"]:
+                ob.pop("certificate", None)
+        return data
+
+    certified = verdicts(True)
+    assert certified["ok"] and certified == verdicts(False)
+
+
 # sha256 over `cnf + varmap` of every stage's base problem with every
 # grant, in SCRIPT_ORDER and table order: the bytes export-cnf writes
 DIMACS_SHA256 = {

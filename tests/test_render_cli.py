@@ -8,10 +8,12 @@ import sys
 import pytest
 
 import bluefive
+import bluefive.cli as cli
 
 from bluefive.cli import RENDER_TARGETS, main
 from bluefive.geometry import hex_indices
 from bluefive.render import render, render_figure, render_pattern
+from bluefive.solver import CertificateError
 from bluefive.tilings import PATTERN_B
 
 
@@ -78,14 +80,42 @@ def test_cli_bad_usage():
     assert main(["frobnicate"]) == 2
 
 
-def test_cli_oracle_on_registry(tmp_path, capsys):
+def test_cli_oracle_on_registry(tmp_path, capsys, monkeypatch):
+    """Brute force, the learning search and the traced search agree; an
+    unsat trace must replay; derived rules are listed as hypotheses."""
     from importlib import resources
 
-    src = resources.files("bluefive").joinpath("data/figures/fig1a.json")
-    inst = tmp_path / "fig1a.json"
-    inst.write_text(src.read_text())
-    assert main(["oracle", str(inst)]) == 0
-    assert "AGREE" in capsys.readouterr().out
+    figures = resources.files("bluefive").joinpath("data/figures")
+    # a side-sqrt3 triangle P, Q, R under the extension schema
+    triangle = {"points": [{"name": n, "x": [x, "0", "0", "0"], "y": ["0", y, "0", "0"]}
+                           for n, x, y in (("P", "0", "0"), ("Q", "3/2", "-1/2"),
+                                           ("R", "3/2", "1/2"))],
+                "fixed": {"P": "red"},
+                "rules": ["RED_L2_FORBIDDEN",
+                          {"rule": "T3_TO_T6_SCHEMA", "anchors": [["P", "Q", "R"]]}]}
+    for fid, instance, kind, hypotheses in (
+            ("fig1a", None, "unsat", []),
+            ("figcol2", None, "sat", ["NO_RED_T3"]),
+            ("triangle", triangle, "sat", ["T3_TO_T6_SCHEMA"])):
+        inst = tmp_path / f"{fid}.json"
+        inst.write_text(figures.joinpath(f"{fid}.json").read_text() if instance is None
+                        else json.dumps(instance))
+        report = tmp_path / f"{fid}.report.json"
+        assert main(["oracle", str(inst), "--json", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "AGREE" in out
+        assert f"unproved hypotheses: {', '.join(hypotheses) or 'none'}" in out
+        payload = json.loads(report.read_text())
+        assert payload["solve"] == payload["traced_solve"] == payload["brute_force"] == kind
+        assert payload["trace_replays"] is (True if kind == "unsat" else None)
+        assert payload["unproved_hypotheses"] == hypotheses and payload["agree"]
+
+    def rejecting_replay(clauses, trace):
+        raise CertificateError("rejected")
+
+    monkeypatch.setattr(cli, "replay_unsat_trace", rejecting_replay)
+    assert main(["oracle", str(tmp_path / "fig1a.json")]) == 1
+    assert "trace FAILS" in capsys.readouterr().out
     assert main(["oracle", str(tmp_path / "missing.json")]) == 2
 
 

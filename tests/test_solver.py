@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import bluefive.solver as solver
 from _oracles import reference_search
 from bluefive.geometry import hex_indices, node
 from bluefive.lemmata import CENTER_RADIUS, GRANTS, SCRIPTS, Options, build_stages
@@ -263,11 +264,24 @@ def _ref_models(problem, cap, proj_vars):
     return models, True
 
 
-def test_engine_matches_reference_engine():
-    """Verdicts, models and trace events equal the reference engine's."""
+def test_engine_matches_reference_engine(monkeypatch):
+    """Traced verdicts, models and trace events equal the reference
+    engine's; untraced (learning) searches give the same verdicts and
+    models, and so do enumerations."""
+    backjumps = []  # levels jumped over by each learned clause of 2+ literals
+    learn = solver._Engine.learn
+
+    def counting_learn(eng, conflict):
+        level, stored = len(eng.lim), len(eng.clauses)
+        learned = learn(eng, conflict)
+        if len(eng.clauses) > stored:  # a unit clause always jumps to level 0
+            backjumps.append(level - len(eng.lim))
+        return learned
+
+    monkeypatch.setattr(solver._Engine, "learn", counting_learn)
     rng = random.Random(8)
     seen = {"unit": 0, "duplicate": 0, "tautology": 0, "assume-against-unit": 0,
-            "unsat": 0, "flip": 0}
+            "unsat": 0, "flip": 0, "backjump": 0}
     for _ in range(300):
         nvars = rng.randint(1, 14)
         # literals drawn with replacement: clauses repeat literals and
@@ -291,11 +305,17 @@ def test_engine_matches_reference_engine():
         verdict = solve(problem, assumptions, record_trace=True)
         want = _ref_solve(problem, assumptions)
         assert (verdict.kind, verdict.model, verdict.trace) == want
+        verdict = solve(problem, assumptions)
+        assert (verdict.kind, verdict.model, verdict.trace) == (*want[:2], None)
 
         var = rng.randint(1, nvars)
         res = forced_color(problem, f"v{var}", record_trace=True)
         for side, lit in ((res.when_blue, -var), (res.when_red, var)):
             assert (side.kind, side.model, side.trace) == _ref_solve(problem, [lit])
+        untraced = forced_color(problem, f"v{var}")
+        assert untraced.status == res.status
+        for side, lit in ((untraced.when_blue, -var), (untraced.when_red, var)):
+            assert (side.kind, side.model, side.trace) == (*_ref_solve(problem, [lit])[:2], None)
         seen["unsat"] += res.when_blue.kind == "unsat"
         seen["flip"] += any(ev[0] == "flip" for ev in res.when_blue.trace)
 
@@ -305,6 +325,8 @@ def test_engine_matches_reference_engine():
         assert enumerate_models(problem, cap) == _ref_models(problem, cap, everything)
         assert (enumerate_models(problem, cap, project=project)
                 == _ref_models(problem, cap, project))
+        seen["backjump"] += any(jump > 1 for jump in backjumps)
+        del backjumps[:]
     assert min(seen.values()) >= 30, seen
 
 

@@ -58,6 +58,15 @@ def test_cluster_cells_red():
         assert PATTERN_A.is_red(*cell)
 
 
+@pytest.mark.parametrize("coloring", [PATTERN_A, PATTERN_B], ids=["A", "B"])
+def test_residue_lookup_equals_translated_membership(coloring):
+    """One residue-set lookup colours a node as the cluster translates do."""
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            assert coloring.is_red(a, b) == any(
+                coloring.lattice_contains(a - ca, b - cb) for ca, cb in coloring.cluster)
+
+
 def test_lattice_indices():
     assert abs(PATTERN_A.det) == 25 and len(PATTERN_A.cluster) == 6
     assert abs(PATTERN_B.det) == 5 and len(PATTERN_B.cluster) == 1
