@@ -87,6 +87,8 @@ class Stage:
     coloring: Optional[PeriodicColoring] = None
     accumulated: dict[str, str] = field(default_factory=dict)
     _base: Optional[ColoringProblem] = None
+    # cut variables -> (their problem, the unit clauses it holds)
+    _problems: dict[frozenset, tuple[ColoringProblem, set]] = field(default_factory=dict)
 
     def base_problem(self) -> ColoringProblem:
         if self._base is None:
@@ -99,15 +101,22 @@ class Stage:
 
         Dropping every clause that mentions an excluded node is exactly the
         clause set of the induced sub-configuration; excluded variables stay
-        present but unconstrained, which cannot change any verdict.
+        present but unconstrained, which cannot change any verdict.  Each
+        exclude set has one problem for the stage's life, so its untraced
+        queries share one learning engine; a call adds the colours forced
+        since the last one.  It is never the base problem, whose clause
+        count the report states.
         """
         base = self.base_problem()
-        if not exclude and not self.accumulated:
-            return base
-        cut = {base.name_to_var[self.cfg.primary(n)] for n in exclude}
-        clauses = ([c for c in base.clauses if not any(abs(l) in cut for l in c)]
-                   if cut else list(base.clauses))
-        units = {c for c in clauses if len(c) == 1}
+        cut = frozenset(base.name_to_var[self.cfg.primary(n)] for n in exclude)
+        if cut not in self._problems:
+            clauses = ([c for c in base.clauses if not any(abs(l) in cut for l in c)]
+                       if cut else list(base.clauses))
+            self._problems[cut] = (
+                ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
+                                is_aux=base.is_aux, name_to_var=base.name_to_var),
+                {c for c in clauses if len(c) == 1})
+        problem, units = self._problems[cut]
         for name, colour in self.accumulated.items():
             v = base.name_to_var[self.cfg.primary(name)]
             if v in cut:
@@ -115,9 +124,8 @@ class Stage:
             lit = v if colour == "red" else -v
             if (lit,) not in units:
                 units.add((lit,))
-                clauses.append((lit,))
-        return ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
-                               is_aux=base.is_aux, name_to_var=base.name_to_var)
+                problem.add_clause((lit,))
+        return problem
 
 
 @dataclass(frozen=True)
@@ -514,10 +522,10 @@ def run_script(script_id: str, options: Optional[Options] = None,
         if result.status != "pass":
             report.status = "failed"
 
-    for sid, stage in stages.items():
-        base = stage.base_problem()
-        report.stages[sid] = {"nodes": len(stage.cfg), "variables": base.var_count,
-                              "clauses": len(base.clauses)}
+    report.stages = {sid: {"nodes": len(stage.cfg), "variables": stage.base_problem().var_count,
+                           "clauses": len(stage.base_problem().clauses)}
+                     for sid, stage in stages.items()}
+    del stages  # frees their learning engines before the enumeration builds its own
 
     if options.stretch and script_id in ("col1", "col2"):
         report.stretch = uniqueness_enumeration(script_id, options, granted)

@@ -3,23 +3,29 @@ clause learning when no trace is recorded.
 
 Every search decides variables in a fixed order (ascending index unless
 the caller gives one), tries the red (true) branch first, never restarts
-and uses no randomness.  A search that records a trace backtracks
-chronologically, and the trace lists every decision, propagation, flip
-and conflict; an independent replayer re-checks traces and models
-without touching the search code.  A search that records no trace learns
+and uses no randomness.  A search that records a trace builds a fresh
+engine and backtracks chronologically, and the trace lists every
+decision, propagation, flip and conflict; an independent replayer
+re-checks traces and models without touching the search code.
+
+A search that records no trace runs on the problem's one learning engine
+(MiniSat's incremental scheme, Een & Sorensson 2003), built by the first
+such query and kept for the problem's life.  Each query jumps it back to
+decision level 0, takes in the clauses added since the last query,
+decides the assumptions first, one decision level each, and then learns
 a clause at each conflict by 1-UIP analysis (GRASP, Marques-Silva &
-Sakallah 1999) and jumps back to the clause's second-highest level.  Its
-learned clauses live only for that search, so the replayer's trace
-grammar stays the chronological one.  Both searches find the same model:
-every implied value, learned or not, follows from the clauses and the
-decisions on earlier variables, so the first model found is the
-lexicographically first one over the decision order.
+Sakallah 1999), jumping back to the clause's second-highest level.
+Because assumptions are decisions, not level-0 facts, a learned clause
+follows from the clauses alone, and it is kept for every later query.
+Both searches find the same model: every implied value, learned or not,
+follows from the clauses, the assumptions and the decisions on earlier
+variables, so the first model found is the lexicographically first one
+over the decision order.
 """
 
 from __future__ import annotations
 
-from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -41,23 +47,37 @@ class UnprovedRuleError(Exception):
 
 @dataclass
 class ColoringProblem:
-    """CNF over one boolean per node (true = red) plus optional auxiliaries."""
+    """CNF over one boolean per node (true = red) plus optional auxiliaries.
+
+    `clauses` only grows, through `add_clause`: the learning engine that
+    untraced searches keep reads each clause once.
+    """
 
     var_count: int
     clauses: list[tuple[int, ...]]
     names: list[str]
     is_aux: list[bool]
     name_to_var: dict[str, int]
+    _engine: Optional[_Engine] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nv = self.var_count
-        if len(self.names) != nv or len(self.is_aux) != nv:
+        if len(self.names) != self.var_count or len(self.is_aux) != self.var_count:
             raise ValueError("names/is_aux must cover every variable")
-        lits = set(chain.from_iterable(self.clauses))
+        self._check_literals(self.clauses)
+
+    def _check_literals(self, clauses: Sequence[Sequence[int]]) -> None:
+        nv = self.var_count
+        lits = set(chain.from_iterable(clauses))
         if lits and (0 in lits or min(lits) < -nv or max(lits) > nv):
-            bad = next(lit for lit in chain.from_iterable(self.clauses)
+            bad = next(lit for lit in chain.from_iterable(clauses)
                        if lit == 0 or abs(lit) > nv)
             raise ValueError(f"literal {bad} references an undeclared variable")
+
+    def add_clause(self, clause: Sequence[int]) -> None:
+        """Append one clause; ValueError on a literal of no declared variable."""
+        clause = tuple(clause)
+        self._check_literals((clause,))
+        self.clauses.append(clause)
 
     def node_var_of(self, name: str) -> int:
         try:
@@ -81,7 +101,7 @@ class Verdict:
 
 
 class _Engine:
-    """One search over a fixed clause set.
+    """Search state over a clause set that only grows.
 
     Values and watch lists are indexed by literal: literal ``l`` lives at
     ``val[l]`` and ``-l`` at ``val[-l]`` (Python's negative indexing), and
@@ -89,60 +109,88 @@ class _Engine:
     A value is 1 (true), -1 (false) or 0 (unassigned).  ``reason[l]`` and
     ``lvl[l]`` hold the clause that implied a true literal ``l`` and its
     decision level; they are read only while ``l`` is on the trail.
+    Clause ids index the engine's own ``clauses``; only a traced search,
+    set up by `load`, keeps them equal to the problem's.
     """
 
-    def __init__(self, problem: ColoringProblem, assumptions: Sequence[int],
-                 trace: Optional[list[tuple]]) -> None:
-        nv = problem.var_count
-        for lit in assumptions:
-            if lit == 0 or not -nv <= lit <= nv:  # val[lit] would alias another literal
-                raise ValueError(f"assumption {lit} references an undeclared variable")
-        self.nv = nv
-        self.val = val = [0] * (2 * nv + 1)
-        self.reason = [0] * (2 * nv + 1)
-        self.lvl = [0] * (2 * nv + 1)
+    def __init__(self, var_count: int, trace: Optional[list[tuple]] = None) -> None:
+        self.nv = var_count
+        self.val = [0] * (2 * var_count + 1)
+        self.reason = [0] * (2 * var_count + 1)
+        self.lvl = [0] * (2 * var_count + 1)
         self.trail: list[int] = []
-        self.lim: list[int] = []          # trail position of each decision
+        self.lim: list[int] = []          # trail position of each decision level
         self.flipped: list[bool] = []
         self.qhead = 0
         self.trace = trace
-        self.clauses = clauses = list(map(list, problem.clauses))
-        self.watch: list[list[int]] = [[] for _ in range(2 * nv + 1)]
-        self.failed = True  # until setup ends without a contradiction
+        self.clauses: list[list[int]] = []
+        self.watch: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
+        self.absorbed = 0   # problem clauses taken in by `absorb`
+        self.unsat = False  # a level-0 conflict: no query has a model
 
-        units: list[tuple[int, int]] = []
+    def load(self, clauses: Sequence[Sequence[int]], assumptions: Sequence[int]) -> bool:
+        """Set up a traced search: watch the first two literals of every
+        clause, then assign the unit clauses and the assumptions at level
+        0, in order, recording each as an event.  False on a contradiction."""
+        trace = self.trace
+        val = self.val
         watch = self.watch
-        for cid, clause in enumerate(clauses):
+        self.clauses = list(map(list, clauses))
+        units: list[tuple[int, int]] = []
+        for cid, clause in enumerate(self.clauses):
             if len(clause) > 1:
                 watch[clause[0]].append(cid)
                 watch[clause[1]].append(cid)
             elif clause:
                 units.append((clause[0], cid))
             else:
-                if trace is not None:
-                    trace.append(("conflict", cid))
-                return
+                trace.append(("conflict", cid))
+                return False
         for lit, cid in units:
             cur = val[lit]
             if cur == -1:
-                if trace is not None:
-                    trace.append(("conflict", cid))
-                return
+                trace.append(("conflict", cid))
+                return False
             if cur == 0:
                 self._assign(lit)
-                if trace is not None:
-                    trace.append(("imply", lit, cid))
+                trace.append(("imply", lit, cid))
         for lit in assumptions:
             cur = val[lit]
             if cur == -1:
-                if trace is not None:
-                    trace.append(("conflict_assume", lit))
-                return
+                trace.append(("conflict_assume", lit))
+                return False
             if cur == 0:
-                if trace is not None:
-                    trace.append(("assume", lit))
+                trace.append(("assume", lit))
                 self._assign(lit)
-        self.failed = False
+        return True
+
+    def absorb(self, clauses: Sequence[Sequence[int]]) -> bool:
+        """Take in, at level 0, the clauses appended since the last call.
+
+        Literals false at level 0 stay false, so they are dropped, and a
+        clause true at level 0 is skipped.  A unit left over is assigned
+        at level 0; a longer clause is watched on its first two literals.
+        Returns False, and marks the engine unsat for good, when a clause
+        or the propagation that follows is falsified at level 0.
+        """
+        val = self.val
+        for clause in clauses[self.absorbed:]:
+            lits = [lit for lit in clause if val[lit] != -1]
+            if any(val[lit] == 1 for lit in lits):
+                continue
+            if len(lits) > 1:
+                cid = len(self.clauses)
+                self.clauses.append(lits)
+                self.watch[lits[0]].append(cid)
+                self.watch[lits[1]].append(cid)
+            elif lits:
+                self._assign(lits[0])
+            else:
+                self.unsat = True
+        self.absorbed = len(clauses)
+        if not self.unsat and self.propagate() is not None:
+            self.unsat = True
+        return not self.unsat
 
     # ------------------------------------------------------------------
 
@@ -210,12 +258,27 @@ class _Engine:
         self.qhead = qhead
         return None
 
-    def decide(self, var: int) -> None:
+    def decide(self, lit: int) -> None:
+        """Open a decision level that assigns `lit`; the level stays empty
+        when `lit` is already true."""
         self.lim.append(len(self.trail))
         self.flipped.append(False)
-        self._assign(var)  # red (true) branch first
-        if self.trace is not None:
-            self.trace.append(("decide", var))
+        if self.val[lit] == 0:
+            self._assign(lit)
+            if self.trace is not None:
+                self.trace.append(("decide", lit))
+
+    def cancel(self, level: int) -> None:
+        """Undo every assignment above decision level `level`."""
+        if len(self.lim) > level:
+            val = self.val
+            dpos = self.lim[level]
+            for lit in self.trail[dpos:]:
+                val[lit] = val[-lit] = 0
+            del self.trail[dpos:]
+            del self.lim[level:]
+            del self.flipped[level:]
+            self.qhead = dpos
 
     def backtrack(self) -> bool:
         """Chronological backtrack: flip the deepest unflipped decision.
@@ -247,16 +310,17 @@ class _Engine:
         Resolves the conflict clause with the reasons of its current-level
         literals, newest on the trail first, until one current-level
         literal is left: the first unique implication point.  Level-0
-        literals hold for the whole search and are dropped.  The learned
-        clause follows from the clauses and the level-0 assignments; the
-        engine jumps back to the clause's second-highest level and asserts
-        the negated implication point there.  Returns False when the
-        conflict is at level 0, so the search has no model.
+        literals hold for the engine's life and are dropped.  The learned
+        clause follows from the clauses and the level-0 assignments, and
+        it is kept; the engine jumps back to the clause's second-highest
+        level and asserts the negated implication point there.  Returns
+        False, and marks the engine unsat for good, when the conflict is
+        at level 0.
         """
         level = len(self.lim)
         if level == 0:
+            self.unsat = True
             return False
-        val = self.val
         trail = self.trail
         lvl = self.lvl
         reason = self.reason
@@ -292,13 +356,7 @@ class _Engine:
             top = max(range(1, len(learnt)), key=lambda i: lvl[-learnt[i]])
             learnt[1], learnt[top] = learnt[top], learnt[1]
             back = lvl[-learnt[1]]
-        dpos = self.lim[back]
-        for lit in trail[dpos:]:
-            val[lit] = val[-lit] = 0
-        del trail[dpos:]
-        del self.lim[back:]
-        del self.flipped[back:]
-        self.qhead = dpos
+        self.cancel(back)
         self._assign(-p)
         if len(learnt) > 1:
             cid = len(clauses)
@@ -340,19 +398,41 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
     """The first model in search-tree order, deciding variables in `order`,
     or None when there is none.  Events go to `trace` when it is a list.
 
-    A traced search backtracks chronologically; an untraced one learns a
-    clause at each conflict.  Every implied value holds in all models
-    that extend the decisions, so either way the first model is the
+    A traced search runs on a fresh engine and backtracks chronologically.
+    An untraced one runs on the problem's kept engine, decides the
+    assumptions first and learns a clause at each conflict.  Every
+    implied value holds in all models that extend the assumptions and the
+    decisions before it, so either way the first model is the
     lexicographically first one over `order`, with true before false.
     """
-    eng = _Engine(problem, assumptions, trace)
-    if eng.failed:
-        return None
+    nv = problem.var_count
+    for lit in assumptions:
+        if lit == 0 or not -nv <= lit <= nv:  # val[lit] would alias another literal
+            raise ValueError(f"assumption {lit} references an undeclared variable")
+    if trace is not None:
+        eng = _Engine(nv, trace)
+        if not eng.load(problem.clauses, assumptions):
+            return None
+        first = ()  # the assumptions hold at level 0
+    else:
+        eng = problem._engine
+        if eng is None:
+            eng = problem._engine = _Engine(nv)
+        eng.cancel(0)
+        if not eng.absorb(problem.clauses):
+            return None
+        first = assumptions  # assumption i is decided at level i + 1
     while True:
         conflict = eng.propagate()
         if conflict is not None:
             if not (eng.backtrack() if trace is not None else eng.learn(conflict)):
                 return None
+            continue
+        level = len(eng.lim)
+        if level < len(first):
+            if eng.val[first[level]] == -1:
+                return None
+            eng.decide(first[level])
             continue
         var = eng.next_var(order)
         if var is None:
@@ -360,7 +440,7 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
             if not check_model(problem.clauses, model, assumptions):
                 raise AssertionError("solver produced an invalid model")
             return model
-        eng.decide(var)
+        eng.decide(var)  # red (true) branch first
 
 
 def solve(problem: ColoringProblem, assumptions: Sequence[int] = (),
@@ -417,15 +497,17 @@ def enumerate_models(problem: ColoringProblem, cap: int,
                 raise ValueError(f"projection variable {v} out of range")
     proj_set = set(proj_vars)
     order = proj_vars + [v for v in range(1, problem.var_count + 1) if v not in proj_set]
-    blocked = copy(problem)
-    blocked.clauses = list(problem.clauses)
+    # a problem of its own: blocking clauses do not follow from the
+    # problem's, so they must not reach its learning engine
+    blocked = ColoringProblem(problem.var_count, list(problem.clauses), problem.names,
+                              problem.is_aux, problem.name_to_var)
     models: list[tuple[bool, ...]] = []
     while len(models) < cap:
         full = _first_model(blocked, (), order, None)
         if full is None:
             return models, True
         models.append(tuple(full[v - 1] for v in proj_vars))
-        blocked.clauses.append(tuple(-v if full[v - 1] else v for v in proj_vars))
+        blocked.add_clause([-v if full[v - 1] else v for v in proj_vars])
     return models, False
 
 

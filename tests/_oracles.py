@@ -8,7 +8,9 @@ already fails, which can never exclude a true hit).
 
 `ReferenceEngine` and `reference_search` are the solver's DPLL engine as
 first written, kept as the reference that the solver's traces, models
-and verdicts must match exactly.
+and verdicts must match exactly.  `reference_stage_problem` builds a
+stage's problem from scratch at each call, as `Stage.problem` did before
+it kept one problem per exclude set.
 """
 
 from collections import Counter
@@ -16,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from bluefive.field import FieldElement
 from bluefive.geometry import collinear, dist2
-from bluefive.solver import check_model
+from bluefive.solver import ColoringProblem, check_model
 
 
 def _pair_key(p, q):
@@ -305,3 +307,30 @@ def reference_search(problem, assumptions: Sequence[int],
                 return
             continue
         eng.decide(var, projected=projected)
+
+
+# ---------------------------------------------------------------------------
+# Reference stage problems
+# ---------------------------------------------------------------------------
+
+
+def reference_stage_problem(stage, exclude: Sequence[str] = ()) -> ColoringProblem:
+    """The stage's base problem restricted to the nodes outside `exclude`,
+    plus its accumulated forced colours, each unit clause once, built anew."""
+    base = stage.base_problem()
+    if not exclude and not stage.accumulated:
+        return base
+    cut = {base.name_to_var[stage.cfg.primary(n)] for n in exclude}
+    clauses = ([c for c in base.clauses if not any(abs(l) in cut for l in c)]
+               if cut else list(base.clauses))
+    units = {c for c in clauses if len(c) == 1}
+    for name, colour in stage.accumulated.items():
+        v = base.name_to_var[stage.cfg.primary(name)]
+        if v in cut:
+            continue
+        lit = v if colour == "red" else -v
+        if (lit,) not in units:
+            units.add((lit,))
+            clauses.append((lit,))
+    return ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
+                           is_aux=base.is_aux, name_to_var=base.name_to_var)

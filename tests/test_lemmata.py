@@ -4,6 +4,7 @@ import json
 import pytest
 
 import bluefive.lemmata as lemmata
+from _oracles import reference_stage_problem
 from bluefive.configuration import Configuration, RuleSet, emit_clauses
 from bluefive.figures import load_figure
 from bluefive.geometry import node
@@ -485,12 +486,36 @@ def test_dimacs_bytes_unchanged(radius):
     assert digest.hexdigest() == DIMACS_SHA256[radius]
 
 
-def test_stage_problem_adds_each_forced_colour_once_in_order():
+def test_stage_problem_adds_each_forced_colour_once_in_order(monkeypatch):
+    """One problem per exclude set, never the base one, grown by exactly
+    the colours forced since the last call; on a full radius-7 run every
+    problem a row reads equals a from-scratch build."""
     cfg = Configuration([(f"p{i}", node(i, 0)) for i in range(4)] + [("twin", node(2, 0))])
     stage = Stage("s", cfg, RuleSet(base=("RED_L2_FORBIDDEN",)), {"p0": "red"})
     base = list(stage.base_problem().clauses)
     assert base == [(-1, -2), (-2, -3), (-3, -4), (1,)]
-    stage.accumulated.update({"p0": "red", "p2": "blue", "twin": "blue", "p3": "red"})
-    assert stage.problem().clauses == base + [(-3,), (4,)]
+    whole = stage.problem()
+    assert whole is not stage.base_problem() and whole.clauses == base
+    stage.accumulated.update({"p0": "red", "p2": "blue", "twin": "blue"})
+    assert stage.problem() is whole and whole.clauses == base + [(-3,)]
+    cut = stage.problem(exclude=("p3", "p0"))
+    assert stage.problem(exclude=("p0", "p3", "p0")) is cut
+    assert cut.clauses == [(-2, -3), (-3,)]
+    stage.accumulated["p3"] = "red"
+    assert stage.problem() is whole and whole.clauses == base + [(-3,), (4,)]
+    assert stage.problem(exclude=("p3", "p0")).clauses == [(-2, -3), (-3,)]
     assert stage.problem(exclude=("p3",)).clauses == [(-1, -2), (-2, -3), (1,), (-3,)]
     assert stage.base_problem().clauses == base
+
+    kept = lemmata.Stage.problem
+    checked = []
+
+    def checked_problem(stage, exclude=()):
+        problem = kept(stage, exclude)
+        assert problem.clauses == reference_stage_problem(stage, exclude).clauses
+        checked.append(exclude)
+        return problem
+
+    monkeypatch.setattr(lemmata.Stage, "problem", checked_problem)
+    assert verify_all(Options(patch_radius=7)).ok
+    assert len(checked) >= 84 and any(checked)  # every FORCED row, some with exclusions

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import bluefive.solver as solver
-from _oracles import reference_search
+from _oracles import ReferenceEngine, reference_search
 from bluefive.geometry import hex_indices, node
 from bluefive.lemmata import CENTER_RADIUS, GRANTS, SCRIPTS, Options, build_stages
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
@@ -30,6 +30,11 @@ def _problem(nvars, clauses):
 def test_problem_rejects_undeclared_literals(clauses, message):
     with pytest.raises(ValueError, match=message):
         _problem(2, clauses)
+    problem = _problem(2, [])
+    with pytest.raises(ValueError, match=message):
+        for clause in clauses:
+            problem.add_clause(clause)
+    assert all(0 < abs(lit) <= 2 for c in problem.clauses for lit in c)  # the bad one is not added
 
 
 def test_problem_rejects_names_or_flags_of_the_wrong_length():
@@ -327,6 +332,93 @@ def test_engine_matches_reference_engine(monkeypatch):
                 == _ref_models(problem, cap, project))
         seen["backjump"] += any(jump > 1 for jump in backjumps)
         del backjumps[:]
+    assert min(seen.values()) >= 30, seen
+
+
+def _fixed_at_level0(problem):
+    """Per variable, the value unit propagation gives it (1, -1 or 0), or
+    None when unit propagation alone meets a conflict."""
+    eng = ReferenceEngine(problem, (), None)
+    if eng.failed is not None or eng.propagate() is not None:
+        return None
+    return eng.assign
+
+
+def test_kept_engine_matches_a_fresh_search(monkeypatch):
+    """One problem object takes untraced queries interleaved with
+    add_clause and enumerate_models; every verdict and model equals the
+    reference engine's on a fresh problem holding the clauses so far, a
+    traced solve in between equals the reference trace, and enumeration
+    leaves the clauses as they were."""
+    learned = {}  # engine id -> clauses of 2+ literals it has kept
+    learn = solver._Engine.learn
+
+    def counting_learn(eng, conflict):
+        stored = len(eng.clauses)
+        out = learn(eng, conflict)
+        learned[id(eng)] = learned.get(id(eng), 0) + len(eng.clauses) - stored
+        return out
+
+    monkeypatch.setattr(solver._Engine, "learn", counting_learn)
+    rng = random.Random(21)
+
+    def clause(nvars, widths):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, nvars)
+                     for _ in range(rng.choice(widths)))
+
+    seen = {"after-learning": 0, "assume-false-at-level-0": 0,
+            "unsat-by-add-clause": 0, "both-signs": 0}
+    for _ in range(300):
+        nvars = rng.randint(2, 14)
+        problem = _problem(nvars, [clause(nvars, (2, 3, 3, 4))
+                                   for _ in range(rng.randint(0, 4 * nvars))])
+        cases = set()
+        engine = None
+        for _ in range(rng.randint(4, 6)):
+            for _ in range(rng.randint(0, 2)):
+                was_sat = _ref_solve(_problem(nvars, problem.clauses), [])[0] == "sat"
+                problem.add_clause(clause(nvars, (1, 2, 3)))
+                if was_sat and _ref_solve(_problem(nvars, problem.clauses), [])[0] == "unsat":
+                    cases.add("unsat-by-add-clause")
+            fresh = _problem(nvars, problem.clauses)
+            if engine is not None and learned.get(id(engine)):
+                cases.add("after-learning")
+            if rng.random() < 0.5:
+                verdict = solve(problem, [1], record_trace=True)
+                assert (verdict.kind, verdict.model, verdict.trace) == _ref_solve(fresh, [1])
+            forced = rng.random() < 0.5
+            if forced:
+                var = rng.randint(1, nvars)
+                assumptions = [-var, var]  # one per query of forced_color
+            else:
+                assumptions = [rng.choice((1, -1)) * rng.randint(1, nvars)
+                               for _ in range(rng.randint(0, 3))]
+                if rng.random() < 0.2:
+                    assumptions.append(-rng.choice(assumptions or [1]))
+                if len({abs(lit) for lit in assumptions}) < len(set(assumptions)):
+                    cases.add("both-signs")
+            fixed = _fixed_at_level0(fresh)
+            if fixed is not None and any(fixed[abs(lit)] == (-1 if lit > 0 else 1)
+                                         for lit in assumptions):
+                cases.add("assume-false-at-level-0")
+            if forced:
+                res = forced_color(problem, f"v{var}")
+                sides = ((res.when_blue, [-var]), (res.when_red, [var]))
+            else:
+                sides = ((solve(problem, assumptions), assumptions),)
+            for verdict, lits in sides:
+                assert (verdict.kind, verdict.model, verdict.trace) == (
+                    *_ref_solve(fresh, lits)[:2], None)
+            engine = engine or problem._engine
+            assert problem._engine is engine  # one engine for the problem's life
+            if rng.random() < 0.3:
+                clauses = list(problem.clauses)
+                cap = rng.randint(1, 10)
+                assert enumerate_models(problem, cap) == _ref_models(
+                    fresh, cap, list(range(1, nvars + 1)))
+                assert problem.clauses == clauses
+        for case in cases:
+            seen[case] += 1
     assert min(seen.values()) >= 30, seen
 
 
