@@ -201,8 +201,10 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
                 run.append(j)
             if len(run) == k:
                 chains.append(tuple(run))
-    chains.sort(key=lambda run: tuple(order(pts[i]) for i in run))
-    result = [tuple(cfg.names[i] for i in run) for run in chains]
+    keys = [order(p) for p in pts]
+    chains.sort(key=lambda run: tuple([keys[i] for i in run]))
+    names = cfg.names
+    result = [tuple([names[i] for i in run]) for run in chains]
     cfg._cache[key] = result
     return result
 
@@ -305,6 +307,36 @@ def _lattice_maps(src0: tuple[int, int], src1: tuple[int, int],
     return apply
 
 
+# template lattice coordinates -> {anchor vector v: (direct, mirrored) offsets}
+_OFFSET_TABLES: dict[tuple[tuple[int, int], ...], dict] = {}
+
+
+def _offset_table(coords: tuple[tuple[int, int], ...], i0: int, j0: int,
+                  best_d: int) -> dict:
+    """For each lattice vector v of norm best_d, where the direct and the
+    mirrored template land when points i0 and j0 go to (0, 0) and v; an
+    entry is None when some image is not a node.
+
+    _lattice_maps is translation-invariant (its image is dst0 plus a term
+    that depends only on dst1 - dst0), so adding dst0 to these offsets
+    gives exactly its images for the anchor pair (dst0, dst0 + v).  Built
+    on the first match of the template and kept.
+    """
+    table = _OFFSET_TABLES.get(coords)
+    if table is None:
+        variants = (coords, [lattice_mirror(a, b) for a, b in coords])
+        table = {}
+        for v in lattice_vectors_of_norm2(best_d):
+            entry = []
+            for shape in variants:
+                mapped = _lattice_maps(shape[i0], shape[j0], (0, 0), v)
+                image = [mapped(p) for p in shape]
+                entry.append(None if None in image else image)
+            table[v] = tuple(entry)
+        _OFFSET_TABLES[coords] = table
+    return table
+
+
 def _lattice_dist2(p: tuple[int, int], q: tuple[int, int]) -> int:
     return lattice_norm2(p[0] - q[0], p[1] - q[1])
 
@@ -313,16 +345,18 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     """All congruent embeddings of the template, mirror images included.
 
     Anchors the most distant ordered template pair onto every
-    matching-length pair of the configuration, solves the direct and the
-    mirrored rigid map, and keeps those whose full image lands on nodes.
-    Every returned embedding is re-verified against the template's
-    pairwise squared-distance multiset.
+    matching-length pair of the configuration, places the direct and the
+    mirrored template on it, and keeps the placements whose full image
+    lands on nodes.  Every returned embedding passes a pair-by-pair check:
+    template points i and j are exactly as far apart as their images.
 
-    When the configuration and the template are all lattice nodes, the
-    same loop runs on integer coordinates (_lattice_maps): the mirror
-    across the e1 axis is complex conjugation, (a, b) -> (a + b, -b), and
-    squared distances are integer norms.  An image that is not a node
-    cannot be in the configuration, so dropping it loses no embedding.
+    When the configuration and the template are all lattice nodes,
+    placement reads a per-template offset table (_offset_table) built
+    from _lattice_maps in Eisenstein integers: the mirror across the e1
+    axis is complex conjugation, (a, b) -> (a + b, -b), and squared
+    distances are integer norms.  An image that is not a node cannot be
+    in the configuration, so dropping it loses no embedding.  Otherwise
+    each placement solves its rigid maps exactly (_rigid_maps).
     """
     m = len(tpl.points)
     if m < 2:
@@ -334,43 +368,52 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     if cached is not None:
         return cached
     lattice = cfg.lattice()
-    tpl_coords = [lattice_coords(p) for p in tpl.points]
-    if lattice is None or None in tpl_coords:
-        pts, index, span, place = cfg.points, cfg.point_index, dist2, _rigid_maps
-        variants = [tpl.points, [Point(p.x, -p.y) for p in tpl.points]]
+    tpl_coords = tuple(lattice_coords(p) for p in tpl.points)
+    exact = lattice is None or None in tpl_coords
+    shape, span = (tpl.points, dist2) if exact else (tpl_coords, _lattice_dist2)
+    spans = [(i, j, span(shape[i], shape[j])) for i in range(m) for j in range(i + 1, m)]
+    i0, j0, best_d = max(spans, key=lambda s: s[2])  # the first of the longest
+
+    if exact:
+        pts, get = cfg.points, cfg.point_index.get
+        variants = (shape, [Point(p.x, -p.y) for p in shape])
+
+        def place(dst0, dst1):
+            return [[get(p) for p in map(_rigid_maps(s[i0], s[j0], dst0, dst1), s)]
+                    for s in variants]
     else:
-        (pts, index), span, place = lattice, _lattice_dist2, _lattice_maps
-        variants = [tpl_coords, [lattice_mirror(a, b) for a, b in tpl_coords]]
-    spans = [(span(variants[0][i], variants[0][j]), i, j)
-             for i in range(m) for j in range(i + 1, m)]
-    best_d, i0, j0 = max(spans, key=lambda s: s[0])  # the first of the longest
-    tpl_multiset = sorted(d for d, _, _ in spans)
+        pts, get = lattice[0], lattice[1].get
+        table = _offset_table(tpl_coords, i0, j0, best_d)
+
+        def place(dst0, dst1):
+            a, b = dst0
+            return [[get((a + oa, b + ob)) for oa, ob in offsets]
+                    for offsets in table[(dst1[0] - a, dst1[1] - b)] if offsets is not None]
 
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     for a, b in cfg.pairs_with_dist2(FieldElement.coerce(best_d)):
-        for p_idx, q_idx in ((a, b), (b, a)):
-            dst0, dst1 = pts[p_idx], pts[q_idx]
-            for shape in variants:
-                mapped = place(shape[i0], shape[j0], dst0, dst1)
-                emb = []
-                for p in shape:
-                    k = index.get(mapped(p))
-                    if k is None:
-                        break
-                    emb.append(k)
-                if len(emb) != m:
+        for dst0, dst1 in ((pts[a], pts[b]), (pts[b], pts[a])):
+            for emb in place(dst0, dst1):
+                if None in emb:
                     continue
                 key = tuple(emb)
                 if key in seen:
                     continue
                 seen.add(key)
-                got = sorted(span(pts[emb[i]], pts[emb[j]])
-                             for i in range(m) for j in range(i + 1, m))
-                if got != tpl_multiset:
-                    raise AssertionError("embedding failed the distance multiset check")
+                for i, j, d in spans:
+                    p, q = pts[key[i]], pts[key[j]]
+                    if exact:
+                        got = dist2(p, q)
+                    else:
+                        da, db = p[0] - q[0], p[1] - q[1]
+                        got = da * da + da * db + db * db
+                    if got != d:
+                        raise AssertionError(
+                            f"embedding of {tpl.id} failed the distance check at ({i}, {j})")
                 out.append(key)
-    result = [tuple(cfg.names[i] for i in emb) for emb in out]
+    names = cfg.names
+    result = [tuple([names[i] for i in emb]) for emb in out]
     cfg._cache[cache_key] = result
     return result
 
@@ -496,14 +539,15 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     if RED_L2_FORBIDDEN in rules.base:
         for i, j in cfg.pairs_with_dist2(ONE):
             add((-(i + 1), -(j + 1)))
+    index = cfg.index
     if BLUE_L5_FORBIDDEN in rules.base:
         for chain in ell_chains(cfg, 5):
-            add(tuple(cfg.index_of(nm) + 1 for nm in chain))
+            add(tuple([index[nm] + 1 for nm in chain]))
 
     for rule in rules.derived:
+        signs = [-1 if role == "red" else 1 for role in rule.roles]
         for emb in match_template(cfg, template(rule.template_id)):
-            add(tuple((-1 if role == "red" else 1) * (cfg.index_of(nm) + 1)
-                      for nm, role in zip(emb, rule.roles)))
+            add(tuple([sign * (index[nm] + 1) for sign, nm in zip(signs, emb)]))
 
     if rules.existential is not None:
         anchor_sets = [tuple(cfg.primary(nm) for nm in anchor)

@@ -516,11 +516,16 @@ def run_script(script_id: str, options: Optional[Options] = None,
         if problems:
             report.status = "failed"
 
-    for ob in OBLIGATIONS[script_id]:
+    rows = OBLIGATIONS[script_id]
+    last_row = {ob.stage: i for i, ob in enumerate(rows) if ob.stage is not None}
+    for i, ob in enumerate(rows):
         result = _run_obligation(ob, stages, figures, options)
         report.obligations.append(result)
         if result.status != "pass":
             report.status = "failed"
+        if ob.stage is not None and last_row[ob.stage] == i:
+            # no later row reads this stage's problems: free their learning engines
+            stages[ob.stage]._problems.clear()
 
     report.stages = {sid: {"nodes": len(stage.cfg), "variables": stage.base_problem().var_count,
                            "clauses": len(stage.base_problem().clauses)}

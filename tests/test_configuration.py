@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bluefive.configuration as configuration
 from _oracles import chain_sets_brute, embeddings_brute
 from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
                                     RuleSet, Template, ell_chains, emit_clauses,
@@ -11,7 +12,8 @@ from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
                                     placement_count, template, template_extensions)
 from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, load_figure
-from bluefive.geometry import Point, chord_rotation, dist2, hex_indices, node
+from bluefive.geometry import (Point, chord_rotation, dist2, hex_indices, lattice_coords,
+                               node)
 from bluefive.solver import UnprovedRuleError, solve
 
 
@@ -101,6 +103,30 @@ def test_integer_path_agrees_with_exact_path():
             assert ell_chains(cfg, k) == ell_chains(mixed, k), k
         for tpl in list(TEMPLATES.values()) + [N7]:
             assert match_template(cfg, tpl) == match_template(mixed, tpl), tpl.id
+    patch = _lattice_cfg(hex_indices(5))
+    mixed = _with_distant_non_node(patch)
+    for tpl in list(TEMPLATES.values()) + [N7]:
+        assert match_template(patch, tpl) == match_template(mixed, tpl), tpl.id
+    # the anchor norm 7 has 12 lattice vectors; for each, exactly one of the
+    # direct and the mirrored map sends N7 onto nodes
+    table = configuration._OFFSET_TABLES[tuple(lattice_coords(p) for p in N7.points)]
+    assert len(table) == 12
+    assert sum(offsets is None for entry in table.values() for offsets in entry) == 12
+
+
+def test_distance_check_rejects_a_wrong_offset_table(monkeypatch):
+    """Swapping the centre's offset with a vertex's places the same point
+    set in the wrong role order, which the pair-by-pair check catches."""
+    eq3 = template("EQ3_CENTERED")
+    coords = tuple(lattice_coords(p) for p in eq3.points)
+    assert match_template(_lattice_cfg(hex_indices(3)), eq3)
+    table = configuration._OFFSET_TABLES[coords]
+    swapped = {v: tuple(None if offsets is None else [offsets[3], *offsets[1:3], offsets[0]]
+                        for offsets in entry)
+               for v, entry in table.items()}
+    monkeypatch.setitem(configuration._OFFSET_TABLES, coords, swapped)
+    with pytest.raises(AssertionError):
+        match_template(_lattice_cfg(hex_indices(3)), eq3)
 
 
 def test_patch_with_turned_copy_against_brute_force():

@@ -519,3 +519,33 @@ def test_stage_problem_adds_each_forced_colour_once_in_order(monkeypatch):
     monkeypatch.setattr(lemmata.Stage, "problem", checked_problem)
     assert verify_all(Options(patch_radius=7)).ok
     assert len(checked) >= 84 and any(checked)  # every FORCED row, some with exclusions
+
+
+def test_stage_problems_are_freed_after_the_stages_last_row(monkeypatch):
+    """In a certified theorem run, pattern-a-patch's problem (and its
+    learning engine) is gone by the time pattern-b-patch's SAT_WITNESS row
+    solves, while its base problem stays."""
+    stages = {}
+    kept_build, kept_solve = lemmata.build_stages, lemmata.solve
+
+    def capture(script_id, *args, **kwargs):
+        built, figures = kept_build(script_id, *args, **kwargs)
+        stages.update(built)
+        return built, figures
+
+    held = []
+
+    def watched_solve(problem, *args, **kwargs):
+        b_problem = stages["pattern-b-patch"]._problems.get(frozenset(), (None,))[0]
+        if problem is b_problem:
+            held.append(len(stages["pattern-a-patch"]._problems))
+        return kept_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(lemmata, "build_stages", capture)
+    monkeypatch.setattr(lemmata, "solve", watched_solve)
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    report = run_script("theorem", Options(emit_certificates=True), granted)
+    assert report.status == "passed"
+    assert held == [0]
+    assert all(not stage._problems for stage in stages.values())
+    assert stages["pattern-a-patch"]._base is not None
