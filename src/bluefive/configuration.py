@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldElement, ONE, fe
-from .geometry import (Point, cross, dist2, dot, lattice_coords, lattice_mirror,
-                       lattice_norm2, lattice_vectors_of_norm2, node)
-from .solver import ColoringProblem, UnprovedRuleError
+from .geometry import (Point, cross, dist2, dot, lattice_coords, lattice_norm2,
+                       lattice_vectors_of_norm2, node)
+from .solver import AUX_PREFIX, ColoringProblem, UnprovedRuleError
 
 # rule identifiers
 RED_L2_FORBIDDEN = "RED_L2_FORBIDDEN"
@@ -37,10 +37,11 @@ class Configuration:
         self.points: list[Point] = []
         self.index: dict[str, int] = {}
         self.point_index: dict[Point, int] = {}
-        self.aliases: dict[str, str] = {}
         for name, pt in entries:
             if " " in name:
                 raise ValueError(f"node name may not contain spaces: {name!r}")
+            if name.startswith(AUX_PREFIX):
+                raise ValueError(f"node name may not start with {AUX_PREFIX!r}: {name!r}")
             if name in self.index:
                 raise ValueError(f"duplicate node name {name!r}")
             existing = self.point_index.get(pt)
@@ -51,8 +52,7 @@ class Configuration:
                 self.point_index[pt] = idx
                 self.index[name] = idx
             else:
-                self.aliases[name] = self.names[existing]
-                self.index[name] = existing
+                self.index[name] = existing  # an alias of names[existing]
         self._cache: dict = {}
 
     def __len__(self) -> int:
@@ -74,11 +74,12 @@ class Configuration:
         return self.names[self.point_index[pt]]
 
     def restrict(self, keep: Iterable[str]) -> "Configuration":
-        """Induced sub-configuration on the given nodes (insertion order kept)."""
-        keep_idx = sorted({self.index_of(n) for n in keep})
-        aliases = [a for a in self.aliases if self.index[a] in keep_idx]
-        return Configuration([(self.names[i], self.points[i]) for i in keep_idx]
-                             + [(a, self.point_of(a)) for a in aliases])
+        """Induced sub-configuration on the given nodes (insertion order
+        kept).  `index` lists each primary name before its aliases, so the
+        primaries stay primaries."""
+        keep_idx = {self.index_of(n) for n in keep}
+        return Configuration([(name, self.points[i]) for name, i in self.index.items()
+                              if i in keep_idx])
 
     # -- lattice index and pair search ---------------------------------------
 
@@ -279,32 +280,16 @@ def _rigid_maps(src0: Point, src1: Point, dst0: Point, dst1: Point):
     return apply
 
 
-def _lattice_maps(src0: tuple[int, int], src1: tuple[int, int],
-                  dst0: tuple[int, int], dst1: tuple[int, int]):
-    """_rigid_maps in Eisenstein integers, node(a, b) being a + b*w with
-    w = e2 = e^(i*pi/3).
+def _placements(shape: Sequence[Point], i0: int, j0: int):
+    """place(dst0, dst1): the images of the direct shape and of its mirror
+    across the x axis under the rigid maps sending points i0 and j0 to
+    dst0 and dst1, in that order."""
+    variants = (shape, [Point(p.x, -p.y) for p in shape])
 
-    With u = src1 - src0 and v = dst1 - dst0 of equal norm N(u), the
-    direct map is z -> dst0 + (z - src0) * v * conj(u) / N(u), where
-    w^2 = w - 1, conj(a + b*w) = (a + b) - b*w and N(a + b*w) =
-    a^2 + ab + b^2.  Everything but the division is integer arithmetic;
-    the image is a node exactly when N(u) divides both of its
-    coordinates, and otherwise the map returns None.
-    """
-    ua, ub = src1[0] - src0[0], src1[1] - src0[1]
-    va, vb = dst1[0] - dst0[0], dst1[1] - dst0[1]
-    n = lattice_norm2(ua, ub)
-    ca, cb = ua + ub, -ub
-    wa, wb = va * ca - vb * cb, va * cb + vb * ca + vb * cb
-    (s0a, s0b), (d0a, d0b) = src0, dst0
+    def place(dst0: Point, dst1: Point) -> list[list[Point]]:
+        return [list(map(_rigid_maps(s[i0], s[j0], dst0, dst1), s)) for s in variants]
 
-    def apply(z: tuple[int, int]) -> Optional[tuple[int, int]]:
-        za, zb = z[0] - s0a, z[1] - s0b
-        qa, ra = divmod(za * wa - zb * wb, n)
-        qb, rb = divmod(za * wb + zb * wa + zb * wb, n)
-        return None if ra or rb else (d0a + qa, d0b + qb)
-
-    return apply
+    return place
 
 
 # template lattice coordinates -> {anchor vector v: (direct, mirrored) offsets}
@@ -313,25 +298,26 @@ _OFFSET_TABLES: dict[tuple[tuple[int, int], ...], dict] = {}
 
 def _offset_table(coords: tuple[tuple[int, int], ...], i0: int, j0: int,
                   best_d: int) -> dict:
-    """For each lattice vector v of norm best_d, where the direct and the
-    mirrored template land when points i0 and j0 go to (0, 0) and v; an
-    entry is None when some image is not a node.
+    """For each lattice vector v of norm best_d, the lattice coordinates
+    of the direct and the mirrored template placed by _placements with
+    points i0 and j0 sent to node(0, 0) and node(*v); an entry is None
+    when some image is not a node.
 
-    _lattice_maps is translation-invariant (its image is dst0 plus a term
-    that depends only on dst1 - dst0), so adding dst0 to these offsets
-    gives exactly its images for the anchor pair (dst0, dst0 + v).  Built
+    A rigid map is dst0 plus a term that depends only on dst1 - dst0, and
+    node() is additive, so adding the coordinates of dst0 to these offsets
+    gives exactly the images for the anchor pair (dst0, dst0 + v).  Built
     on the first match of the template and kept.
     """
     table = _OFFSET_TABLES.get(coords)
     if table is None:
-        variants = (coords, [lattice_mirror(a, b) for a, b in coords])
+        place = _placements([node(a, b) for a, b in coords], i0, j0)
+        origin = node(0, 0)
         table = {}
         for v in lattice_vectors_of_norm2(best_d):
             entry = []
-            for shape in variants:
-                mapped = _lattice_maps(shape[i0], shape[j0], (0, 0), v)
-                image = [mapped(p) for p in shape]
-                entry.append(None if None in image else image)
+            for image in place(origin, node(*v)):
+                offsets = [lattice_coords(p) for p in image]
+                entry.append(None if None in offsets else offsets)
             table[v] = tuple(entry)
         _OFFSET_TABLES[coords] = table
     return table
@@ -350,23 +336,17 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     lands on nodes.  Every returned embedding passes a pair-by-pair check:
     template points i and j are exactly as far apart as their images.
 
-    When the configuration and the template are all lattice nodes,
-    placement reads a per-template offset table (_offset_table) built
-    from _lattice_maps in Eisenstein integers: the mirror across the e1
-    axis is complex conjugation, (a, b) -> (a + b, -b), and squared
+    Placement uses the exact rigid maps of _placements.  When the
+    configuration and the template are all lattice nodes, it reads them
+    from a per-template offset table (_offset_table) instead, and squared
     distances are integer norms.  An image that is not a node cannot be
-    in the configuration, so dropping it loses no embedding.  Otherwise
-    each placement solves its rigid maps exactly (_rigid_maps).
+    in the configuration, so dropping it loses no embedding.
     """
     m = len(tpl.points)
     if m < 2:
         raise ValueError("template needs at least 2 points")
     if len(cfg) < m:
         return []
-    cache_key = ("match", tpl.id)
-    cached = cfg._cache.get(cache_key)
-    if cached is not None:
-        return cached
     lattice = cfg.lattice()
     tpl_coords = tuple(lattice_coords(p) for p in tpl.points)
     exact = lattice is None or None in tpl_coords
@@ -376,11 +356,10 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
 
     if exact:
         pts, get = cfg.points, cfg.point_index.get
-        variants = (shape, [Point(p.x, -p.y) for p in shape])
+        images = _placements(shape, i0, j0)
 
         def place(dst0, dst1):
-            return [[get(p) for p in map(_rigid_maps(s[i0], s[j0], dst0, dst1), s)]
-                    for s in variants]
+            return [[get(p) for p in image] for image in images(dst0, dst1)]
     else:
         pts, get = lattice[0], lattice[1].get
         table = _offset_table(tpl_coords, i0, j0, best_d)
@@ -413,9 +392,7 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
                             f"embedding of {tpl.id} failed the distance check at ({i}, {j})")
                 out.append(key)
     names = cfg.names
-    result = [tuple([names[i] for i in emb]) for emb in out]
-    cfg._cache[cache_key] = result
-    return result
+    return [tuple([names[i] for i in emb]) for emb in out]
 
 
 def placement_count(cfg: Configuration, tpl: Template, names: Sequence[str],
@@ -524,9 +501,7 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     if rules.existential is not None and not rules.existential.proved:
         raise UnprovedRuleError(f"derived rule {T3_TO_T6_SCHEMA} has not been established")
 
-    n = len(cfg)
     names = list(cfg.names)
-    is_aux = [False] * n
     clauses: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
 
@@ -557,15 +532,13 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
             candidates = template_extensions("T3", "T6", pts)
             tag = ",".join(anchor)
             allred = len(names) + 1
-            names.append(f"aux:allred:{tag}")
-            is_aux.append(True)
+            names.append(f"{AUX_PREFIX}allred:{tag}")
             tri = [cfg.index_of(nm) + 1 for nm in anchor]
             add((allred, -tri[0], -tri[1], -tri[2]))
             sel_vars = []
             for ci, cand in enumerate(candidates):
                 sv = len(names) + 1
-                names.append(f"aux:sel:{tag}:{ci}")
-                is_aux.append(True)
+                names.append(f"{AUX_PREFIX}sel:{tag}:{ci}")
                 sel_vars.append(sv)
                 for p in cand:
                     k = cfg.point_index.get(p)
@@ -585,11 +558,9 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     for idx in sorted(pinned):
         add((idx + 1,) if pinned[idx] == "red" else (-(idx + 1),))
 
-    name_to_var = {nm: i + 1 for i, nm in enumerate(names)}
-    for alias, primary in cfg.aliases.items():
-        name_to_var[alias] = cfg.index[primary] + 1
-    return ColoringProblem(var_count=len(names), clauses=clauses, names=names,
-                           is_aux=is_aux, name_to_var=name_to_var)
+    name_to_var = ({nm: i + 1 for i, nm in enumerate(names)}
+                   | {nm: i + 1 for nm, i in cfg.index.items()})
+    return ColoringProblem(clauses=clauses, names=names, name_to_var=name_to_var)
 
 
 # ---------------------------------------------------------------------------

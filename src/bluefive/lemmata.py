@@ -112,10 +112,8 @@ class Stage:
         if cut not in self._problems:
             clauses = ([c for c in base.clauses if not any(abs(l) in cut for l in c)]
                        if cut else list(base.clauses))
-            self._problems[cut] = (
-                ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
-                                is_aux=base.is_aux, name_to_var=base.name_to_var),
-                {c for c in clauses if len(c) == 1})
+            self._problems[cut] = (replace(base, clauses=clauses),
+                                   {c for c in clauses if len(c) == 1})
         problem, units = self._problems[cut]
         for name, colour in self.accumulated.items():
             v = base.name_to_var[self.cfg.primary(name)]

@@ -25,7 +25,7 @@ over the decision order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +35,8 @@ FREE = "Free"
 INCONSISTENT = "Inconsistent"
 
 BRUTE_FORCE_MAX_FREE = 25
+
+AUX_PREFIX = "aux:"  # names of auxiliary variables, which are not nodes
 
 
 class CertificateError(Exception):
@@ -49,21 +51,22 @@ class UnprovedRuleError(Exception):
 class ColoringProblem:
     """CNF over one boolean per node (true = red) plus optional auxiliaries.
 
-    `clauses` only grows, through `add_clause`: the learning engine that
-    untraced searches keep reads each clause once.
+    Variable v is named `names[v - 1]`; an auxiliary's name starts with
+    AUX_PREFIX.  `clauses` only grows, through `add_clause`: the learning
+    engine that untraced searches keep reads each clause once.
     """
 
-    var_count: int
     clauses: list[tuple[int, ...]]
     names: list[str]
-    is_aux: list[bool]
     name_to_var: dict[str, int]
     _engine: Optional[_Engine] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.names) != self.var_count or len(self.is_aux) != self.var_count:
-            raise ValueError("names/is_aux must cover every variable")
         self._check_literals(self.clauses)
+
+    @property
+    def var_count(self) -> int:
+        return len(self.names)
 
     def _check_literals(self, clauses: Sequence[Sequence[int]]) -> None:
         nv = self.var_count
@@ -84,7 +87,7 @@ class ColoringProblem:
             var = self.name_to_var[name]
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
-        if self.is_aux[var - 1]:
+        if name.startswith(AUX_PREFIX):
             raise ValueError(f"{name!r} is an auxiliary variable, not a node")
         return var
 
@@ -120,7 +123,6 @@ class _Engine:
         self.lvl = [0] * (2 * var_count + 1)
         self.trail: list[int] = []
         self.lim: list[int] = []          # trail position of each decision level
-        self.flipped: list[bool] = []
         self.qhead = 0
         self.trace = trace
         self.clauses: list[list[int]] = []
@@ -179,10 +181,7 @@ class _Engine:
             if any(val[lit] == 1 for lit in lits):
                 continue
             if len(lits) > 1:
-                cid = len(self.clauses)
-                self.clauses.append(lits)
-                self.watch[lits[0]].append(cid)
-                self.watch[lits[1]].append(cid)
+                self._attach(lits)
             elif lits:
                 self._assign(lits[0])
             else:
@@ -193,6 +192,14 @@ class _Engine:
         return not self.unsat
 
     # ------------------------------------------------------------------
+
+    def _attach(self, lits: list[int]) -> int:
+        """Store a clause of 2+ literals, watched on its first two; return its id."""
+        cid = len(self.clauses)
+        self.clauses.append(lits)
+        self.watch[lits[0]].append(cid)
+        self.watch[lits[1]].append(cid)
+        return cid
 
     def _assign(self, lit: int) -> None:
         self.val[lit] = 1
@@ -262,7 +269,6 @@ class _Engine:
         """Open a decision level that assigns `lit`; the level stays empty
         when `lit` is already true."""
         self.lim.append(len(self.trail))
-        self.flipped.append(False)
         if self.val[lit] == 0:
             self._assign(lit)
             if self.trace is not None:
@@ -277,31 +283,24 @@ class _Engine:
                 val[lit] = val[-lit] = 0
             del self.trail[dpos:]
             del self.lim[level:]
-            del self.flipped[level:]
             self.qhead = dpos
 
     def backtrack(self) -> bool:
         """Chronological backtrack: flip the deepest unflipped decision.
 
-        Returns False when the tree is exhausted.
+        Only the traced search backtracks, and it decides positive
+        literals only, so a level is flipped exactly when its decision
+        literal is negative.  Returns False when the tree is exhausted.
         """
-        val = self.val
-        trail = self.trail
         while self.lim:
-            dpos = self.lim[-1]
-            dlit = trail[dpos]
-            for lit in trail[dpos:]:
-                val[lit] = val[-lit] = 0
-            del trail[dpos:]
-            self.qhead = dpos
-            if not self.flipped[-1]:
-                self.flipped[-1] = True
+            dlit = self.trail[self.lim[-1]]
+            self.cancel(len(self.lim) - 1)
+            if dlit > 0:
+                self.lim.append(len(self.trail))
                 self._assign(-dlit)
                 if self.trace is not None:
                     self.trace.append(("flip", -dlit))
                 return True
-            self.lim.pop()
-            self.flipped.pop()
         return False
 
     def learn(self, conflict: int) -> bool:
@@ -359,11 +358,7 @@ class _Engine:
         self.cancel(back)
         self._assign(-p)
         if len(learnt) > 1:
-            cid = len(clauses)
-            clauses.append(learnt)
-            self.watch[learnt[0]].append(cid)
-            self.watch[learnt[1]].append(cid)
-            reason[-p] = cid
+            reason[-p] = self._attach(learnt)
         return True
 
     def next_var(self, order: Sequence[int]) -> Optional[int]:
@@ -499,8 +494,7 @@ def enumerate_models(problem: ColoringProblem, cap: int,
     order = proj_vars + [v for v in range(1, problem.var_count + 1) if v not in proj_set]
     # a problem of its own: blocking clauses do not follow from the
     # problem's, so they must not reach its learning engine
-    blocked = ColoringProblem(problem.var_count, list(problem.clauses), problem.names,
-                              problem.is_aux, problem.name_to_var)
+    blocked = replace(problem, clauses=list(problem.clauses))
     models: list[tuple[bool, ...]] = []
     while len(models) < cap:
         full = _first_model(blocked, (), order, None)
@@ -654,8 +648,7 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
             names[idx - 1] = name
     if len(set(names)) != var_count:
         raise ValueError("variable map gives two variables the same name")
-    is_aux = [n.startswith("aux:") for n in names]
-    return ColoringProblem(var_count=var_count, clauses=clauses, names=names, is_aux=is_aux,
+    return ColoringProblem(clauses=clauses, names=names,
                            name_to_var={n: i + 1 for i, n in enumerate(names)})
 
 

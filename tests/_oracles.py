@@ -14,6 +14,7 @@ it kept one problem per exclude set.
 """
 
 from collections import Counter
+from dataclasses import replace
 from typing import Iterator, Optional, Sequence
 
 from bluefive.field import FieldElement
@@ -332,5 +333,4 @@ def reference_stage_problem(stage, exclude: Sequence[str] = ()) -> ColoringProbl
         if (lit,) not in units:
             units.add((lit,))
             clauses.append((lit,))
-    return ColoringProblem(var_count=base.var_count, clauses=clauses, names=base.names,
-                           is_aux=base.is_aux, name_to_var=base.name_to_var)
+    return replace(base, clauses=clauses)

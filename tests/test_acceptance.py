@@ -78,8 +78,7 @@ def test_criterion_2_solver_oracle_equivalence():
             vs = rng.sample(range(1, nvars + 1), min(width, nvars))
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         names = [f"v{i}" for i in range(1, nvars + 1)]
-        problem = ColoringProblem(nvars, clauses, names, [False] * nvars,
-                                  {n: i + 1 for i, n in enumerate(names)})
+        problem = ColoringProblem(clauses, names, {n: i + 1 for i, n in enumerate(names)})
         fast, slow = solve(problem), brute_force(problem)
         checked += 1
         if fast.kind != slow.kind:

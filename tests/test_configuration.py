@@ -33,6 +33,26 @@ def test_duplicate_name_rejected():
         Configuration([("a", node(0, 0)), ("a", node(1, 0))])
 
 
+def test_auxiliary_prefix_is_not_a_node_name():
+    """Solver problems read a name starting with aux: as an auxiliary
+    variable, so a node may not take one, as a primary or as an alias."""
+    for entries in ([("aux:x", node(0, 0))],
+                    [("a", node(0, 0)), ("aux:x", node(0, 0))]):
+        with pytest.raises(ValueError, match="may not start with 'aux:'"):
+            Configuration(entries)
+
+
+def test_restrict_keeps_primaries_and_aliases():
+    cfg = Configuration([("a", node(0, 0)), ("b", node(1, 0)), ("twin", node(0, 0)),
+                         ("c", node(2, 0)), ("c2", node(2, 0))])
+    sub = cfg.restrict(["c2", "twin"])
+    assert sub.names == ["a", "c"]
+    assert sub.index == {"a": 0, "twin": 0, "c": 1, "c2": 1}
+    problem = emit_clauses(sub, RuleSet(), {})
+    assert problem.names == ["a", "c"]
+    assert problem.name_to_var == {"a": 1, "c": 2, "twin": 1, "c2": 2}
+
+
 def test_patch_plus_turned_copy_shares_only_centre():
     rot = chord_rotation(node(0, 0), 1)
     entries = [(f"p{i}", node(a, b)) for i, (a, b) in enumerate(hex_indices(2))]
@@ -112,6 +132,17 @@ def test_integer_path_agrees_with_exact_path():
     table = configuration._OFFSET_TABLES[tuple(lattice_coords(p) for p in N7.points)]
     assert len(table) == 12
     assert sum(offsets is None for entry in table.values() for offsets in entry) == 12
+
+
+def test_matches_of_two_templates_with_one_id_are_not_shared():
+    """Matching is not cached by template id: a second template with the
+    same id but another shape gets its own embeddings."""
+    t3, t7 = template("T3"), template("T7")
+    fresh = len(match_template(_lattice_cfg(hex_indices(3)), t7))
+    assert fresh == 36
+    patch = _lattice_cfg(hex_indices(3))
+    assert len(match_template(patch, Template("X", t3.points))) == 228
+    assert len(match_template(patch, Template("X", t7.points))) == fresh
 
 
 def test_distance_check_rejects_a_wrong_offset_table(monkeypatch):

@@ -171,6 +171,7 @@ _ORIGIN = {"name": "A", "x": ["0", "0", "0", "0"], "y": ["0", "0", "0", "0"]}
     ({"points": [], "rules": [{"rule": "T3_TO_T6_SCHEMA"}]}, "'anchors' must be a JSON array"),
     ({"points": [], "rules": [{"rule": "T3_TO_T6_SCHEMA", "anchors": []}]},
      "needs at least one anchor"),
+    ({"points": [dict(_ORIGIN, name="aux:x")]}, "may not start with 'aux:'"),
 ])
 def test_cli_oracle_rejects_wrongly_typed_instances(tmp_path, capsys, instance, message):
     path = tmp_path / "bad.json"

@@ -16,10 +16,8 @@ from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
 
 def _problem(nvars, clauses):
     names = [f"v{i}" for i in range(1, nvars + 1)]
-    return ColoringProblem(
-        var_count=nvars, clauses=[tuple(c) for c in clauses],
-        names=names, is_aux=[False] * nvars,
-        name_to_var={n: i + 1 for i, n in enumerate(names)})
+    return ColoringProblem(clauses=[tuple(c) for c in clauses], names=names,
+                           name_to_var={n: i + 1 for i, n in enumerate(names)})
 
 
 @pytest.mark.parametrize("clauses, message", [
@@ -35,14 +33,6 @@ def test_problem_rejects_undeclared_literals(clauses, message):
         for clause in clauses:
             problem.add_clause(clause)
     assert all(0 < abs(lit) <= 2 for c in problem.clauses for lit in c)  # the bad one is not added
-
-
-def test_problem_rejects_names_or_flags_of_the_wrong_length():
-    for names, is_aux in ((["a"], [False, False]), (["a", "b"], [False]),
-                          (["a", "b", "c"], [False] * 3)):
-        with pytest.raises(ValueError, match="must cover every variable"):
-            ColoringProblem(var_count=2, clauses=[(1, -2)], names=names, is_aux=is_aux,
-                            name_to_var={n: i + 1 for i, n in enumerate(names)})
 
 
 def test_empty_problem_is_sat():
@@ -87,10 +77,9 @@ def test_forced_color_on_empty_problem():
 
 
 def test_forced_color_rejects_aux():
-    p = _problem(2, [])
-    p.is_aux[1] = True
-    with pytest.raises(ValueError):
-        forced_color(p, "v2")
+    p = ColoringProblem(clauses=[], names=["v1", "aux:v2"], name_to_var={"v1": 1, "aux:v2": 2})
+    with pytest.raises(ValueError, match="auxiliary"):
+        forced_color(p, "aux:v2")
 
 
 def test_forced_color_statuses():
