@@ -43,30 +43,16 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def coord_key(self):
-        """Sort key realising the exact coordinate order (x first, then y)."""
-        return _OrderKey(self)
+    def coord_key(self) -> tuple[FieldElement, FieldElement]:
+        """Sort key for the exact coordinate order: FieldElement compares
+        exactly, and a tuple compares x first, then y."""
+        return (self.x, self.y)
 
     def serialize(self) -> dict:
         return {"x": self.x.serialize(), "y": self.y.serialize()}
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
-
-
-class _OrderKey:
-    __slots__ = ("p",)
-
-    def __init__(self, p: Point) -> None:
-        self.p = p
-
-    def __lt__(self, other: "_OrderKey") -> bool:
-        if self.p.x != other.p.x:
-            return self.p.x < other.p.x
-        return self.p.y < other.p.y
-
-    def __eq__(self, other) -> bool:
-        return self.p == other.p
 
 
 def point(x, y) -> Point:

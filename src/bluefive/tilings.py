@@ -5,16 +5,19 @@ coordinates (a, b): a red cluster translated by an integer sublattice.
 Pattern A repeats a six-point cluster over 5Z x 5Z; pattern B colours a
 single index-5 sublattice red.  Checking a node is integer linear
 algebra, so the distance-5 invariance facts reduce to lattice membership.
+Validity on a hex patch is counted with configuration's own searches: red
+pairs among pairs_with_dist2(ONE) and all-blue runs among ell_chains(cfg, 5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .geometry import hex_indices, lattice_vectors_of_norm2
+from .configuration import Configuration, ell_chains
+from .field import ONE
+from .geometry import hex_indices, lattice_vectors_of_norm2, node
 
-UNIT_OFFSETS = ((1, 0), (0, 1), (1, -1))  # one representative per unit direction
 WITNESS_CAP = 5  # defects of each type listed in a pattern report
 
 
@@ -76,57 +79,42 @@ PATTERNS = {"A": PATTERN_A, "B": PATTERN_B}
 
 @dataclass
 class PatternReport:
-    coloring_id: str
+    coloring: str
     radius: int
     red_unit_pairs: int
     blue_chains: int
-    pair_witnesses: list = field(default_factory=list)
-    chain_witnesses: list = field(default_factory=list)
-    periodicity_certified: bool = False
+    pair_witnesses: list
+    chain_witnesses: list
+    periodicity_certified: bool
 
     @property
     def ok(self) -> bool:
         return self.red_unit_pairs == 0 and self.blue_chains == 0
 
     def to_json(self) -> dict:
-        return {
-            "coloring": self.coloring_id,
-            "radius": self.radius,
-            "red_unit_pairs": self.red_unit_pairs,
-            "blue_chains": self.blue_chains,
-            "pair_witnesses": self.pair_witnesses,
-            "chain_witnesses": self.chain_witnesses,
-            "periodicity_certified": self.periodicity_certified,
-            "ok": self.ok,
-        }
+        return asdict(self) | {"ok": self.ok}
 
 
 def validate_pattern(coloring: PeriodicColoring, radius: int) -> PatternReport:
     """Count red unit pairs and all-blue unit 5-chains on the hex patch.
 
     Both defect types span at most 4 lattice steps, so a clean patch of
-    radius >= period + 5 certifies the infinite colouring.
+    radius >= period + 5 certifies the infinite colouring.  Witnesses are
+    lattice coordinates, listed in the order the searches return them.
     """
     if radius < 5:
         raise ValueError("radius must be >= 5 for pattern validation")
-    red = {}
-    for a, b in hex_indices(radius):
-        red[(a, b)] = coloring.is_red(a, b)
-    report = PatternReport(coloring.id, radius, 0, 0)
-    for (a, b), is_r in red.items():
-        for da, db in UNIT_OFFSETS:
-            if is_r and red.get((a + da, b + db)):
-                report.red_unit_pairs += 1
-                if len(report.pair_witnesses) < WITNESS_CAP:
-                    report.pair_witnesses.append([[a, b], [a + da, b + db]])
-        for da, db in UNIT_OFFSETS:
-            cells = [(a + t * da, b + t * db) for t in range(5)]
-            if all(c in red for c in cells) and not any(red[c] for c in cells):
-                report.blue_chains += 1
-                if len(report.chain_witnesses) < WITNESS_CAP:
-                    report.chain_witnesses.append([list(c) for c in cells])
-    report.periodicity_certified = radius >= coloring.period() + 5
-    return report
+    cells = hex_indices(radius)
+    cfg = Configuration((f"{a},{b}", node(a, b)) for a, b in cells)
+    red = [coloring.is_red(a, b) for a, b in cells]
+    pairs = [[list(cells[i]), list(cells[j])] for i, j in cfg.pairs_with_dist2(ONE)
+             if red[i] and red[j]]
+    index = cfg.index
+    chains = [[list(cells[index[name]]) for name in chain] for chain in ell_chains(cfg, 5)
+              if not any(red[index[name]] for name in chain)]
+    return PatternReport(coloring.id, radius, len(pairs), len(chains),
+                         pairs[:WITNESS_CAP], chains[:WITNESS_CAP],
+                         radius >= coloring.period() + 5)
 
 
 def distance5_invariance(coloring: PeriodicColoring) -> bool:

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import pytest
 
 from bluefive.field import ONE, SQRT3, fe
-from bluefive.geometry import (chord_rotation, collinear, dist2, hex_indices,
+from bluefive.figures import FIGURE_IDS, load_figure
+from bluefive.geometry import (Point, chord_rotation, collinear, dist2, hex_indices,
                                lattice_coords, lattice_norm2,
                                lattice_vectors_of_norm2, node, point, reflection,
                                rotation, rotation60)
@@ -136,3 +138,18 @@ def test_lattice_vectors_of_norm2_against_wide_scan():
         assert lattice_vectors_of_norm2(n) == want, n
     assert len(lattice_vectors_of_norm2(48)) == 6
     assert len(lattice_vectors_of_norm2(7)) == 12
+
+
+def test_coord_key_is_the_float_order_on_shipped_points():
+    pts = {node(a, b) for a, b in hex_indices(6)}
+    for fid in FIGURE_IDS:
+        pts |= set(load_figure(fid).cfg.points)
+    pts = list(pts)
+    # the floats separate every pair the exact order separates
+    for p, q in combinations(pts, 2):
+        if p.x != q.x:
+            assert abs(float(p.x) - float(q.x)) > 1e-9
+        else:
+            assert abs(float(p.y) - float(q.y)) > 1e-9
+    assert (sorted(pts, key=Point.coord_key)
+            == sorted(pts, key=lambda p: (float(p.x), float(p.y))))

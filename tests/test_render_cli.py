@@ -145,6 +145,21 @@ def test_cli_coloring_validate(tmp_path):
     assert main(["coloring", "validate", "B", "--radius", "4"]) == 2
 
 
+# sha256 of the file `coloring validate P --radius 12 --json` writes
+COLORING_JSON_SHA256 = {
+    "A": "f914369c38ee6e0031dc7f5a2b5f6c09a376fdaf2b7481f662a0054572898dcb",
+    "B": "78813709e1800cd74c70519fd1e56177b631f331157f29639abf4dc9c117dd66",
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(COLORING_JSON_SHA256))
+def test_coloring_validate_bytes_unchanged(tmp_path, pattern):
+    report = tmp_path / f"{pattern}.json"
+    assert main(["coloring", "validate", pattern, "--radius", "12",
+                 "--json", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == COLORING_JSON_SHA256[pattern]
+
+
 def test_cli_oracle_rejects_bad_instances(tmp_path, capsys):
     origin = {"name": "A", "x": ["0", "0", "0", "0"], "y": ["0", "0", "0", "0"]}
     unknown = tmp_path / "unknown.json"

@@ -1,10 +1,15 @@
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import pytest
 
-from bluefive.geometry import hex_indices, lattice_norm2, lattice_vectors_of_norm2
-from bluefive.tilings import (PATTERN_A, PATTERN_B, PeriodicColoring,
+from _oracles import chain_sets_brute
+from bluefive.configuration import Configuration
+from bluefive.field import ONE
+from bluefive.geometry import (dist2, hex_indices, lattice_norm2, lattice_vectors_of_norm2,
+                               node)
+from bluefive.tilings import (PATTERN_A, PATTERN_B, WITNESS_CAP, PeriodicColoring,
                               distance5_invariance, validate_pattern)
 
 
@@ -18,10 +23,10 @@ class FlippedColoring(PeriodicColoring):
         return super().is_red(a, b) != ((a, b) in self.flipped)
 
 
-def flip(coloring: PeriodicColoring, node: tuple[int, int]) -> FlippedColoring:
-    """The colouring with one node's colour inverted: an injected fault."""
+def flip(coloring: PeriodicColoring, *nodes: tuple[int, int]) -> FlippedColoring:
+    """The colouring with the given nodes' colours inverted: an injected fault."""
     return FlippedColoring(coloring.id + "+flip", coloring.cluster,
-                           coloring.gen1, coloring.gen2, frozenset([node]))
+                           coloring.gen1, coloring.gen2, frozenset(nodes))
 
 
 def color_of(coloring: PeriodicColoring, node: tuple[int, int]) -> str:
@@ -100,6 +105,55 @@ def test_injected_fault_is_located():
     assert report.pair_witnesses
     a, b = report.pair_witnesses[0]
     assert bad.is_red(*a) and bad.is_red(*b)
+
+
+@lru_cache(maxsize=None)
+def brute_defect_sites(radius: int):
+    """The unit pairs of the hex patch by exhaustive exact scan, and its
+    unit 5-chains by the oracle's subset growth, as sets of lattice cells."""
+    cells = hex_indices(radius)
+    cfg = Configuration((f"{a},{b}", node(a, b)) for a, b in cells)
+    cell_of = dict(zip(cfg.names, cells))
+    pts = cfg.points
+    pairs = {frozenset([cells[i], cells[j]]) for i in range(len(pts))
+             for j in range(i + 1, len(pts)) if dist2(pts[i], pts[j]) == ONE}
+    chains = {frozenset(cell_of[name] for name in chain) for chain in chain_sets_brute(cfg, 5)}
+    return pairs, chains
+
+
+# (pattern, flipped nodes, {radius: (red unit pairs, blue chains)})
+FAULT_CASES = [
+    (PATTERN_A, [(0, 0)], {5: (0, 10), 8: (0, 10)}),
+    (PATTERN_A, [(1, 0)], {5: (3, 0), 8: (3, 0)}),
+    (PATTERN_B, [(0, 0), (2, -1), (3, 0)], {5: (3, 13), 8: (3, 13)}),
+    (PATTERN_B, [(1, 1), (5, 0)], {5: (1, 3), 8: (1, 12)}),
+]
+
+
+@pytest.mark.parametrize("radius", [5, 8])
+@pytest.mark.parametrize("pattern, nodes, counts", FAULT_CASES,
+                         ids=["A-origin", "A-10", "B-three", "B-two"])
+def test_pattern_defects_against_brute_force(pattern, nodes, counts, radius):
+    bad = flip(pattern, *nodes)
+    report = validate_pattern(bad, radius)
+    pairs, chains = brute_defect_sites(radius)
+    red = {cell: bad.is_red(*cell) for cell in hex_indices(radius)}
+    red_pairs = {pair for pair in pairs if all(red[c] for c in pair)}
+    blue_chains = {chain for chain in chains if not any(red[c] for c in chain)}
+    assert (report.red_unit_pairs, report.blue_chains) == (len(red_pairs), len(blue_chains))
+    assert (len(red_pairs), len(blue_chains)) == counts[radius]
+    assert not report.ok
+
+    # every witness is a distinct real defect, listed up to the cap
+    pair_sites = [frozenset(map(tuple, w)) for w in report.pair_witnesses]
+    assert len(pair_sites) == len(set(pair_sites)) == min(len(red_pairs), WITNESS_CAP)
+    assert set(pair_sites) <= red_pairs
+    chain_sites = [frozenset(map(tuple, w)) for w in report.chain_witnesses]
+    assert len(chain_sites) == len(set(chain_sites)) == min(len(blue_chains), WITNESS_CAP)
+    assert set(chain_sites) <= blue_chains
+    for run in report.chain_witnesses:  # listed in order along the line
+        steps = {(q[0] - p[0], q[1] - p[1]) for p, q in zip(run, run[1:])}
+        assert len(steps) == 1 and lattice_norm2(*steps.pop()) == 1
 
 
 def test_distance5_invariance():
