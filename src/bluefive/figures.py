@@ -7,9 +7,11 @@ coordinates.  Besides blue unit pairs there are four claim sections:
 squared distances (`dist2`), turned or mirrored images (`images`),
 five-chains (`ell5`) and template placements (`patterns`), each decided
 by one checker in CLAIM_CHECKS.  A claim with an "id" is also the sole
-statement of the verification obligation of that id, which the same
-checker decides.  The registries double as ready-to-run instance files
-for the oracle command.
+statement of the verification obligation of that id.  `self_check`
+decides each claim once per run: it lists a failing claim, and returns
+every decision by id, which the obligation of that id reports under the
+kind its section maps to in CLAIM_KINDS.  The registries double as
+ready-to-run instance files for the oracle command.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Sequence
 
 from .configuration import (Configuration, RuleSet, instance_from_json, is_unit_chain,
                             placement_count, template)
@@ -91,24 +94,32 @@ def _check_placement(cfg: Configuration, claim: dict):
 # obligation reports and a failure message, or a false value when it holds.
 CLAIM_CHECKS = {"dist2": _check_dist2, "images": _check_image,
                 "ell5": _check_chain, "patterns": _check_placement}
+# The obligation kind each claim section reports.
+CLAIM_KINDS = {"dist2": "GEOM_IDENTITY", "images": "GEOM_IDENTITY",
+               "ell5": "CHAIN_CLAIM", "patterns": "PATTERN_PRESENT"}
 
 
-def self_check(figure: Figure) -> list[str]:
-    """Verify every named claim against the exact coordinates.
+def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tuple]]]:
+    """Verify every named claim of the figures against their exact coordinates.
 
-    Returns a list of human-readable failures; empty means the
-    transcription is internally consistent.
+    Returns the human-readable failures (none when every transcription is
+    consistent) and, per claim id, the (kind, detail, failure) of each claim.
     """
-    cfg = figure.cfg
     problems: list[str] = []
-    for blue_name, red_name in figure.claims.get("blue_unit", ()):
-        if dist2(cfg.point_of(blue_name), cfg.point_of(red_name)) != ONE:
-            problems.append(f"{figure.id}: {blue_name} is not at unit distance from {red_name}")
-        if figure.colors.get(blue_name, "blue") != "blue":
-            problems.append(f"{figure.id}: {blue_name} is not drawn blue")
-    for section, check in CLAIM_CHECKS.items():
-        for claim in figure.claims.get(section, ()):
-            failure = check(cfg, claim)[1]
-            if failure:
-                problems.append(f"{figure.id}: {failure}")
-    return problems
+    decided: dict[str, list[tuple]] = {}
+    for figure in figures:
+        cfg = figure.cfg
+        for blue_name, red_name in figure.claims.get("blue_unit", ()):
+            if dist2(cfg.point_of(blue_name), cfg.point_of(red_name)) != ONE:
+                problems.append(f"{figure.id}: {blue_name} is not at unit distance from {red_name}")
+            if figure.colors.get(blue_name, "blue") != "blue":
+                problems.append(f"{figure.id}: {blue_name} is not drawn blue")
+        for section, check in CLAIM_CHECKS.items():
+            for claim in figure.claims.get(section, ()):
+                detail, failure = check(cfg, claim)
+                if failure:
+                    problems.append(f"{figure.id}: {failure}")
+                if "id" in claim:
+                    decided.setdefault(claim["id"], []).append(
+                        (CLAIM_KINDS[section], detail, failure))
+    return problems, decided

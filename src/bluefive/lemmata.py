@@ -22,13 +22,12 @@ names its checker in GEOM_CHECKS and passes it arguments.
 
 Squared-distance, image, chain and placement obligations are written as
 CLAIM: the fact lives only in the figure claim that carries the
-obligation's id, the checker of the claim's section in
-figures.CLAIM_CHECKS decides it (the same one the transcription
-self-check runs), and the section decides the reported kind: dist2 and
-images report GEOM_IDENTITY.  Scripts run in dependency
-order; a passing script unlocks its derived rule for the scripts above
-it.  Forced colours accumulate inside a script, mirroring how the
-argument walks point by point.
+obligation's id.  The transcription self-check decides each claim once
+per run and lists it if it fails; the obligation of that id reports that
+decision under the kind of the claim's section (dist2 and images report
+GEOM_IDENTITY).  Scripts run in dependency order; a passing script
+unlocks its derived rule for the scripts above it.  Forced colours
+accumulate inside a script, mirroring how the argument walks point by point.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .configuration import (Configuration, ExtensionSchema, NO_RED_T3, RuleSet,
                             T3_TO_T6_SCHEMA, emit_clauses, instance_from_json,
                             template_extensions)
 from .field import ONE, fe
-from .figures import CLAIM_CHECKS, Figure, load_figure, self_check
+from .figures import Figure, load_figure, self_check
 from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords, lattice_norm2,
                        lattice_symmetries, lattice_vectors_of_norm2, node, point,
                        rotation60)
@@ -53,16 +52,12 @@ from .solver import (ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
 from .tilings import PATTERN_B, PATTERNS, PeriodicColoring, distance5_invariance
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
-CHAIN_CLAIM = "CHAIN_CLAIM"
-PATTERN_PRESENT = "PATTERN_PRESENT"
 FORCED = "FORCED"
 UNSAT = "UNSAT"
 SAT_WITNESS = "SAT_WITNESS"
 # written kind of an obligation stated by a figure claim; reported as the
-# kind of the claim section that holds its id
+# figures.CLAIM_KINDS kind of the claim section that holds its id
 CLAIM = "CLAIM"
-_CLAIM_KINDS = {"dist2": GEOM_IDENTITY, "images": GEOM_IDENTITY,
-                "ell5": CHAIN_CLAIM, "patterns": PATTERN_PRESENT}
 
 # hex radius of the central cells the uniqueness enumeration projects onto
 CENTER_RADIUS = 2
@@ -415,7 +410,7 @@ def _certificate(problem: ColoringProblem, verdicts: dict[str, Verdict],
 
 
 def _run_obligation(ob: Obligation, stages: dict[str, Stage],
-                    figures: Sequence[Figure], options: Options) -> ObligationResult:
+                    decided: dict[str, list[tuple]], options: Options) -> ObligationResult:
     t0 = time.perf_counter()
     emit = options.emit_certificates
     kind = ob.kind
@@ -429,14 +424,11 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
         ok, detail = GEOM_CHECKS[ob.check](cfg, ob.args)
         status = "pass" if ok else "fail"
     elif ob.kind == CLAIM:
-        found = [(section, figure, claim) for figure in figures for section in _CLAIM_KINDS
-                 for claim in figure.claims.get(section, ()) if claim.get("id") == ob.oid]
+        found = decided.get(ob.oid, [])
         if len(found) != 1:
             detail = {"claims_with_id": len(found)}
         else:
-            section, figure, claim = found[0]
-            kind = _CLAIM_KINDS[section]
-            detail, failure = CLAIM_CHECKS[section](figure.cfg, claim)
+            kind, detail, failure = found[0]
             status = "fail" if failure else "pass"
     elif ob.kind == FORCED:
         stage = stages[ob.stage]
@@ -505,19 +497,22 @@ def run_script(script_id: str, options: Optional[Options] = None,
     report = Report(script=script_id, status="passed")
     report.notes = [n for n in TRANSCRIPTION_NOTES if n["applies_to"] == script_id]
 
+    decided: dict[str, list[tuple]] = {}
     if figures:
-        problems = [p for figure in figures for p in self_check(figure)]
+        t1 = time.perf_counter()
+        problems, decided = self_check(figures)
         report.obligations.append(ObligationResult(
             "transcription-self-check", GEOM_IDENTITY,
             "the shipped registry satisfies all of its named facts",
-            "pass" if not problems else "fail", {"failures": problems}))
+            "pass" if not problems else "fail", {"failures": problems},
+            elapsed_ms=(time.perf_counter() - t1) * 1e3))
         if problems:
             report.status = "failed"
 
     rows = OBLIGATIONS[script_id]
     last_row = {ob.stage: i for i, ob in enumerate(rows) if ob.stage is not None}
     for i, ob in enumerate(rows):
-        result = _run_obligation(ob, stages, figures, options)
+        result = _run_obligation(ob, stages, decided, options)
         report.obligations.append(result)
         if result.status != "pass":
             report.status = "failed"

@@ -172,7 +172,7 @@ def test_criterion_5_matching_and_chains_oracle():
 def test_criterion_6_transcription_self_check():
     failures = []
     for fid in FIGURE_IDS:
-        failures += self_check(load_figure(fid))
+        failures += self_check([load_figure(fid)])[0]
     _report(not failures,
             f"criterion 6: all {len(FIGURE_IDS)} registries pass the "
             f"transcription self-check (named blue points, five-chains, "

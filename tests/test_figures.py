@@ -12,7 +12,7 @@ from bluefive.configuration import emit_clauses
 
 def test_all_registries_self_check():
     for fid in FIGURE_IDS:
-        assert self_check(load_figure(fid)) == [], fid
+        assert self_check([load_figure(fid)])[0] == [], fid
 
 
 def test_self_check_reports_bad_claims():
@@ -20,7 +20,7 @@ def test_self_check_reports_bad_claims():
     figure.claims["ell5"].append({"nodes": ["A", "X", "D", "E", "B"]})
     figure.claims["patterns"].append(
         {"template": "EQ3_CENTERED", "nodes": ["O", "A", "B", "C"], "center_last": True})
-    problems = self_check(figure)
+    problems, _ = self_check([figure])
     assert len(problems) == 2
     assert "A-X-D-E-B is not a unit five-chain" in problems[0]
     assert "do not form a EQ3_CENTERED" in problems[1]
@@ -30,7 +30,7 @@ def test_unknown_image_map_kind_rejected():
     figure = load_figure("fig3")
     figure.claims["images"][0]["map"] = ["shear", "B", "C"]
     with pytest.raises(ValueError, match="unknown map kind 'shear'"):
-        self_check(figure)
+        self_check([figure])
 
 
 def test_first_figure_has_ten_nodes():

@@ -6,7 +6,7 @@ import pytest
 import bluefive.lemmata as lemmata
 from _oracles import reference_stage_problem
 from bluefive.configuration import Configuration, RuleSet, emit_clauses
-from bluefive.figures import load_figure
+from bluefive.figures import CLAIM_CHECKS, CLAIM_KINDS, load_figure
 from bluefive.geometry import node
 from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
                               Stage, build_stages, replay_certificate, run_script,
@@ -140,11 +140,25 @@ def test_claim_obligations_resolve_to_one_figure_claim(full_run):
         for section, claim in claims:
             sections[section] += 1
             result = reported[claim["id"]]
-            assert (result.kind, result.status) == (lemmata._CLAIM_KINDS[section], "pass")
+            assert (result.kind, result.status) == (CLAIM_KINDS[section], "pass")
     assert sections == {"dist2": 21, "images": 10, "ell5": 20, "patterns": 25}
     kinds = [o.kind for r in run.reports.values() for o in r.obligations
              if o.kind in ("CHAIN_CLAIM", "PATTERN_PRESENT") and o.status == "pass"]
     assert (kinds.count("CHAIN_CLAIM"), kinds.count("PATTERN_PRESENT")) == (20, 25)
+
+
+def test_each_claim_is_decided_once_per_run(monkeypatch):
+    """The transcription self-check decides every claim of the figures the
+    scripts load, and each CLAIM row reports that decision without
+    deciding it again."""
+    calls = []
+    for section, check in list(CLAIM_CHECKS.items()):
+        def counted(cfg, claim, check=check):
+            calls.append(claim)
+            return check(cfg, claim)
+        monkeypatch.setitem(CLAIM_CHECKS, section, counted)
+    assert verify_all(Options()).ok
+    assert len(calls) == 101
 
 
 def _bluetr_with_edited_chains(monkeypatch, edit):
@@ -269,6 +283,8 @@ def test_script_table_rows_resolve():
         obligations = lemmata.OBLIGATIONS[sid]
         ids = [ob.oid for ob in obligations]
         assert len(set(ids)) == len(ids), sid
+        # write_certificates names each file after its id with ' spelled p
+        assert len({oid.replace("'", "p") for oid in ids}) == len(ids), sid
         for ob in obligations:
             where = (sid, ob.oid)
             assert (ob.check in lemmata.GEOM_CHECKS) == (ob.kind == "GEOM_IDENTITY"), where
