@@ -16,9 +16,9 @@ dependencies, the rules it grants, its transcription notes, its stages
 and one obligation row per line, in dependency order.  A stage is a
 figure registry (its configuration and rules), optionally grown by a hex
 patch of lattice nodes, or a bare patch, or an inline instance in the
-registry format; each also names its fixed premises, and a colouring
-stage names the canonical colouring it carries.  A GEOM_IDENTITY row
-names its checker in GEOM_CHECKS and passes it arguments.
+registry format; each also names its fixed premises.  A SAT_WITNESS row
+names the canonical colouring it checks on its stage, and a GEOM_IDENTITY
+row names its checker in GEOM_CHECKS and passes it arguments.
 
 Squared-distance, image, chain and placement obligations are written as
 CLAIM: the fact lives only in the figure claim that carries the
@@ -49,7 +49,7 @@ from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords, latti
                        rotation60)
 from .solver import (ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
                      enumerate_models, export_dimacs, forced_color, parse_dimacs, solve)
-from .tilings import PATTERN_B, PATTERNS, PeriodicColoring, distance5_invariance
+from .tilings import PATTERN_B, PATTERNS, distance5_invariance
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
 FORCED = "FORCED"
@@ -79,7 +79,6 @@ class Stage:
     cfg: Configuration
     rules: RuleSet
     fixed: dict[str, str]
-    coloring: Optional[PeriodicColoring] = None
     accumulated: dict[str, str] = field(default_factory=dict)
     _base: Optional[ColoringProblem] = None
     # cut variables -> (their problem, the unit clauses it holds)
@@ -126,7 +125,8 @@ class Obligation:
     """One obligation row of data/scripts.json.
 
     FORCED, UNSAT and SAT_WITNESS rows name their stage; an UNSAT row may
-    instead carry its instance as DIMACS `cnf` and `varmap` text.  A
+    instead carry its instance as DIMACS `cnf` and `varmap` text, and a
+    SAT_WITNESS row names the `coloring` in PATTERNS it checks.  A
     GEOM_IDENTITY row names its `check` in GEOM_CHECKS and its `args`,
     and is decided on its stage's configuration, or without a stage on
     the registry-format `points` among its args.
@@ -137,6 +137,7 @@ class Obligation:
     stage: Optional[str] = None
     node: Optional[str] = None
     color: Optional[str] = None
+    coloring: Optional[str] = None
     exclude: tuple[str, ...] = ()
     check: Optional[str] = None
     args: dict = field(default_factory=dict)
@@ -254,9 +255,7 @@ def build_stages(script_id: str, options: Optional[Options] = None,
         if "anchors" in spec:
             rules = replace(rules, existential=ExtensionSchema(
                 tuple(tuple(a) for a in spec["anchors"])))
-        coloring = PATTERNS[spec["coloring"]] if "coloring" in spec else None
-        stages[sid] = Stage(sid, cfg, _granted_rules(rules, granted), spec.get("fixed", {}),
-                            coloring)
+        stages[sid] = Stage(sid, cfg, _granted_rules(rules, granted), spec.get("fixed", {}))
     return stages, tuple(figures.values())
 
 
@@ -404,7 +403,7 @@ def _certificate(problem: ColoringProblem, verdicts: dict[str, Verdict],
         if verdict.model is not None:
             entry["model"] = [1 if b else 0 for b in verdict.model]
         if verdict.trace is not None:
-            entry["trace"] = [list(ev) for ev in verdict.trace]
+            entry["trace"] = verdict.trace
         cert[tag] = entry
     return cert
 
@@ -462,8 +461,9 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
         lattice = stage.cfg.lattice()
         if lattice is None:
             raise ValueError(f"stage {ob.stage} has a node off the lattice")
+        coloring = PATTERNS[ob.coloring]
         # node i is variable i + 1, as emit_clauses numbers them
-        assumptions = [v if stage.coloring.is_red(*ab) else -v
+        assumptions = [v if coloring.is_red(*ab) else -v
                        for v, ab in enumerate(lattice[0], 1)]
         verdict = solve(problem, assumptions=assumptions)
         status = "pass" if verdict.kind == "sat" else "fail"
@@ -595,7 +595,8 @@ def uniqueness_enumeration(script_id: str, options: Options,
     stages, _ = build_stages(script_id, Options(patch_radius=options.stretch_radius), granted)
     stage = stages["patch"]
     anchor = SCRIPTS[script_id]["stages"]["patch"]["patch"]["anchor"]
-    pattern = stage.coloring
+    pattern = PATTERNS[next(ob.coloring for ob in OBLIGATIONS[script_id]
+                            if ob.kind == SAT_WITNESS)]
     problem = stage.problem()
 
     central = []
@@ -633,12 +634,39 @@ def uniqueness_enumeration(script_id: str, options: Options,
 # ---------------------------------------------------------------------------
 
 
+def _clear_bundle(out) -> None:
+    """Empty `out` of the bundle an earlier run wrote there: its manifest
+    and the files the manifest lists.  FileExistsError, with nothing
+    removed, when `out` holds anything else."""
+    manifest = out / "manifest.json"
+    try:
+        listed = {*json.loads(manifest.read_text())["files"], manifest.name}
+    except (OSError, ValueError, KeyError, TypeError):
+        listed = set()  # no manifest, or not one: every entry is foreign
+    entries = list(out.iterdir())
+    foreign = sorted(p.name for p in entries if p.name not in listed or not p.is_file())
+    if foreign:
+        raise FileExistsError(
+            f"{out} holds {', '.join(foreign[:3])}{' ...' if len(foreign) > 3 else ''}, "
+            f"which no certificate manifest there lists; give an empty directory "
+            f"or one that holds only an earlier bundle")
+    for path in entries:
+        path.unlink()
+
+
 def write_certificates(run: RunResult, outdir) -> dict:
-    """Write one JSON file per certified obligation plus a manifest."""
+    """Write one JSON file per certified obligation plus a manifest.
+
+    Each certificate file is one line of compact JSON; the manifest is
+    indented, for people to read.  A directory that holds an earlier
+    bundle has it removed first, so the directory ends up holding exactly
+    the files the new manifest lists.
+    """
     import pathlib
 
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    _clear_bundle(out)
     files: dict[str, str] = {}
     for sid, report in run.reports.items():
         for res in report.obligations:
@@ -652,7 +680,7 @@ def write_certificates(run: RunResult, outdir) -> dict:
                 "status": res.status,
                 "certificate": res.certificate,
             }
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
             safe = res.oid.replace("'", "p")
             fname = f"{sid}__{safe}.json"
             (out / fname).write_text(text)

@@ -4,9 +4,10 @@ clause learning when no trace is recorded.
 Every search decides variables in a fixed order (ascending index unless
 the caller gives one), tries the red (true) branch first, never restarts
 and uses no randomness.  A search that records a trace builds a fresh
-engine and backtracks chronologically, and the trace lists every
-decision, propagation, flip and conflict; an independent replayer
-re-checks traces and models without touching the search code.
+engine on a copy of the watch lists that the problem indexes once per
+clause, and backtracks chronologically.  The trace lists every decision,
+propagation, flip and conflict; an independent replayer re-checks traces
+and models without touching the search code.
 
 A search that records no trace runs on the problem's one learning engine
 (MiniSat's incremental scheme, Een & Sorensson 2003), built by the first
@@ -53,13 +54,15 @@ class ColoringProblem:
 
     Variable v is named `names[v - 1]`; an auxiliary's name starts with
     AUX_PREFIX.  `clauses` only grows, through `add_clause`: the learning
-    engine that untraced searches keep reads each clause once.
+    engine that untraced searches keep, and the index that export and
+    traced searches read, each take in a clause once.
     """
 
     clauses: list[tuple[int, ...]]
     names: list[str]
     name_to_var: dict[str, int]
     _engine: Optional[_Engine] = field(default=None, init=False, repr=False, compare=False)
+    _index: Optional[_ClauseIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._check_literals(self.clauses)
@@ -82,6 +85,13 @@ class ColoringProblem:
         self._check_literals((clause,))
         self.clauses.append(clause)
 
+    def _indexed(self) -> _ClauseIndex:
+        """The problem's index, extended by the clauses added since the last call."""
+        if self._index is None:
+            self._index = _ClauseIndex(self.names)
+        self._index.extend(self.clauses)
+        return self._index
+
     def node_var_of(self, name: str) -> int:
         try:
             var = self.name_to_var[name]
@@ -90,6 +100,37 @@ class ColoringProblem:
         if name.startswith(AUX_PREFIX):
             raise ValueError(f"{name!r} is an auxiliary variable, not a node")
         return var
+
+
+class _ClauseIndex:
+    """What export and a traced search read of a clause list that only
+    grows, built once per clause: its DIMACS lines, the variable map
+    text, the watch lists of every clause of 2+ literals (on its first
+    two), the unit clauses with their ids and the id of the first empty
+    clause, all in clause order.
+    """
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.count = 0  # clauses indexed so far
+        self.lines: list[str] = []
+        self.varmap = "\n".join(f"{v} {name}" for v, name in enumerate(names, 1)) + "\n"
+        self.watch: list[list[int]] = [[] for _ in range(2 * len(names) + 1)]
+        self.units: list[tuple[int, int]] = []
+        self.empty: Optional[int] = None
+
+    def extend(self, clauses: Sequence[Sequence[int]]) -> None:
+        watch = self.watch
+        for cid in range(self.count, len(clauses)):
+            lits = clauses[cid]
+            self.lines.append(" ".join(map(str, lits)) + " 0\n")
+            if len(lits) > 1:
+                watch[lits[0]].append(cid)
+                watch[lits[1]].append(cid)
+            elif lits:
+                self.units.append((lits[0], cid))
+            elif self.empty is None:
+                self.empty = cid
+        self.count = len(clauses)
 
 
 @dataclass
@@ -130,25 +171,20 @@ class _Engine:
         self.absorbed = 0   # problem clauses taken in by `absorb`
         self.unsat = False  # a level-0 conflict: no query has a model
 
-    def load(self, clauses: Sequence[Sequence[int]], assumptions: Sequence[int]) -> bool:
-        """Set up a traced search: watch the first two literals of every
-        clause, then assign the unit clauses and the assumptions at level
-        0, in order, recording each as an event.  False on a contradiction."""
+    def load(self, problem: ColoringProblem, assumptions: Sequence[int]) -> bool:
+        """Set up a traced search on copies of the problem's clauses and
+        indexed watch lists: an empty clause conflicts at once; otherwise
+        assign the unit clauses and the assumptions at level 0, in order,
+        recording each as an event.  False on a contradiction."""
         trace = self.trace
+        index = problem._indexed()
+        if index.empty is not None:
+            trace.append(("conflict", index.empty))
+            return False
+        self.clauses = list(map(list, problem.clauses))
+        self.watch = list(map(list.copy, index.watch))
         val = self.val
-        watch = self.watch
-        self.clauses = list(map(list, clauses))
-        units: list[tuple[int, int]] = []
-        for cid, clause in enumerate(self.clauses):
-            if len(clause) > 1:
-                watch[clause[0]].append(cid)
-                watch[clause[1]].append(cid)
-            elif clause:
-                units.append((clause[0], cid))
-            else:
-                trace.append(("conflict", cid))
-                return False
-        for lit, cid in units:
+        for lit, cid in index.units:
             cur = val[lit]
             if cur == -1:
                 trace.append(("conflict", cid))
@@ -406,7 +442,7 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
             raise ValueError(f"assumption {lit} references an undeclared variable")
     if trace is not None:
         eng = _Engine(nv, trace)
-        if not eng.load(problem.clauses, assumptions):
+        if not eng.load(problem, assumptions):
             return None
         first = ()  # the assumptions hold at level 0
     else:
@@ -596,14 +632,8 @@ def brute_force(problem: ColoringProblem) -> Verdict:
 
 def export_dimacs(problem: ColoringProblem) -> tuple[str, str]:
     """Byte-deterministic DIMACS CNF text plus an 'index name' variable map."""
-    lines = [f"p cnf {problem.var_count} {len(problem.clauses)}"]
-    for clause in problem.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    cnf = "\n".join(lines) + "\n"
-    vm_lines = []
-    for v in range(1, problem.var_count + 1):
-        vm_lines.append(f"{v} {problem.names[v - 1]}")
-    return cnf, "\n".join(vm_lines) + "\n"
+    index = problem._indexed()
+    return f"p cnf {problem.var_count} {index.count}\n" + "".join(index.lines), index.varmap
 
 
 def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringProblem:

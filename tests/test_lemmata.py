@@ -13,6 +13,7 @@ from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
                               verify_all, write_certificates)
 from bluefive.solver import (CertificateError, UnprovedRuleError, export_dimacs,
                              parse_dimacs, replay_unsat_trace, solve)
+from bluefive.tilings import PATTERNS
 
 
 def test_all_scripts_pass(full_run):
@@ -274,9 +275,9 @@ def test_registry_rules_are_proved_only_once_granted():
 
 def test_script_table_rows_resolve():
     """Ids are unique per script, every named stage, check and node exists,
-    and every colouring stage carries its canonical colouring."""
+    and exactly the SAT_WITNESS rows name a canonical colouring."""
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    spec_keys = {"figure", "patch", "points", "rules", "fixed", "anchors", "coloring"}
+    spec_keys = {"figure", "patch", "points", "rules", "fixed", "anchors"}
     for sid in SCRIPT_ORDER:
         assert all(set(spec) <= spec_keys for spec in lemmata.SCRIPTS[sid]["stages"].values())
         stages, _ = build_stages(sid, Options(), granted)
@@ -288,6 +289,7 @@ def test_script_table_rows_resolve():
         for ob in obligations:
             where = (sid, ob.oid)
             assert (ob.check in lemmata.GEOM_CHECKS) == (ob.kind == "GEOM_IDENTITY"), where
+            assert (ob.coloring in PATTERNS) == (ob.kind == "SAT_WITNESS"), where
             if ob.kind in ("FORCED", "SAT_WITNESS") or (ob.kind == "UNSAT" and ob.cnf is None):
                 assert ob.stage in stages, where
             if ob.stage is None:
@@ -295,8 +297,6 @@ def test_script_table_rows_resolve():
             cfg = stages[ob.stage].cfg
             for name in (ob.node or "", *ob.exclude):
                 assert not name or name in cfg.index, (where, name)
-            if ob.kind == "SAT_WITNESS":
-                assert stages[ob.stage].coloring is not None, where
     with pytest.raises(TypeError):
         lemmata.Obligation(oid="x", kind="FORCED", statement="", nod="X")
 
@@ -372,6 +372,87 @@ def test_certificate_files_hash_match(full_run, tmp_path):
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _lists(obj):
+    """`obj` with every tuple turned into a list, as JSON reads it back."""
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_lists(v) for v in obj]
+    return obj
+
+
+def test_certificate_files_are_compact_lines_of_their_payload(full_run, tmp_path):
+    """Each certificate file is one line of compact JSON that reads back
+    as its in-memory payload; the manifest stays indented."""
+    run, _ = full_run
+    manifest = write_certificates(run, tmp_path)
+    payloads = {}
+    for sid, report in run.reports.items():
+        for res in report.obligations:
+            if res.certificate is not None:
+                safe = res.oid.replace("'", "p")
+                payloads[f"{sid}__{safe}.json"] = {
+                    "script": sid, "obligation": res.oid, "kind": res.kind,
+                    "statement": res.statement, "status": res.status,
+                    "certificate": res.certificate}
+    assert sorted(manifest["files"]) == sorted(payloads) and len(payloads) == 147
+    for fname, payload in payloads.items():
+        text = (tmp_path / fname).read_text()
+        assert text.endswith("\n") and text.count("\n") == 1, fname
+        assert json.loads(text) == _lists(payload), fname
+    text = (tmp_path / "manifest.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_in_memory_certificates_with_tuple_traces_replay(full_run):
+    """A certificate held in memory keeps the solver's tuple trace events,
+    and replays as it is."""
+    run, _ = full_run
+    traced = 0
+    for report in run.reports.values():
+        for res in report.obligations:
+            if res.certificate is None:
+                continue
+            for entry in res.certificate.values():
+                if isinstance(entry, dict) and "trace" in entry:
+                    traced += 1
+                    assert all(type(ev) is tuple for ev in entry["trace"])
+            assert replay_certificate({"certificate": res.certificate})
+    assert traced == 84 * 2 + 11
+
+
+def test_reused_certs_directory_holds_only_the_new_bundle(full_run, tmp_path):
+    """A directory that holds an earlier bundle ends up holding exactly the
+    files the new manifest lists."""
+    run, _ = full_run
+    write_certificates(run, tmp_path)
+    small = verify_all(Options(emit_certificates=True), only=["bluetr"])
+    manifest = write_certificates(small, tmp_path)
+    assert len(manifest["files"]) == 14
+    assert ({p.name for p in tmp_path.iterdir()}
+            == set(manifest["files"]) | {"manifest.json"})
+
+
+@pytest.mark.parametrize("stray", ["notes.txt", "sub/", "manifest.json"])
+def test_certs_directory_with_other_files_is_refused(tmp_path, stray):
+    """A directory that holds anything no manifest there lists is refused
+    before any file is removed or written; so is one whose manifest.json
+    is not a manifest."""
+    small = verify_all(Options(emit_certificates=True), only=["bluetr"])
+    write_certificates(small, tmp_path)
+    if stray == "manifest.json":
+        (tmp_path / stray).write_text("[]\n")
+    elif stray.endswith("/"):
+        (tmp_path / stray).mkdir()
+    else:
+        (tmp_path / stray).write_text("kept\n")
+    before = {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(FileExistsError, match="no certificate manifest there lists") as err:
+        write_certificates(small, tmp_path)
+    assert stray == "manifest.json" or f" {stray.rstrip('/')}," in str(err.value)
+    assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_report_json_round_trip(full_run, tmp_path):
     run, _ = full_run
     text = json.dumps(run.to_json(), sort_keys=True, indent=2) + "\n"
@@ -438,8 +519,8 @@ def test_stretch_mode(full_run):
 
 # sha256 of the certified run's report JSON (sort_keys, every elapsed_ms
 # removed) and of its manifest.json, at the default patch radius
-REPORT_SHA256 = "28c97bd6bed1a90d30539d5ce54e5827fcc05dda84ba18c568533322747f2778"
-MANIFEST_SHA256 = "ffa6cd44035504771f515e751991a49452b29fd773b25719f1637436e91e99eb"
+REPORT_SHA256 = "f671e7e2e6d6776358617ff85735f1c03984f855e04b678b09c529d4c57e5f46"
+MANIFEST_SHA256 = "eb976f8b73bd57d58b761ba640b715e514b1451037adc6a937338fedc4a8d785"
 
 
 def _strip_timings(obj):
@@ -483,8 +564,8 @@ def test_learning_and_chronological_search_agree_on_patches():
 # sha256 over `cnf + varmap` of every stage's base problem with every
 # grant, in SCRIPT_ORDER and table order: the bytes export-cnf writes
 DIMACS_SHA256 = {
-    7: "2343b415fb272e379499bbd70a65bc04b4a77d997261f48162d6a141a3eee6f8",
-    11: "eebb0ffa50963e3f9e55692d1bd111fab1eadc278dcc458e7aa06d12f630858d",
+    7: "638d1d9d48b9fef589520f6ce887b952ed7da557dad026db51f5e5250fa3d36b",
+    11: "ebb9e11ff102177703c0a64a09441b1158581d5c78e2e2cf927ae5837caf1d57",
 }
 
 
@@ -538,9 +619,11 @@ def test_stage_problem_adds_each_forced_colour_once_in_order(monkeypatch):
 
 
 def test_stage_problems_are_freed_after_the_stages_last_row(monkeypatch):
-    """In a certified theorem run, pattern-a-patch's problem (and its
-    learning engine) is gone by the time pattern-b-patch's SAT_WITNESS row
-    solves, while its base problem stays."""
+    """In a certified theorem run, the problems (and learning engines) of
+    the stages whose rows are done are gone by the time the patch stage's
+    SAT_WITNESS rows solve.  Both rows solve the patch's one problem, the
+    second on the learning engine the first built; every problem is
+    freed after the run, while the base problems stay."""
     stages = {}
     kept_build, kept_solve = lemmata.build_stages, lemmata.solve
 
@@ -552,9 +635,11 @@ def test_stage_problems_are_freed_after_the_stages_last_row(monkeypatch):
     held = []
 
     def watched_solve(problem, *args, **kwargs):
-        b_problem = stages["pattern-b-patch"]._problems.get(frozenset(), (None,))[0]
-        if problem is b_problem:
-            held.append(len(stages["pattern-a-patch"]._problems))
+        patch_problem = stages["patch"]._problems.get(frozenset(), (None,))[0]
+        if problem is patch_problem:
+            held.append((problem, problem._engine,
+                         len(stages["all-blue-line"]._problems)
+                         + len(stages["witness-pair"]._problems)))
         return kept_solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(lemmata, "build_stages", capture)
@@ -562,6 +647,9 @@ def test_stage_problems_are_freed_after_the_stages_last_row(monkeypatch):
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
     report = run_script("theorem", Options(emit_certificates=True), granted)
     assert report.status == "passed"
-    assert held == [0]
+    assert list(stages) == ["all-blue-line", "witness-pair", "patch"]
+    (first, engine_a, open_a), (second, engine_b, open_b) = held
+    assert first is second and engine_a is None and engine_b is first._engine is not None
+    assert open_a == open_b == 0
     assert all(not stage._problems for stage in stages.values())
-    assert stages["pattern-a-patch"]._base is not None
+    assert all(stage._base is not None for stage in stages.values())

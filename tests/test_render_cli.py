@@ -71,6 +71,18 @@ def test_cli_verify_lemma(tmp_path, capsys):
     assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
 
 
+def test_cli_refuses_a_certs_directory_with_other_files(tmp_path, capsys):
+    certs = tmp_path / "certs"
+    assert main(["verify", "lemma", "bluetr", "--certs", str(certs)]) == 0
+    assert main(["verify", "lemma", "bluetr", "--certs", str(certs)]) == 0
+    written = sorted(p.name for p in certs.iterdir())
+    (certs / "notes.txt").write_text("kept\n")
+    capsys.readouterr()
+    assert main(["verify", "lemma", "bluetr", "--certs", str(certs)]) == 2
+    assert "notes.txt" in capsys.readouterr().err
+    assert sorted(p.name for p in certs.iterdir()) == sorted(written + ["notes.txt"])
+
+
 def test_cli_unknown_lemma(capsys):
     assert main(["verify", "lemma", "nosuch"]) == 2
     assert "unknown lemma" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -409,6 +410,71 @@ def test_kept_engine_matches_a_fresh_search(monkeypatch):
         for case in cases:
             seen[case] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def _render_dimacs(problem):
+    """export_dimacs's bytes, rendered from scratch."""
+    lines = [f"p cnf {problem.var_count} {len(problem.clauses)}"]
+    lines += [" ".join(map(str, clause)) + " 0" for clause in problem.clauses]
+    varmap = "\n".join(f"{v} {name}" for v, name in enumerate(problem.names, 1))
+    return "\n".join(lines) + "\n", varmap + "\n"
+
+
+def test_clause_index_is_exact():
+    """One problem takes add_clause, export_dimacs and traced solves in a
+    random interleaving, with clauses that repeat a literal, units added
+    late and, in some rounds, an empty clause.  Each export equals a
+    from-scratch render, each traced verdict equals the one on a fresh
+    problem with the same clauses and the reference engine's, and a
+    `replace` copy starts with an empty index."""
+    rng = random.Random(31)
+    seen = {"duplicate": 0, "late-unit": 0, "empty": 0, "unit-before-empty": 0, "sat": 0,
+            "unsat": 0}
+    for _ in range(200):
+        nvars = rng.randint(1, 10)
+        problem = _problem(nvars, [])
+        for _ in range(rng.randint(3, 12)):
+            step = rng.random()
+            if step < 0.5:
+                width = 0 if rng.random() < 0.05 else rng.choice((1, 1, 2, 2, 3, 4))
+                clause = [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(width)]
+                if width > 1 and rng.random() < 0.2:
+                    clause.append(clause[0])
+                seen["duplicate"] += len(set(clause)) < len(clause)
+                seen["late-unit"] += width == 1 and len(problem.clauses) > 2
+                problem.add_clause(clause)
+            elif step < 0.75:
+                assert export_dimacs(problem) == _render_dimacs(problem)
+            else:
+                assumptions = [rng.choice((1, -1)) * rng.randint(1, nvars)
+                               for _ in range(rng.randint(0, 2))]
+                verdict = solve(problem, assumptions, record_trace=True)
+                fresh = solve(_problem(nvars, problem.clauses), assumptions, record_trace=True)
+                got = (verdict.kind, verdict.model, verdict.trace)
+                assert got == (fresh.kind, fresh.model, fresh.trace)
+                assert got == _ref_solve(problem, assumptions)
+                seen[verdict.kind] += 1
+                if () in problem.clauses:
+                    seen["empty"] += 1
+                    first = problem.clauses.index(())
+                    seen["unit-before-empty"] += any(len(c) == 1 for c in problem.clauses[:first])
+        copy = replace(problem, clauses=list(problem.clauses))
+        assert copy._index is None and copy.clauses == problem.clauses
+        assert export_dimacs(copy) == export_dimacs(problem) == _render_dimacs(problem)
+        assert copy._index is not problem._index
+    assert min(seen.values()) >= 10, seen
+
+
+def test_empty_clause_conflicts_before_any_unit():
+    problem = _problem(2, [(1,), (-1, 2)])
+    assert solve(problem, record_trace=True).trace == [("imply", 1, 0), ("imply", 2, 1)]
+    problem.add_clause((-2,))
+    problem.add_clause(())
+    problem.add_clause(())
+    verdict = solve(problem, [1], record_trace=True)
+    assert verdict.kind == "unsat" and verdict.trace == [("conflict", 3)]
+    assert replay_unsat_trace(problem.clauses, verdict.trace)
+    assert export_dimacs(problem)[0] == "p cnf 2 5\n1 0\n-1 2 0\n-2 0\n 0\n 0\n"
 
 
 @pytest.mark.parametrize("script_id, radius, count",
