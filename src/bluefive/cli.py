@@ -21,8 +21,8 @@ from typing import Optional
 
 from .configuration import T3_TO_T6_SCHEMA, emit_clauses, instance_from_json
 from .figures import FIGURE_IDS
-from .lemmata import (GRANTS, Options, RunResult, SCRIPT_ORDER, build_stages, verify_all,
-                      write_certificates)
+from .lemmata import (GRANTS, Options, RunResult, SCRIPT_ORDER, build_stages,
+                      check_certificate_dir, verify_all, write_certificates)
 from .render import render
 from .solver import (CertificateError, brute_force, export_dimacs, replay_unsat_trace,
                      solve)
@@ -66,6 +66,8 @@ def _print_run(run: RunResult, out=None) -> None:
 
 def cmd_verify(args) -> int:
     options = _options(args)
+    if args.certs:
+        check_certificate_dir(args.certs)  # refuse a bad DIR before the run, not after
     if args.what == "all":
         if args.lemma_id is not None:
             print("'verify all' takes no lemma id", file=sys.stderr)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -47,8 +48,9 @@ from .figures import Figure, load_figure, self_check
 from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords, lattice_norm2,
                        lattice_symmetries, lattice_vectors_of_norm2, node, point,
                        rotation60)
-from .solver import (ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
-                     enumerate_models, export_dimacs, forced_color, parse_dimacs, solve)
+from .solver import (CertificateError, ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
+                     check_trace_assumptions, enumerate_models, export_dimacs, forced_color,
+                     parse_dimacs, replay_model, replay_unsat_trace, solve)
 from .tilings import PATTERN_B, PATTERNS, distance5_invariance
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
@@ -634,10 +636,10 @@ def uniqueness_enumeration(script_id: str, options: Options,
 # ---------------------------------------------------------------------------
 
 
-def _clear_bundle(out) -> None:
-    """Empty `out` of the bundle an earlier run wrote there: its manifest
-    and the files the manifest lists.  FileExistsError, with nothing
-    removed, when `out` holds anything else."""
+def _earlier_bundle(out: pathlib.Path) -> list[pathlib.Path]:
+    """The entries of `out`, which must all belong to the bundle an earlier
+    run wrote there: its manifest and the files the manifest lists.
+    FileExistsError when `out` holds anything else."""
     manifest = out / "manifest.json"
     try:
         listed = {*json.loads(manifest.read_text())["files"], manifest.name}
@@ -650,8 +652,16 @@ def _clear_bundle(out) -> None:
             f"{out} holds {', '.join(foreign[:3])}{' ...' if len(foreign) > 3 else ''}, "
             f"which no certificate manifest there lists; give an empty directory "
             f"or one that holds only an earlier bundle")
-    for path in entries:
-        path.unlink()
+    return entries
+
+
+def check_certificate_dir(outdir) -> None:
+    """Raise what `write_certificates` would raise on `outdir` before writing
+    anything: FileExistsError when it holds more than an earlier bundle.
+    A directory that does not exist yet passes."""
+    out = pathlib.Path(outdir)
+    if out.exists():
+        _earlier_bundle(out)
 
 
 def write_certificates(run: RunResult, outdir) -> dict:
@@ -662,11 +672,10 @@ def write_certificates(run: RunResult, outdir) -> dict:
     bundle has it removed first, so the directory ends up holding exactly
     the files the new manifest lists.
     """
-    import pathlib
-
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _clear_bundle(out)
+    for path in _earlier_bundle(out):
+        path.unlink()
     files: dict[str, str] = {}
     for sid, report in run.reports.items():
         for res in report.obligations:
@@ -696,23 +705,87 @@ def write_certificates(run: RunResult, outdir) -> dict:
     return manifest
 
 
-def replay_certificate(payload: dict) -> bool:
-    """Re-check one written certificate with the independent replayer."""
-    from .solver import (check_trace_assumptions, parse_dimacs, replay_model,
-                         replay_unsat_trace)
+# per claim kind, the entries a certificate proving it holds besides its
+# "cnf" and "varmap", each with the verdict kind it records
+_PROOF_ENTRIES = {FORCED: {"refuted_side": "unsat", "asserted_side": "sat"},
+                  UNSAT: {"unsat": "unsat"},
+                  SAT_WITNESS: {"witness": "sat"}}
 
-    cert = payload["certificate"]
+
+def _proof_shape(payload) -> dict:
+    """The certificate of `payload` once it has the shape of a proof of the
+    claim it is filed under; CertificateError otherwise.
+
+    The status is "pass".  A GEOM_IDENTITY certificate holds only its
+    restated values.  Any other holds its CNF text, its variable map and
+    exactly the entries of `_PROOF_ENTRIES` for its kind: an unsat entry
+    with a trace that assumes only what the entry declares, a sat entry
+    with a model, each with a list of integer assumptions.  A FORCED
+    refuted side assumes one literal and its asserted side the negation;
+    an UNSAT entry assumes nothing.
+    """
+    if not isinstance(payload, dict):
+        raise CertificateError("a certificate file holds a JSON object")
+    kind, status, cert = (payload.get(key) for key in ("kind", "status", "certificate"))
+    if status != "pass":
+        raise CertificateError(f"status {status!r} claims nothing; a proof has status 'pass'")
+    if kind == GEOM_IDENTITY:
+        want = {"identity"}
+    elif kind in _PROOF_ENTRIES:
+        want = {"cnf", "varmap", *_PROOF_ENTRIES[kind]}
+    else:
+        raise CertificateError(f"no certificate proves a claim of kind {kind!r}")
+    if not isinstance(cert, dict) or set(cert) != want:
+        raise CertificateError(f"a {kind} certificate holds exactly {sorted(want)}, "
+                               f"not {sorted(cert) if isinstance(cert, dict) else cert!r}")
+    if kind == GEOM_IDENTITY:
+        return cert
+    if type(cert["cnf"]) is not str or type(cert["varmap"]) is not str:
+        raise CertificateError("the CNF and the variable map are strings")
+    assumed = {}
+    for tag, verdict in _PROOF_ENTRIES[kind].items():
+        entry = cert[tag]
+        evidence = "trace" if verdict == "unsat" else "model"
+        if (not isinstance(entry, dict) or entry.get("kind") != verdict
+                or type(entry.get(evidence)) not in (list, tuple)):
+            raise CertificateError(f"{tag} is not a {verdict} entry with a {evidence}")
+        assumed[tag] = entry.get("assumptions", [])
+        if type(assumed[tag]) is not list or any(type(a) is not int for a in assumed[tag]):
+            raise CertificateError(f"{tag} assumptions are not a list of integers")
+        if verdict == "unsat":
+            check_trace_assumptions(entry["trace"], assumed[tag])
+    if kind == FORCED:
+        refuted, asserted = assumed["refuted_side"], assumed["asserted_side"]
+        if len(refuted) != 1 or not refuted[0] or asserted != [-refuted[0]]:
+            raise CertificateError(f"a FORCED certificate refutes one literal and asserts "
+                                   f"its negation, not {refuted} and {asserted}")
+    elif kind == UNSAT and assumed["unsat"]:
+        raise CertificateError(f"an UNSAT certificate assumes nothing, not {assumed['unsat']}")
+    return cert
+
+
+def replay_certificate(payload: dict) -> bool:
+    """Re-check one written certificate with the independent replayer.
+
+    The certificate must first have the shape of a proof of the claim it
+    is filed under (`_proof_shape`).  Its CNF is read with `parse_dimacs`
+    (ValueError on text `export_dimacs` would not write); each unsat trace
+    must replay, and each model must assign every variable and satisfy the
+    clauses and assumptions.  Raises CertificateError otherwise.
+    """
+    cert = _proof_shape(payload)
     if "cnf" not in cert:
         return True  # geometric identity: restated values, nothing to replay
     problem = parse_dimacs(cert["cnf"], cert["varmap"])
-    for tag, entry in cert.items():
-        if tag in ("cnf", "varmap"):
-            continue
-        assumptions = entry.get("assumptions", [])
-        if entry["kind"] == "unsat":
-            check_trace_assumptions(entry["trace"], assumptions)
+    for tag, verdict in _PROOF_ENTRIES[payload["kind"]].items():
+        entry = cert[tag]
+        if verdict == "unsat":
             replay_unsat_trace(problem.clauses, entry["trace"])
         else:
-            model = [bool(b) for b in entry["model"]]
-            replay_model(problem.clauses, model, assumptions)
+            model = entry["model"]
+            if (len(model) != problem.var_count
+                    or model.count(0) + model.count(1) != len(model)):
+                raise CertificateError(f"{tag} model is not one 0 or 1 per variable "
+                                       f"of the {problem.var_count}")
+            replay_model(problem.clauses, model, entry.get("assumptions", []))
     return True

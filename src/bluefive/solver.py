@@ -22,12 +22,24 @@ Both searches find the same model: every implied value, learned or not,
 follows from the clauses, the assumptions and the decisions on earlier
 variables, so the first model found is the lexicographically first one
 over the decision order.
+
+`parse_dimacs` reads only the DIMACS form `export_dimacs` writes: the
+line ``p cnf V C`` and C lines of single-space-separated literals ending
+in `` 0``, each line ending in a newline; anything else, comment lines
+included, is a ValueError.  A certificate replay
+(`lemmata.replay_certificate`) first checks that the certificate has the
+shape of a proof of the claim it is filed under, then reads its CNF here
+and replays its traces and models with `replay_unsat_trace` and
+`replay_model`.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import not_
 from typing import Iterable, Optional, Sequence
 
 FORCED_RED = "ForcedRed"
@@ -410,17 +422,14 @@ class _Engine:
 
 def check_model(clauses: Iterable[Sequence[int]], model: Sequence[bool],
                 assumptions: Sequence[int] = ()) -> bool:
-    """Independent model evaluator used before any Sat verdict is returned."""
-    for lit in assumptions:
-        if model[abs(lit) - 1] != (lit > 0):
-            return False
-    for clause in clauses:
-        for lit in clause:
-            if model[abs(lit) - 1] == (lit > 0):
-                break
-        else:
-            return False
-    return True
+    """Independent model evaluator used before any Sat verdict is returned:
+    every assumption is true and every clause holds a true literal.  A
+    variable past the end of `model` is unassigned: neither of its
+    literals is true."""
+    n = len(model)
+    true = set(compress(range(1, n + 1), model))
+    true.update(compress(range(-1, -n - 1, -1), map(not_, model)))
+    return true.issuperset(assumptions) and not any(map(true.isdisjoint, clauses))
 
 
 def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
@@ -636,50 +645,86 @@ def export_dimacs(problem: ColoringProblem) -> tuple[str, str]:
     return f"p cnf {problem.var_count} {index.count}\n" + "".join(index.lines), index.varmap
 
 
+_HEADER = re.compile(r"p cnf (0|[1-9][0-9]*) (0|[1-9][0-9]*)")
+_CLAUSE_CHARS = re.compile(r"[-0-9 \n]*")
+
+
+def _line_at(text: str, pos: int) -> str:
+    """The line of `text` that holds position `pos`."""
+    return text[text.rfind("\n", 0, pos) + 1:].partition("\n")[0]
+
+
 def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringProblem:
-    """Read DIMACS CNF text and an optional 'index name' variable map;
-    ValueError on a bad header, clause count or variable map."""
-    header = None
-    clauses: list[tuple[int, ...]] = []
-    for raw in cnf_text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
-            if header is not None:
-                raise ValueError(f"second problem line: {line!r}")
-            header = (int(parts[2]), int(parts[3]))
-            continue
-        lits = list(map(int, line.split()))
-        if not lits or lits[-1] != 0:
-            raise ValueError(f"clause line must end with 0: {line!r}")
-        clauses.append(tuple(lits[:-1]))
-    if header is None:
-        raise ValueError("missing 'p cnf' header")
-    var_count, clause_count = header
-    if clause_count != len(clauses):
-        raise ValueError(f"header declares {clause_count} clauses, found {len(clauses)}")
-    names = [f"x{v}" for v in range(1, var_count + 1)]
-    if varmap_text is not None:
-        mapped: set[int] = set()
-        for raw in varmap_text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            idx_s, _, name = line.partition(" ")
-            idx = int(idx_s)
-            if not name or not 1 <= idx <= var_count or idx in mapped:
-                raise ValueError(f"variable map line {line!r} needs a name "
-                                 f"and a new index in 1..{var_count}")
-            mapped.add(idx)
-            names[idx - 1] = name
-    if len(set(names)) != var_count:
+    """Read the DIMACS CNF text that `export_dimacs` writes, and an optional
+    'index name' variable map; ValueError on anything else.
+
+    The text is the line ``p cnf V C`` and then C clause lines, each its
+    literals separated by single spaces and then `` 0`` (an empty clause
+    is the line `` 0``), every line ending in a newline.  Comment lines,
+    tabs, repeated spaces and leading zeros are refused.  The clause lines
+    are checked and decoded in bulk: a character scan, a count of line
+    ends and terminators, and one JSON decode of all literals; the
+    ColoringProblem then rejects a zero or undeclared literal.
+    """
+    head, newline, body = cnf_text.partition("\n")
+    header = _HEADER.fullmatch(head)
+    if header is None or not newline:
+        raise ValueError(f"bad problem line, want 'p cnf V C' and a newline: {head!r}"
+                         if head.startswith("p") else "missing 'p cnf' header")
+    var_count, clause_count = int(header[1]), int(header[2])
+    bad = _CLAUSE_CHARS.match(body).end()
+    if bad != len(body):
+        line = _line_at(body, bad)
+        raise ValueError(f"second problem line: {line!r}" if line.startswith("p")
+                         else f"clause line has a character other than digits, "
+                              f"'-', ' ' and a newline: {line!r}")
+    # every line ends in " 0\n" exactly when each newline is one's and the
+    # body ends in a newline (" 0\n" cannot overlap itself)
+    lines = body.count("\n")
+    if body.count(" 0\n") != lines or body[-1:] not in ("", "\n"):
+        *ended, last = body.split("\n")
+        line = next((line for line in ended if not line.endswith(" 0")), last)
+        raise ValueError(f"clause line must end with ' 0' and a newline: {line!r}")
+    if clause_count != lines:
+        raise ValueError(f"header declares {clause_count} clauses, found {lines}")
+    # " 0\n" and "],[" have the same length, so a JSON offset is the body's
+    # plus 2; the trailing "],[" opens one extra empty list
+    try:
+        decoded = json.loads("[[" + body.replace(" 0\n", "],[").replace(" ", ",") + "]]")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"clause line is not integers separated by single spaces: "
+                         f"{_line_at(body, exc.pos - 2)!r}") from None
+    decoded.pop()
+    # each list is freed as its tuple is made, so the two never all coexist
+    decoded.reverse()
+    clauses = list(map(tuple, map(decoded.pop, repeat(-1, len(decoded)))))
+    names = _read_varmap(varmap_text or "", var_count)
+    name_to_var = dict(zip(names, range(1, var_count + 1)))
+    if len(name_to_var) != var_count:
         raise ValueError("variable map gives two variables the same name")
-    return ColoringProblem(clauses=clauses, names=names,
-                           name_to_var={n: i + 1 for i, n in enumerate(names)})
+    return ColoringProblem(clauses=clauses, names=names, name_to_var=name_to_var)
+
+
+def _read_varmap(text: str, var_count: int) -> list[str]:
+    """The names of variables 1..var_count given by an 'index name' map,
+    one entry per non-blank line in any order; a variable the map leaves
+    out is named x<index>.  ValueError on an entry without a name or
+    without a new index in 1..var_count."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    named: dict[int, str] = {}
+    if lines:
+        index_text, _, given = zip(*map(str.partition, lines, repeat(" ")))
+        indices = list(map(int, index_text))
+        named = dict(zip(indices, given))
+        if not (all(given) and len(named) == len(lines)
+                and 1 <= min(indices) and max(indices) <= var_count):
+            seen: set[int] = set()
+            for line, idx, name in zip(lines, indices, given):
+                if not name or not 1 <= idx <= var_count or idx in seen:
+                    raise ValueError(f"variable map line {line!r} needs a name "
+                                     f"and a new index in 1..{var_count}")
+                seen.add(idx)
+    return [named.get(v) or f"x{v}" for v in range(1, var_count + 1)]
 
 
 # ---------------------------------------------------------------------------

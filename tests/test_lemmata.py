@@ -362,6 +362,85 @@ def test_refutation_trace_bound_to_declared_assumption(full_run, tmp_path):
     assert replay_certificate(payload)
 
 
+@pytest.fixture(scope="module")
+def bundle(full_run, tmp_path_factory):
+    """The payload of every file of the R=7 bundle, by file name."""
+    out = tmp_path_factory.mktemp("bundle")
+    manifest = write_certificates(full_run[0], out)
+    return {name: json.loads((out / name).read_text()) for name in sorted(manifest["files"])}
+
+
+def _swap_sides(cert):
+    cert["refuted_side"], cert["asserted_side"] = cert["asserted_side"], cert["refuted_side"]
+
+
+# a certificate that proves nothing, or not the claim it is filed under:
+# (kind of the file, change made to a copy of its payload)
+_MUTATIONS = {
+    "refuted-side-is-asserted-side": (
+        "FORCED", lambda p, c: c.update(refuted_side=c["asserted_side"])),
+    "forced-relabelled-unsat": ("FORCED", lambda p, c: p.update(kind="UNSAT")),
+    "forced-status-fail": ("FORCED", lambda p, c: p.update(status="fail")),
+    "sides-swapped": ("FORCED", lambda p, c: _swap_sides(c)),
+    "asserted-side-assumes-the-refuted-literal": (
+        "FORCED", lambda p, c: c["asserted_side"].update(
+            assumptions=[-c["asserted_side"]["assumptions"][0]])),
+    "refuted-side-assumes-two-literals": (
+        "FORCED", lambda p, c: c["refuted_side"]["assumptions"].append(
+            c["refuted_side"]["assumptions"][0])),
+    "no-asserted-side": ("FORCED", lambda p, c: c.pop("asserted_side")),
+    "extra-entry": ("FORCED", lambda p, c: c.update(witness=c["asserted_side"])),
+    "no-kind": ("FORCED", lambda p, c: p.pop("kind")),
+    "no-status": ("FORCED", lambda p, c: p.pop("status")),
+    "no-trace": ("FORCED", lambda p, c: c["refuted_side"].pop("trace")),
+    "no-model": ("FORCED", lambda p, c: c["asserted_side"].pop("model")),
+    "no-varmap": ("FORCED", lambda p, c: c.pop("varmap")),
+    "short-model": ("FORCED", lambda p, c: c["asserted_side"]["model"].pop()),
+    "model-value-2": ("FORCED", lambda p, c: c["asserted_side"]["model"].__setitem__(0, 2)),
+    "string-assumption": ("FORCED", lambda p, c: c["refuted_side"].update(assumptions=["1"])),
+    "unsat-assumes-a-literal": ("UNSAT", lambda p, c: c["unsat"].update(assumptions=[1])),
+    "unsat-relabelled-forced": ("UNSAT", lambda p, c: p.update(kind="FORCED")),
+    "unsat-entry-marked-sat": ("UNSAT", lambda p, c: c["unsat"].update(kind="sat")),
+    "witness-relabelled-unsat": ("SAT_WITNESS", lambda p, c: p.update(kind="UNSAT")),
+    "witness-entry-marked-unsat": ("SAT_WITNESS", lambda p, c: c["witness"].update(kind="unsat")),
+    "witness-status-fail": ("SAT_WITNESS", lambda p, c: p.update(status="fail")),
+    "identity-with-cnf": ("GEOM_IDENTITY", lambda p, c: c.update(cnf="p cnf 0 0\n")),
+    "identity-status-fail": ("GEOM_IDENTITY", lambda p, c: p.update(status="fail")),
+    "unknown-kind": ("GEOM_IDENTITY", lambda p, c: p.update(kind="LEMMA")),
+    "no-certificate": ("SAT_WITNESS", lambda p, c: p.pop("certificate")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_replay_rejects_a_certificate_that_does_not_prove_its_claim(bundle, mutation):
+    kind, mutate = _MUTATIONS[mutation]
+    files = [name for name, payload in bundle.items() if payload["kind"] == kind]
+    assert files
+    for name in files[:3]:
+        payload = json.loads(json.dumps(bundle[name]))
+        assert replay_certificate(payload)
+        mutate(payload, payload["certificate"])
+        with pytest.raises(CertificateError):
+            replay_certificate(payload)
+
+
+def test_replay_rejects_what_is_not_a_certificate_payload():
+    for payload in ([], None, {"kind": "FORCED", "status": "pass", "certificate": []}):
+        with pytest.raises(CertificateError):
+            replay_certificate(payload)
+
+
+def test_replay_reads_only_the_exported_cnf_form(bundle):
+    """With a comment line in front of its CNF, no file of a real bundle
+    replays: the reader takes only what `export_dimacs` writes."""
+    for payload in bundle.values():
+        if "cnf" in payload["certificate"]:
+            payload = json.loads(json.dumps(payload))
+            payload["certificate"]["cnf"] = "c comment\n" + payload["certificate"]["cnf"]
+            with pytest.raises(ValueError, match="missing 'p cnf' header"):
+                replay_certificate(payload)
+
+
 def test_certificate_files_hash_match(full_run, tmp_path):
     import hashlib
 
@@ -417,7 +496,8 @@ def test_in_memory_certificates_with_tuple_traces_replay(full_run):
                 if isinstance(entry, dict) and "trace" in entry:
                     traced += 1
                     assert all(type(ev) is tuple for ev in entry["trace"])
-            assert replay_certificate({"certificate": res.certificate})
+            assert replay_certificate({"kind": res.kind, "status": res.status,
+                                       "certificate": res.certificate})
     assert traced == 84 * 2 + 11
 
 

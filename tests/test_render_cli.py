@@ -83,6 +83,25 @@ def test_cli_refuses_a_certs_directory_with_other_files(tmp_path, capsys):
     assert sorted(p.name for p in certs.iterdir()) == sorted(written + ["notes.txt"])
 
 
+def test_cli_refuses_a_certs_directory_before_the_run(tmp_path, capsys, monkeypatch):
+    """A --certs DIR that holds other files is refused before any script
+    runs: exit 2, the directory message, no report, nothing removed."""
+    certs = tmp_path / "certs"
+    certs.mkdir()
+    (certs / "notes.txt").write_text("kept\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_all ran before the directory check")
+
+    monkeypatch.setattr(cli, "verify_all", no_run)
+    for argv in (["verify", "all"], ["verify", "lemma", "bluetr"]):
+        assert main([*argv, "--certs", str(certs)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "notes.txt" in err and "no certificate manifest there lists" in err
+    assert [p.name for p in certs.iterdir()] == ["notes.txt"]
+
+
 def test_cli_unknown_lemma(capsys):
     assert main(["verify", "lemma", "nosuch"]) == 2
     assert "unknown lemma" in capsys.readouterr().err

@@ -583,6 +583,117 @@ def test_parse_dimacs_rejects_repeated_or_unnamed_variables():
     assert parse_dimacs(_CNF, "2 B\n1 A\n").names == ["A", "B"]
 
 
+def _random_clauses(rng, nv, count):
+    """`count` clauses over variables 1..nv: some empty, some units."""
+    return [tuple(rng.choice((1, -1)) * rng.randint(1, nv)
+                  for _ in range(rng.choice((0, 1, 1, 2, 3, 4)) if nv else 0))
+            for _ in range(count)]
+
+
+def test_parse_dimacs_reads_back_what_export_writes():
+    """parse_dimacs(*export_dimacs(p)) has p's clauses and names, with zero
+    clauses, unit and empty clauses, and the variable map in any order."""
+    rng = random.Random(20)
+    for trial in range(300):
+        nv = rng.randint(0, 9)
+        names = [f"n{v}" if v % 3 else f"P({v}, {-v})" for v in rng.sample(range(100), nv)]
+        problem = ColoringProblem(
+            clauses=_random_clauses(rng, nv, rng.choice((0, 1, rng.randint(2, 30)))),
+            names=names, name_to_var={n: i + 1 for i, n in enumerate(names)})
+        cnf, varmap = export_dimacs(problem)
+        lines = varmap.splitlines(keepends=True)
+        for text in (varmap, "".join(rng.sample(lines, len(lines)))):
+            again = parse_dimacs(cnf, text)
+            assert again.clauses == problem.clauses, (trial, cnf)
+            assert again.names == problem.names and again.name_to_var == problem.name_to_var
+        assert parse_dimacs(cnf).names == [f"x{v}" for v in range(1, nv + 1)]
+    assert parse_dimacs("p cnf 2 2\n 0\n2 0\n").clauses == [(), (2,)]
+    assert parse_dimacs("p cnf 3 0\n", "\n2 B\n").names == ["x1", "B", "x3"]
+    assert parse_dimacs("p cnf 0 0\n").clauses == []
+
+
+_GOOD = "p cnf 3 2\n1 -2 0\n3 0\n"
+
+
+@pytest.mark.parametrize("cnf", [
+    "p cnf 3 2\n1 -2\n3 0\n",
+    "p cnf 3 2\n1 -2 0\n\n3 0\n",
+    "p cnf 3 2\n1\t-2 0\n3 0\n",
+    "p cnf 3 2\n1  -2 0\n3 0\n",
+    "p cnf 3 2\n1.5 -2 0\n3 0\n",
+    "p cnf 3 2\n1e3 0\n3 0\n",
+    "p cnf 3 2\ntrue 0\n3 0\n",
+    "p cnf 3 2\n[2] 0\n3 0\n",
+    "p cnf 3 2\n--1 0\n3 0\n",
+    "p cnf 3 2\n01 -2 0\n3 0\n",
+    "p cnf 3 2\n1 0 -2 0\n3 0\n",
+    "p cnf 3 2\n1 -4 0\n3 0\n",
+    "p cnf 3 2\n1 -2 0\np cnf 3 2\n3 0\n",
+    "p cnf 3 2\n1 -2 0\n3 0",
+    "c made by hand\np cnf 3 2\n1 -2 0\n3 0\n",
+    "p cnf 3 2\nc made by hand\n1 -2 0\n3 0\n",
+    "p cnf 3 3\n1 -2 0\n3 0\n",
+    "p cnf 3 1\n1 -2 0\n3 0\n",
+    "p cnf 3 2\n1 -2 0 \n3 0\n",
+    "p cnf 3 2\n 1 -2 0\n3 0\n",
+    "p cnf 3 2\n1 -2 0\r\n3 0\r\n",
+    "p cnf 3 2\n1 -0 0\n3 0\n",
+    "p cnf 3 2\n1 - 0\n3 0\n",
+    "p cnf 3 2\n1-2 0\n3 0\n",
+    "p cnf 3 2\n1 -2 0\n3 0 0\n",
+    "p cnf 3 2\n1 -2 0\n0\n",
+    "p cnf 3 2\n1 -2 0\n3 0\n0\n",
+    "p cnf 3 2\n1 -2 0\n" + "9" * 5000 + " 0\n",
+    "p cnf 03 2\n1 -2 0\n3 0\n",
+    "p  cnf 3 2\n1 -2 0\n3 0\n",
+    "p cnf 3 2 \n1 -2 0\n3 0\n",
+    "p cnf 3\n1 -2 0\n3 0\n",
+    "p cnf 0 0",
+    "",
+], ids=["dropped-zero", "blank-line", "tab", "double-space", "decimal", "exponent",
+        "true", "bracketed", "double-minus", "leading-zero", "zero-inside-clause",
+        "out-of-range", "second-header", "no-final-newline", "comment-first",
+        "comment-inside", "count-too-high", "count-too-low", "trailing-space",
+        "leading-space", "crlf", "minus-zero", "bare-minus", "no-space-between",
+        "double-terminator", "bare-zero-line", "extra-line", "huge-literal",
+        "header-leading-zero", "header-double-space", "header-trailing-space",
+        "header-short", "header-without-newline", "empty-text"])
+def test_parse_dimacs_refuses_every_other_form(cnf):
+    assert parse_dimacs(_GOOD).clauses == [(1, -2), (3,)]
+    with pytest.raises(ValueError):
+        parse_dimacs(cnf)
+
+
+def _naive_check(clauses, model, assumptions):
+    def true(lit):
+        return abs(lit) <= len(model) and bool(model[abs(lit) - 1]) == (lit > 0)
+    return all(map(true, assumptions)) and all(any(map(true, c)) for c in clauses)
+
+
+def test_check_model_agrees_with_a_naive_evaluator():
+    """On random clause sets (empty clauses included), models of bools or
+    0/1, some shorter than the variable count, and random assumptions."""
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(3000):
+        nv = rng.randint(0, 6)
+        clauses = _random_clauses(rng, nv, rng.randint(0, 8))
+        model = [rng.random() < 0.5 for _ in range(rng.randint(max(nv - 2, 0), nv))]
+        if rng.random() < 0.5:
+            model = [int(b) for b in model]
+        assumptions = [rng.choice((1, -1)) * rng.randint(1, nv)
+                       for _ in range(rng.randint(0, 2) if nv else 0)]
+        got = check_model(clauses, model, assumptions)
+        assert got == _naive_check(clauses, model, assumptions), (clauses, model, assumptions)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+    assert check_model([(3,)], (True, True)) is False
+    assert check_model([(1, 3)], (True, False)) is True
+    assert check_model([(1,)], (True,), [2]) is False
+    assert check_model([()], (True,)) is False
+    assert check_model([], ()) is True
+
+
 @pytest.mark.parametrize("event", [[], ["imply", 1], ["conflict"], ["decide"],
                                    ["decide", 0], ["imply", 1, "0"], 7, ["nosuch", 1]],
                          ids=["empty", "imply-without-clause", "conflict-without-clause",
