@@ -3,10 +3,13 @@
 Each registry is a JSON data file holding exact coordinates, the colours
 the diagram shows (red / blue / undetermined), the rule ids of its
 instance, and the named facts that `self_check` re-verifies against the
-coordinates.  Besides blue unit pairs there are four claim sections:
-squared distances (`dist2`), turned or mirrored images (`images`),
-five-chains (`ell5`) and template placements (`patterns`), each decided
-by one checker in CLAIM_CHECKS.  A claim with an "id" is also the sole
+coordinates.  Besides blue unit pairs there are eight claim sections,
+each decided by one checker in CLAIM_CHECKS: squared distances
+(`dist2`), images under a chord turn, mirror, lattice translation or
+turn by sixths (`images`), five-chains (`ell5`), template placements
+(`patterns`), template extensions (`extensions`), a block symmetry
+(`symmetry`), a pattern's sublattice (`sublattice`) and norm-25
+invariance (`invariance`).  A claim with an "id" is also the sole
 statement of the verification obligation of that id.  `self_check`
 decides each claim once per run: it lists a failing claim, and returns
 every decision by id, which the obligation of that id reports under the
@@ -22,11 +25,14 @@ from importlib import resources
 from typing import Sequence
 
 from .configuration import (Configuration, RuleSet, instance_from_json, is_unit_chain,
-                            placement_count, template)
+                            placement_count, template, template_extensions)
 from .field import ONE, fe
-from .geometry import chord_rotation, dist2, reflection
+from .geometry import (chord_rotation, dist2, lattice_coords, lattice_norm2,
+                       lattice_vectors_of_norm2, node, reflection, rotation60)
+from .tilings import PATTERNS, distance5_invariance
 
-FIGURE_IDS = ("fig1a", "fig1b", "fig3", "fig4", "fig5", "fig6", "figcol1", "figcol2")
+FIGURE_IDS = ("fig1a", "fig1b", "fig3", "fig4", "fig5", "fig6", "figcol1", "figcol2",
+              "figthm")
 
 
 @dataclass
@@ -65,6 +71,11 @@ def _image_map(cfg: Configuration, spec: list):
         return chord_rotation(cfg.point_of(p), q)
     if kind == "mirror":
         return reflection(cfg.point_of(p), cfg.point_of(q))
+    if kind == "translate":
+        shift = node(p, q)
+        return lambda pt: pt + shift
+    if kind == "turn60":
+        return rotation60(cfg.point_of(p), q)
     raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -90,12 +101,87 @@ def _check_placement(cfg: Configuration, claim: dict):
             not hits and f"nodes {want} do not form a {tid}")
 
 
+def _check_extensions(cfg: Configuration, claim: dict):
+    """The plane placements of the big template that contain the anchor
+    copy of the small one number `count`; of those that add no `blocked`
+    node, the ones whose added points are all nodes add exactly the `open`
+    node sets, and `outside` more leave the configuration."""
+    small, big = claim["extend"]
+    anchor = [cfg.point_of(n) for n in claim["nodes"]]
+    blocked = {cfg.point_of(n) for n in claim["blocked"]}
+    cands = template_extensions(small, big, anchor)
+    opened, outside = [], 0
+    for cand in cands:
+        added = set(cand).difference(anchor)
+        if added & blocked:
+            continue
+        if all(p in cfg.point_index for p in added):
+            opened.append(sorted(cfg.name_at(p) for p in added))
+        else:
+            outside += 1
+    got = {"candidates": len(cands), "open": sorted(opened), "outside": outside}
+    want = {"candidates": claim["count"],
+            "open": sorted(sorted(cfg.primary(n) for n in names) for names in claim["open"]),
+            "outside": claim["outside"]}
+    return got, got != want and (f"the {small} anchor {','.join(claim['nodes'])} "
+                                 f"extends to {big} as {got}, not {want}")
+
+
+def _check_symmetry(cfg: Configuration, claim: dict):
+    """`sixths` sixths of a turn about the centroid node permute the block
+    and take each step vector to the next, cyclically; every step has
+    squared length `norm2`."""
+    k = claim["sixths"]
+    block = [cfg.point_of(nm) for nm in claim["nodes"]]
+    rot = rotation60(node(*claim["centroid"]), k)
+    invariant = {rot(p) for p in block} == set(block)
+    steps = claim["steps"]
+    rot0 = rotation60(node(0, 0), k)
+    ok = invariant and all(rot0(node(*s)) == node(*t) and lattice_norm2(*s) == claim["norm2"]
+                           for s, t in zip(steps, steps[1:] + steps[:1]))
+    return ({"block_invariant": invariant, "steps": steps},
+            not ok and f"{k} sixths of a turn about {claim['centroid']} do not map "
+                       f"{','.join(claim['nodes'])} and the steps {steps} onto themselves")
+
+
+def _check_sublattice(cfg: Configuration, claim: dict):
+    """Each node of `steps` is the origin node moved by [i, j] times the
+    generators of the pattern, each `members` node lies in its sublattice,
+    and the sublattice has the given index."""
+    pattern = PATTERNS[claim["pattern"]]
+    (g1a, g1b), (g2a, g2b) = pattern.gen1, pattern.gen2
+    origin = cfg.point_of(claim["origin"])
+    facts = {nm: cfg.point_of(nm) == origin + node(i * g1a + j * g2a, i * g1b + j * g2b)
+             for nm, (i, j) in claim["steps"].items()}
+    for nm in claim["members"]:
+        ab = lattice_coords(cfg.point_of(nm))
+        facts[nm] = ab is not None and pattern.lattice_contains(*ab)
+    index = abs(pattern.det)
+    missed = sorted(nm for nm, held in facts.items() if not held)
+    return ({"verified": sorted(nm for nm, held in facts.items() if held),
+             "lattice_index": index},
+            (missed or index != claim["index"])
+            and f"pattern {claim['pattern']}'s sublattice of index {index} misses {missed}")
+
+
+def _check_invariance(cfg: Configuration, claim: dict):
+    """The lattice vectors of squared length 25 are exactly `vectors`, and
+    translating by any of them preserves the red set of each pattern."""
+    found, want = sorted(lattice_vectors_of_norm2(25)), sorted(map(tuple, claim["vectors"]))
+    moved = [p for p in claim["patterns"] if not distance5_invariance(PATTERNS[p])]
+    return ({"patterns": claim["patterns"], "vectors": found},
+            (found != want and f"the norm-25 lattice vectors are {found}, not {want}")
+            or (moved and f"a norm-25 translation moves the red set of patterns {moved}"))
+
+
 # One checker per claim section: checker(cfg, claim) returns the detail an
 # obligation reports and a failure message, or a false value when it holds.
 CLAIM_CHECKS = {"dist2": _check_dist2, "images": _check_image,
-                "ell5": _check_chain, "patterns": _check_placement}
+                "ell5": _check_chain, "patterns": _check_placement,
+                "extensions": _check_extensions, "symmetry": _check_symmetry,
+                "sublattice": _check_sublattice, "invariance": _check_invariance}
 # The obligation kind each claim section reports.
-CLAIM_KINDS = {"dist2": "GEOM_IDENTITY", "images": "GEOM_IDENTITY",
+CLAIM_KINDS = {**dict.fromkeys(CLAIM_CHECKS, "GEOM_IDENTITY"),
                "ell5": "CHAIN_CLAIM", "patterns": "PATTERN_PRESENT"}
 
 

@@ -12,20 +12,20 @@ list of machine-checkable obligations over a fixed configuration:
 * SAT_WITNESS     - an explicit colouring satisfies an instance.
 
 The scripts are data: data/scripts.json holds, per script, its
-dependencies, the rules it grants, its transcription notes, its stages
-and one obligation row per line, in dependency order.  A stage is a
-figure registry (its configuration and rules), optionally grown by a hex
-patch of lattice nodes, or a bare patch, or an inline instance in the
-registry format; each also names its fixed premises.  A SAT_WITNESS row
-names the canonical colouring it checks on its stage, and a GEOM_IDENTITY
-row names its checker in GEOM_CHECKS and passes it arguments.
+dependencies, the rules it grants, its transcription notes, its stages,
+the registries it reads besides its stages' (`figures`), and one
+obligation row per line, in dependency order.  A stage is a figure
+registry (its configuration and rules), optionally grown by a hex patch
+of lattice nodes, or a bare patch, or an inline instance in the registry
+format; each also names its fixed premises.  A SAT_WITNESS row names the
+canonical colouring it checks on its stage.
 
-Squared-distance, image, chain and placement obligations are written as
-CLAIM: the fact lives only in the figure claim that carries the
-obligation's id.  The transcription self-check decides each claim once
-per run and lists it if it fails; the obligation of that id reports that
-decision under the kind of the claim's section (dist2 and images report
-GEOM_IDENTITY).  Scripts run in dependency order; a passing script
+Every geometric, chain and placement obligation is written as CLAIM: the
+fact lives only in the figure claim that carries the obligation's id.
+The transcription self-check decides each claim once per run and lists
+it if it fails; the obligation of that id reports that decision under
+the kind of the claim's section (every section but ell5 and patterns
+reports GEOM_IDENTITY).  Scripts run in dependency order; a passing script
 unlocks its derived rule for the scripts above it.  Forced colours
 accumulate inside a script, mirroring how the argument walks point by point.
 """
@@ -41,17 +41,13 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .configuration import (Configuration, ExtensionSchema, NO_RED_T3, RuleSet,
-                            T3_TO_T6_SCHEMA, emit_clauses, instance_from_json,
-                            template_extensions)
-from .field import ONE, fe
+                            T3_TO_T6_SCHEMA, emit_clauses, instance_from_json)
 from .figures import Figure, load_figure, self_check
-from .geometry import (chord_rotation, dist2, hex_indices, lattice_coords, lattice_norm2,
-                       lattice_symmetries, lattice_vectors_of_norm2, node, point,
-                       rotation60)
+from .geometry import hex_indices, lattice_symmetries, node
 from .solver import (CertificateError, ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
                      check_trace_assumptions, enumerate_models, export_dimacs, forced_color,
                      parse_dimacs, replay_model, replay_unsat_trace, solve)
-from .tilings import PATTERN_B, PATTERNS, distance5_invariance
+from .tilings import PATTERNS
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
 FORCED = "FORCED"
@@ -128,10 +124,11 @@ class Obligation:
 
     FORCED, UNSAT and SAT_WITNESS rows name their stage; an UNSAT row may
     instead carry its instance as DIMACS `cnf` and `varmap` text, and a
-    SAT_WITNESS row names the `coloring` in PATTERNS it checks.  A
-    GEOM_IDENTITY row names its `check` in GEOM_CHECKS and its `args`,
-    and is decided on its stage's configuration, or without a stage on
-    the registry-format `points` among its args.
+    SAT_WITNESS row names the `coloring` in PATTERNS it checks.  A CLAIM
+    row names nothing more: its fact is the figure claim that carries its
+    id, in a `dist2`, `images` (map kinds chord, mirror, translate and
+    turn60), `ell5`, `patterns`, `extensions`, `symmetry`, `sublattice`
+    or `invariance` section of a registry its script reads.
     """
     oid: str
     kind: str
@@ -141,8 +138,6 @@ class Obligation:
     color: Optional[str] = None
     coloring: Optional[str] = None
     exclude: tuple[str, ...] = ()
-    check: Optional[str] = None
-    args: dict = field(default_factory=dict)
     cnf: Optional[str] = None
     varmap: Optional[str] = None
 
@@ -235,17 +230,17 @@ def _granted_rules(rules: RuleSet, granted: frozenset) -> RuleSet:
 
 def build_stages(script_id: str, options: Optional[Options] = None,
                  granted: frozenset = frozenset()) -> tuple[dict[str, Stage], tuple[Figure, ...]]:
-    """The script's stages, in table order, and the figures they read."""
+    """The script's stages, in table order, and the figures it reads: its
+    stages' and then those its `figures` list names, each loaded once."""
     options = options or Options()
-    figures: dict[str, Figure] = {}
+    script = SCRIPTS[script_id]
+    fids = [spec["figure"] for spec in script["stages"].values() if "figure" in spec]
+    figures = {fid: load_figure(fid) for fid in dict.fromkeys(fids + script.get("figures", []))}
     stages: dict[str, Stage] = {}
-    for sid, spec in SCRIPTS[script_id]["stages"].items():
+    for sid, spec in script["stages"].items():
         cfg, rules = None, RuleSet()
         if "figure" in spec:
-            fid = spec["figure"]
-            if fid not in figures:
-                figures[fid] = load_figure(fid)
-            cfg, rules = figures[fid].cfg, figures[fid].rules
+            cfg, rules = figures[spec["figure"]].cfg, figures[spec["figure"]].rules
         elif "points" in spec:
             cfg, _, rules = instance_from_json(spec)
         if "patch" in spec:
@@ -259,135 +254,6 @@ def build_stages(script_id: str, options: Optional[Options] = None,
                 tuple(tuple(a) for a in spec["anchors"])))
         stages[sid] = Stage(sid, cfg, _granted_rules(rules, granted), spec.get("fixed", {}))
     return stages, tuple(figures.values())
-
-
-# ---------------------------------------------------------------------------
-# geometric checks: check(cfg, args) -> (holds, detail of the values found)
-# ---------------------------------------------------------------------------
-
-
-def _points_key(pts) -> list:
-    return [[str(p.x), str(p.y)] for p in sorted(pts, key=lambda q: q.coord_key())]
-
-
-def _check_dist2(cfg: Configuration, args: dict):
-    """Is each pair [a, b, k] at squared distance k?"""
-    got = {(a, b): dist2(cfg.point_of(a), cfg.point_of(b)) for a, b, _ in args["pairs"]}
-    return (all(got[a, b] == fe(k) for a, b, k in args["pairs"]),
-            {f"d2({a},{b})": str(d2) for (a, b), d2 in got.items()})
-
-
-def _check_unit_triangle(cfg: Configuration, args: dict):
-    """The pairs hold, and turn = [centre, k, src, dst]: k sixths of a
-    turn about the centre take src to dst."""
-    ok, detail = _check_dist2(cfg, args)
-    centre, k, src, dst = args["turn"]
-    return (ok and rotation60(cfg.point_of(centre), k)(cfg.point_of(src)) == cfg.point_of(dst),
-            detail)
-
-
-def _check_lattice_step(cfg: Configuration, args: dict):
-    """Is q - p the lattice vector `vector`, of squared length its norm?
-    The detail shows the vector found, as "(a,b)" or as exact coordinates
-    off the lattice, and its squared length, under the two given keys."""
-    p, q = (cfg.point_of(n) for n in args["nodes"])
-    want = tuple(args["vector"])
-    v = q - p
-    ab = lattice_coords(v)
-    d2 = dist2(p, q)
-    shown = f"({v.x}, {v.y})" if ab is None else f"({ab[0]},{ab[1]})"
-    return (ab == want and d2 == fe(lattice_norm2(*want)),
-            dict(zip(args["keys"], (shown, str(d2)))))
-
-
-def _check_completions(cfg: Configuration, args: dict):
-    """The plane completions of the anchor from the small to the big
-    template (each adds one point) whose added point lies in the
-    configuration are exactly the expected nodes."""
-    anchor_pts = [cfg.point_of(n) for n in args["anchor"]]
-    anchor_set = frozenset(anchor_pts)
-    cands = template_extensions(args["small"], args["big"], anchor_pts)
-    inside = []
-    outside = []
-    for cand in cands:
-        extra = sorted(set(cand) - anchor_set, key=lambda p: p.coord_key())
-        if len(extra) != 1:
-            return False, {"error": "completion does not add exactly one point"}
-        if extra[0] in cfg.point_index:
-            inside.append(cfg.name_at(extra[0]))
-        else:
-            outside.append(_points_key(extra))
-    ok = sorted(inside) == sorted(cfg.primary(nm) for nm in args["expected"])
-    return ok, {"in_configuration": sorted(inside), "outside_configuration": outside,
-                "candidates": len(cands)}
-
-
-def _check_t6_candidates(cfg: Configuration, args: dict):
-    """Of all plane extensions of the anchor triple to the six-point shape,
-    exactly one avoids the blocker nodes, and it is the survivor set."""
-    cands = template_extensions("T3", "T6", [cfg.point_of(n) for n in args["anchor"]])
-    blocker_pts = {cfg.point_of(n) for n in args["blockers"]}
-    open_sets = [cand for cand in cands if not (set(cand) & blocker_pts)]
-    want = frozenset(cfg.point_of(n) for n in args["survivor"])
-    ok = len(cands) == 4 and len(open_sets) == 1 and frozenset(open_sets[0]) == want
-    return ok, {"candidates": len(cands), "open": [_points_key(c) for c in open_sets],
-                "blockers": list(args["blockers"])}
-
-
-def _check_step_symmetry(cfg: Configuration, args: dict):
-    """`sixths` sixths of a turn about the centroid node permute the block
-    and take each step vector to the next, cyclically; every step has
-    squared length `norm2`."""
-    k = args["sixths"]
-    block = [cfg.point_of(nm) for nm in args["block"]]
-    rot = rotation60(node(*args["centroid"]), k)
-    invariant = {rot(p) for p in block} == set(block)
-    steps = args["steps"]
-    rot0 = rotation60(node(0, 0), k)
-    ok = invariant and all(rot0(node(*s)) == node(*t) and lattice_norm2(*s) == args["norm2"]
-                           for s, t in zip(steps, steps[1:] + steps[:1]))
-    return ok, {"block_invariant": invariant, "steps": steps}
-
-
-def _check_pattern_b_lattice(cfg: Configuration, args: dict):
-    """Each node of `steps` is the origin node moved by [i, j] times the
-    generators of pattern B, each `members` node lies in its sublattice,
-    and the sublattice has the given index."""
-    (g1a, g1b), (g2a, g2b) = PATTERN_B.gen1, PATTERN_B.gen2
-    origin = cfg.point_of(args["origin"])
-    facts = {nm: cfg.point_of(nm) == origin + node(i * g1a + j * g2a, i * g1b + j * g2b)
-             for nm, (i, j) in args["steps"].items()}
-    for nm in args["members"]:
-        ab = lattice_coords(cfg.point_of(nm))
-        facts[nm] = ab is not None and PATTERN_B.lattice_contains(*ab)
-    index = abs(PATTERN_B.det)
-    return (all(facts.values()) and index == args["index"],
-            {"verified": sorted(nm for nm, held in facts.items() if held),
-             "lattice_index": index})
-
-
-def _check_chord_pair(cfg: Configuration, args: dict):
-    turn = chord_rotation(point(0, 0), args["sense"])
-    return (turn.cos ** 2 + turn.sin ** 2 == ONE,
-            {"cos": str(turn.cos), "sin": str(turn.sin)})
-
-
-def _check_lattice_vectors(cfg: Configuration, args: dict):
-    found = sorted(lattice_vectors_of_norm2(args["norm2"]))
-    return found == sorted(tuple(v) for v in args["vectors"]), {"vectors": found}
-
-
-def _check_distance5_invariance(cfg: Configuration, args: dict):
-    return (all(distance5_invariance(PATTERNS[p]) for p in args["patterns"]),
-            {"patterns": args["patterns"], "vectors": sorted(lattice_vectors_of_norm2(25))})
-
-
-GEOM_CHECKS = {"dist2": _check_dist2, "unit_triangle": _check_unit_triangle,
-               "lattice_step": _check_lattice_step, "completions": _check_completions,
-               "t6_candidates": _check_t6_candidates, "step_symmetry": _check_step_symmetry,
-               "pattern_b_lattice": _check_pattern_b_lattice, "chord_pair": _check_chord_pair,
-               "lattice_vectors": _check_lattice_vectors,
-               "distance5_invariance": _check_distance5_invariance}
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +285,7 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
     detail: dict = {}
     certificate = None
 
-    if ob.kind == GEOM_IDENTITY:
-        cfg = (stages[ob.stage].cfg if ob.stage is not None
-               else instance_from_json({"points": ob.args.get("points", [])})[0])
-        ok, detail = GEOM_CHECKS[ob.check](cfg, ob.args)
-        status = "pass" if ok else "fail"
-    elif ob.kind == CLAIM:
+    if ob.kind == CLAIM:
         found = decided.get(ob.oid, [])
         if len(found) != 1:
             detail = {"claims_with_id": len(found)}

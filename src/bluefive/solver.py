@@ -654,9 +654,9 @@ def _line_at(text: str, pos: int) -> str:
     return text[text.rfind("\n", 0, pos) + 1:].partition("\n")[0]
 
 
-def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringProblem:
-    """Read the DIMACS CNF text that `export_dimacs` writes, and an optional
-    'index name' variable map; ValueError on anything else.
+def parse_dimacs(cnf_text: str, varmap_text: str) -> ColoringProblem:
+    """Read the DIMACS CNF text and the full 'index name' variable map
+    that `export_dimacs` writes; ValueError on anything else.
 
     The text is the line ``p cnf V C`` and then C clause lines, each its
     literals separated by single spaces and then `` 0`` (an empty clause
@@ -672,6 +672,7 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
         raise ValueError(f"bad problem line, want 'p cnf V C' and a newline: {head!r}"
                          if head.startswith("p") else "missing 'p cnf' header")
     var_count, clause_count = int(header[1]), int(header[2])
+    names = _read_varmap(varmap_text, var_count)
     bad = _CLAUSE_CHARS.match(body).end()
     if bad != len(body):
         line = _line_at(body, bad)
@@ -698,7 +699,6 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
     # each list is freed as its tuple is made, so the two never all coexist
     decoded.reverse()
     clauses = list(map(tuple, map(decoded.pop, repeat(-1, len(decoded)))))
-    names = _read_varmap(varmap_text or "", var_count)
     name_to_var = dict(zip(names, range(1, var_count + 1)))
     if len(name_to_var) != var_count:
         raise ValueError("variable map gives two variables the same name")
@@ -707,9 +707,9 @@ def parse_dimacs(cnf_text: str, varmap_text: Optional[str] = None) -> ColoringPr
 
 def _read_varmap(text: str, var_count: int) -> list[str]:
     """The names of variables 1..var_count given by an 'index name' map,
-    one entry per non-blank line in any order; a variable the map leaves
-    out is named x<index>.  ValueError on an entry without a name or
-    without a new index in 1..var_count."""
+    one entry per non-blank line in any order.  ValueError on an entry
+    without a name or without a new index in 1..var_count, and then, before
+    the names are listed, on an entry count other than var_count."""
     lines = list(filter(None, map(str.strip, text.splitlines())))
     named: dict[int, str] = {}
     if lines:
@@ -724,7 +724,10 @@ def _read_varmap(text: str, var_count: int) -> list[str]:
                     raise ValueError(f"variable map line {line!r} needs a name "
                                      f"and a new index in 1..{var_count}")
                 seen.add(idx)
-    return [named.get(v) or f"x{v}" for v in range(1, var_count + 1)]
+    if len(lines) != var_count:
+        raise ValueError(f"header declares {var_count} variables, "
+                         f"the variable map names {len(lines)}")
+    return [named[v] for v in range(1, var_count + 1)]
 
 
 # ---------------------------------------------------------------------------

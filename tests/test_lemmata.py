@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,8 +27,12 @@ def test_all_scripts_pass(full_run):
 
 
 def test_obligation_count(full_run):
+    """The benchmark's proof workload expects exactly this many rows."""
     run, _ = full_run
-    assert run.obligation_count >= 40
+    assert run.obligation_count == 198
+    kinds = Counter(o.kind for r in run.reports.values() for o in r.obligations)
+    assert kinds == {"FORCED": 84, "GEOM_IDENTITY": 54, "PATTERN_PRESENT": 25,
+                     "CHAIN_CLAIM": 20, "UNSAT": 11, "SAT_WITNESS": 4}
 
 
 def test_forcing_order_col1(full_run):
@@ -122,17 +127,17 @@ def test_t3t6_self_checks_every_registry(monkeypatch):
 
 
 def test_claim_obligations_resolve_to_one_figure_claim(full_run):
-    """Each squared-distance, image, chain or placement obligation id names
-    exactly one claim among its script's figures, each claim id names one
-    obligation, and the claim's section sets the reported kind."""
+    """Each CLAIM obligation id names exactly one claim among its script's
+    figures, each claim id names one obligation, and the claim's section
+    sets the reported kind."""
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    sections = {"dist2": 0, "images": 0, "ell5": 0, "patterns": 0}
+    sections = dict.fromkeys(CLAIM_CHECKS, 0)
     run, _ = full_run
     for sid in SCRIPT_ORDER:
         _, figures = build_stages(sid, Options(), granted)
         obligations = lemmata.OBLIGATIONS[sid]
         claims = [(section, claim) for figure in figures for section in sections
-                  for claim in figure.claims[section] if "id" in claim]
+                  for claim in figure.claims.get(section, ()) if "id" in claim]
         ids = [claim["id"] for _, claim in claims]
         assert len(set(ids)) == len(ids), sid
         assert sorted(ids) == sorted(ob.oid for ob in obligations
@@ -142,7 +147,8 @@ def test_claim_obligations_resolve_to_one_figure_claim(full_run):
             sections[section] += 1
             result = reported[claim["id"]]
             assert (result.kind, result.status) == (CLAIM_KINDS[section], "pass")
-    assert sections == {"dist2": 21, "images": 10, "ell5": 20, "patterns": 25}
+    assert sections == {"dist2": 23, "images": 18, "ell5": 20, "patterns": 25,
+                        "extensions": 3, "symmetry": 1, "sublattice": 1, "invariance": 1}
     kinds = [o.kind for r in run.reports.values() for o in r.obligations
              if o.kind in ("CHAIN_CLAIM", "PATTERN_PRESENT") and o.status == "pass"]
     assert (kinds.count("CHAIN_CLAIM"), kinds.count("PATTERN_PRESENT")) == (20, 25)
@@ -159,7 +165,7 @@ def test_each_claim_is_decided_once_per_run(monkeypatch):
             return check(cfg, claim)
         monkeypatch.setitem(CLAIM_CHECKS, section, counted)
     assert verify_all(Options()).ok
-    assert len(calls) == 101
+    assert len(calls) == 119
 
 
 def _bluetr_with_edited_chains(monkeypatch, edit):
@@ -212,31 +218,90 @@ def test_corrupted_distance_and_image_claims_fail_self_check_and_obligation(monk
     assert results["side-bc"].status == results["image-A'"].status == "pass"
 
 
-def _moved(fid: str, name: str, to):
-    figure = load_figure(fid)
-    figure.cfg = Configuration((nm, to if nm == name else pt)
-                               for nm, pt in zip(figure.cfg.names, figure.cfg.points))
-    return figure
+def _moved(name: str, to):
+    """An edit that moves the registry node `name` to the point `to`."""
+    def edit(figure):
+        figure.cfg = Configuration((nm, to if nm == name else pt)
+                                   for nm, pt in zip(figure.cfg.names, figure.cfg.points))
+    return edit
 
 
-@pytest.mark.parametrize("sid, fid, name, to, oid, detail", [
-    ("t7", "fig3", "X''", node(0, 0), "unit-triangle",
-     {"d2(X',X'')": "3", "d2(X,X')": "1", "d2(X,X'')": "3"}),
-    ("col1", "figcol1", "A", node(-1, 0), "translate-A", {"shift": "(6,0)", "dist2": "36"}),
-    ("col1", "figcol1", "A", node(-1, 0), "step-symmetry",
-     {"block_invariant": False, "steps": [[5, 0], [-5, 5], [0, -5]]}),
-    ("col2", "figcol2", "B", node(5, 5), "line-lattice",
-     {"verified": ["A'", "A''", "A'''", "B'", "B''", "B'''", "C"], "lattice_index": 5}),
-])
-def test_geometric_details_show_the_values_checked(monkeypatch, sid, fid, name, to, oid,
-                                                   detail):
-    monkeypatch.setattr(lemmata, "load_figure",
-                        lambda f: _moved(f, name, to) if f == fid else load_figure(f))
+def _claim_set(section: str, index: int, **changes):
+    """An edit that changes fields of one claim of a registry section."""
+    def edit(figure):
+        figure.claims[section][index].update(changes)
+    return edit
+
+
+def _failed_rows(monkeypatch, sid: str, fid: str, edit) -> dict:
+    """The results of running `sid`, with every grant, on registry `fid`
+    changed by `edit`; the script must fail."""
+    def edited(name):
+        figure = load_figure(name)
+        if name == fid:
+            edit(figure)
+        return figure
+
+    monkeypatch.setattr(lemmata, "load_figure", edited)
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    stages, _ = build_stages(sid, Options(patch_radius=2), granted)
-    ob = next(o for o in lemmata.OBLIGATIONS[sid] if o.oid == oid)
-    check = lemmata.GEOM_CHECKS[ob.check]
-    assert check(stages[ob.stage].cfg, ob.args) == (False, detail)
+    report = run_script(sid, Options(patch_radius=2), granted)
+    assert report.status == "failed"
+    return {o.oid: o for o in report.obligations}
+
+
+_VECTORS25 = [[-5, 0], [-5, 5], [0, -5], [0, 5], [5, -5], [5, 0]]
+
+
+@pytest.mark.parametrize("sid, fid, edit, oid, detail, failure", [
+    ("t7", "fig3", _moved("X''", node(0, 0)), "unit-triangle",
+     {"image": "(-1/2*sqrt3, 3/2)", "expected": "(5/12*sqrt3 + 1/4*sqrt11, 5/4 + -1/12*sqrt33)"},
+     "fig3: ['turn60', 'X', -1] takes X'' to (-1/2*sqrt3, 3/2), not to X'"),
+    ("col1", "figcol1", _moved("A", node(-1, 0)), "translate-A",
+     {"image": "(4, 0)", "expected": "(5, 0)"},
+     "figcol1: ['translate', 5, 0] takes A to (4, 0), not to A'"),
+    ("col1", "figcol1", _moved("A", node(-1, 0)), "step-symmetry",
+     {"block_invariant": False, "steps": [[5, 0], [-5, 5], [0, -5]]},
+     "figcol1: 2 sixths of a turn about [2, 0] do not map A,B,C,D,E,F and the steps "
+     "[[5, 0], [-5, 5], [0, -5]] onto themselves"),
+    ("col2", "figcol2", _moved("B", node(5, 5)), "line-lattice",
+     {"verified": ["A'", "A''", "A'''", "B'", "B''", "B'''", "C"], "lattice_index": 5},
+     "figcol2: pattern B's sublattice of index 5 misses ['B']"),
+    ("t3t6", "fig4", _moved("X", node(5, 5)), "s1-completions",
+     {"candidates": 3, "open": [["Y"], ["Z"]], "outside": 1},
+     "fig4: the T3 anchor A,B,C extends to T4 as {'candidates': 3, 'open': [['Y'], ['Z']], "
+     "'outside': 1}, not {'candidates': 3, 'open': [['X'], ['Y'], ['Z']], 'outside': 0}"),
+    ("theorem", "figthm", _claim_set("invariance", 0, vectors=_VECTORS25[1:]),
+     "distance5-invariance", {"patterns": ["A", "B"], "vectors": [tuple(v) for v in _VECTORS25]},
+     f"figthm: the norm-25 lattice vectors are {[tuple(v) for v in _VECTORS25]}, "
+     f"not {[tuple(v) for v in _VECTORS25[1:]]}"),
+    ("redtr", "fig1b", _moved("A'", node(1, 0)), "chord-pair",
+     {"dist2": "1", "expected": "3"}, "fig1b: O,A' is at squared distance 1, not 3"),
+], ids=["turn60", "translate", "symmetry", "sublattice", "extensions", "invariance",
+        "chord-pair"])
+def test_moved_geometry_fails_its_claim_row_and_the_self_check(monkeypatch, sid, fid, edit,
+                                                               oid, detail, failure):
+    """Each claim section and map kind decides its row on the registry's
+    coordinates: a broken figure fails the row, which shows the values it
+    found, and the self-check lists the claim."""
+    results = _failed_rows(monkeypatch, sid, fid, edit)
+    row = results[oid]
+    assert (row.kind, row.status, row.detail) == ("GEOM_IDENTITY", "fail", detail)
+    assert failure in results["transcription-self-check"].detail["failures"]
+
+
+@pytest.mark.parametrize("index, equals, failure", [
+    (1, 24, "figthm: A,B is at squared distance 25, not 24"),
+    (2, 2, "figthm: B,C is at squared distance 1, not 2"),
+], ids=["AB", "BC"])
+def test_witness_pair_distances_without_an_id_fail_the_theorem(monkeypatch, index, equals,
+                                                               failure):
+    """The witness pair's distance |AB|^2 = 25 and its unit distance |BC|^2
+    = 1 are claims without an id: only the self-check decides them, and
+    breaking either fails the theorem."""
+    results = _failed_rows(monkeypatch, "theorem", "figthm",
+                           _claim_set("dist2", index, equals=equals))
+    assert results["transcription-self-check"].detail == {"failures": [failure]}
+    assert results["witness-pair-geometry"].status == "pass"
 
 
 def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
@@ -274,13 +339,17 @@ def test_registry_rules_are_proved_only_once_granted():
 
 
 def test_script_table_rows_resolve():
-    """Ids are unique per script, every named stage, check and node exists,
-    and exactly the SAT_WITNESS rows name a canonical colouring."""
+    """Ids are unique per script, every named stage and node exists, the id
+    of exactly the CLAIM rows is carried by exactly one claim of the
+    script's registries, and exactly the SAT_WITNESS rows name a canonical
+    colouring."""
     granted = frozenset(g for grants in GRANTS.values() for g in grants)
     spec_keys = {"figure", "patch", "points", "rules", "fixed", "anchors"}
     for sid in SCRIPT_ORDER:
         assert all(set(spec) <= spec_keys for spec in lemmata.SCRIPTS[sid]["stages"].values())
-        stages, _ = build_stages(sid, Options(), granted)
+        stages, figures = build_stages(sid, Options(), granted)
+        carried = Counter(claim["id"] for figure in figures for section in CLAIM_CHECKS
+                          for claim in figure.claims.get(section, ()) if "id" in claim)
         obligations = lemmata.OBLIGATIONS[sid]
         ids = [ob.oid for ob in obligations]
         assert len(set(ids)) == len(ids), sid
@@ -288,7 +357,7 @@ def test_script_table_rows_resolve():
         assert len({oid.replace("'", "p") for oid in ids}) == len(ids), sid
         for ob in obligations:
             where = (sid, ob.oid)
-            assert (ob.check in lemmata.GEOM_CHECKS) == (ob.kind == "GEOM_IDENTITY"), where
+            assert (carried[ob.oid] == 1) == (ob.kind == "CLAIM"), where
             assert (ob.coloring in PATTERNS) == (ob.kind == "SAT_WITNESS"), where
             if ob.kind in ("FORCED", "SAT_WITNESS") or (ob.kind == "UNSAT" and ob.cnf is None):
                 assert ob.stage in stages, where
@@ -474,7 +543,7 @@ def test_certificate_files_are_compact_lines_of_their_payload(full_run, tmp_path
                     "script": sid, "obligation": res.oid, "kind": res.kind,
                     "statement": res.statement, "status": res.status,
                     "certificate": res.certificate}
-    assert sorted(manifest["files"]) == sorted(payloads) and len(payloads) == 147
+    assert sorted(manifest["files"]) == sorted(payloads) and len(payloads) == 146
     for fname, payload in payloads.items():
         text = (tmp_path / fname).read_text()
         assert text.endswith("\n") and text.count("\n") == 1, fname
@@ -599,8 +668,8 @@ def test_stretch_mode(full_run):
 
 # sha256 of the certified run's report JSON (sort_keys, every elapsed_ms
 # removed) and of its manifest.json, at the default patch radius
-REPORT_SHA256 = "f671e7e2e6d6776358617ff85735f1c03984f855e04b678b09c529d4c57e5f46"
-MANIFEST_SHA256 = "eb976f8b73bd57d58b761ba640b715e514b1451037adc6a937338fedc4a8d785"
+REPORT_SHA256 = "888450749fea5f75d18f755a01e54cac847ddf758bf2e6889825c8240e1ed986"
+MANIFEST_SHA256 = "3f5001d36758d28ca57c627379c8c9f1200a158bae4eb03a8223953337e9f10a"
 
 
 def _strip_timings(obj):

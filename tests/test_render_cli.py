@@ -44,7 +44,7 @@ def test_svg_byte_stable():
 
 
 # sha256 of render(t) concatenated over RENDER_TARGETS at the default radius
-SVG_SHA256 = "332e6274fb727d4747c3fa9738e8decd1bc4a79fbcb918bd146f41473b400d01"
+SVG_SHA256 = "a47be45ac2cc41370db88cb72b8969edb2d6c204fd4814dd22e638db45af2f57"
 
 
 def test_svg_bytes_unchanged():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -566,8 +567,8 @@ _CNF = "p cnf 2 2\n1 -2 0\n2 0\n"
     (_CNF, "1 A\n2 B\n0 B\n", "variable map line '0 B'"),
     (_CNF, "1 A\n2 B\n-1 Z\n", "variable map line '-1 Z'"),
     (_CNF, "1 A\n2 B\n3 C\n", "variable map line '3 C'"),
-    (_CNF + "p cnf 5 2\n", None, "second problem line"),
-    ("p cnf 2 3\n1 -2 0\n2 0\n", None, "declares 3 clauses, found 2"),
+    (_CNF + "p cnf 5 2\n", "1 A\n2 B\n", "second problem line"),
+    ("p cnf 2 3\n1 -2 0\n2 0\n", "1 A\n2 B\n", "declares 3 clauses, found 2"),
     (_CNF, "1 A\n2 A\n", "two variables the same name"),
 ], ids=["varmap-index-0", "varmap-index-negative", "varmap-index-undeclared",
         "second-header", "clause-count", "varmap-name-twice"])
@@ -581,6 +582,19 @@ def test_parse_dimacs_rejects_repeated_or_unnamed_variables():
         with pytest.raises(ValueError, match="needs a name and a new index"):
             parse_dimacs(_CNF, varmap)
     assert parse_dimacs(_CNF, "2 B\n1 A\n").names == ["A", "B"]
+
+
+def test_parse_dimacs_checks_the_header_against_the_map_before_building_names():
+    """A header that declares more variables than the map names is refused
+    before anything of the declared size is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="declares 200000 variables"):
+            parse_dimacs("p cnf 200000 0\n", "1 A\n2 A\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _random_clauses(rng, nv, count):
@@ -606,13 +620,17 @@ def test_parse_dimacs_reads_back_what_export_writes():
             again = parse_dimacs(cnf, text)
             assert again.clauses == problem.clauses, (trial, cnf)
             assert again.names == problem.names and again.name_to_var == problem.name_to_var
-        assert parse_dimacs(cnf).names == [f"x{v}" for v in range(1, nv + 1)]
-    assert parse_dimacs("p cnf 2 2\n 0\n2 0\n").clauses == [(), (2,)]
-    assert parse_dimacs("p cnf 3 0\n", "\n2 B\n").names == ["x1", "B", "x3"]
-    assert parse_dimacs("p cnf 0 0\n").clauses == []
+        if nv:
+            with pytest.raises(ValueError, match=f"variable map names {nv - 1}"):
+                parse_dimacs(cnf, "".join(lines[1:]))
+    assert parse_dimacs("p cnf 2 2\n 0\n2 0\n", "1 a\n2 b\n").clauses == [(), (2,)]
+    with pytest.raises(ValueError, match="variable map names 1"):
+        parse_dimacs("p cnf 3 0\n", "\n2 B\n")
+    assert parse_dimacs("p cnf 0 0\n", "").clauses == []
 
 
 _GOOD = "p cnf 3 2\n1 -2 0\n3 0\n"
+_GOOD_MAP = "1 a\n2 b\n3 c\n"
 
 
 @pytest.mark.parametrize("cnf", [
@@ -659,9 +677,9 @@ _GOOD = "p cnf 3 2\n1 -2 0\n3 0\n"
         "header-leading-zero", "header-double-space", "header-trailing-space",
         "header-short", "header-without-newline", "empty-text"])
 def test_parse_dimacs_refuses_every_other_form(cnf):
-    assert parse_dimacs(_GOOD).clauses == [(1, -2), (3,)]
+    assert parse_dimacs(_GOOD, _GOOD_MAP).clauses == [(1, -2), (3,)]
     with pytest.raises(ValueError):
-        parse_dimacs(cnf)
+        parse_dimacs(cnf, _GOOD_MAP)
 
 
 def _naive_check(clauses, model, assumptions):

@@ -4,10 +4,13 @@
 Each registry records exact coordinates, the colours shown in the
 construction diagram (red / blue / undetermined), the rule ids its
 instance uses, and the named facts that the transcription self-check
-re-verifies: blue unit pairs, squared distances (`dist2`), turned or
-mirrored images (`images`), five-chains (`ell5`) and template placements
-(`patterns`).  A fact that a verification script proves carries the id
-of that script's obligation, which reads it from here.
+re-verifies: blue unit pairs, squared distances (`dist2`), images under
+a chord turn, mirror, lattice translation or turn by sixths (`images`),
+five-chains (`ell5`), template placements (`patterns`), template
+extensions (`extensions`), a block symmetry (`symmetry`), a pattern's
+sublattice (`sublattice`) and norm-25 invariance (`invariance`).  A fact
+that a verification script proves carries the id of that script's
+obligation, which reads it from here.
 """
 
 from __future__ import annotations
@@ -48,9 +51,19 @@ def units(*pairs) -> list[dict]:
 
 
 def image(oid: str, mapping: list, src: str, dst: str) -> dict:
-    """The claim that the map ["chord", centre, sense] or ["mirror", p, q]
-    takes src to dst."""
+    """The claim that the map ["chord", centre, sense], ["mirror", p, q],
+    ["translate", a, b] (by the lattice vector (a, b)) or ["turn60",
+    centre, k] (k sixths of a turn) takes src to dst."""
     return {"id": oid, "map": mapping, "nodes": [src, dst]}
+
+
+def extensions(oid: str, small: str, big: str, anchor: list, count: int,
+               opened: list, outside: int, blocked=()) -> dict:
+    """The claim that the anchor copy of the small template has `count`
+    plane extensions to the big one; those avoiding the blocked nodes add
+    the `opened` node sets, and `outside` more leave the registry."""
+    return {"id": oid, "extend": [small, big], "nodes": anchor, "blocked": list(blocked),
+            "count": count, "open": opened, "outside": outside}
 
 
 def fig1a():
@@ -97,6 +110,8 @@ def fig1b():
         "dist2": [
             dist2("side-ab", "A", "B", 9), dist2("side-bc", "B", "C", 9),
             dist2("side-ca", "C", "A", 9), dist2("centre-oa", "O", "A", 3),
+            # the turn keeps A' on the circle through A only if it is an isometry
+            dist2("chord-pair", "O", "A'", 3),
             dist2("chord-A", "A", "A'", 1), dist2("chord-B", "B", "B'", 1),
             dist2("chord-C", "C", "C'", 1),
         ],
@@ -152,6 +167,7 @@ def fig3():
             image("image-xpp", ["chord", "C", -1], "X", "X''"),
             image("image-dpp", ["chord", "C", -1], "D", "D''"),
             image("image-fpp", ["chord", "C", -1], "F", "F''"),
+            image("unit-triangle", ["turn60", "X", -1], "X''", "X'"),
         ],
         "ell5": [],
         "patterns": [
@@ -183,6 +199,8 @@ def fig4():
         "blue_unit": [["E", "B"], ["F", "B"], ["G", "C"], ["H", "C"],
                       ["I", "A"], ["J", "A"]],
         "dist2": units(["K", "L"], ["K", "M"], ["N", "P"], ["N", "Q"]),
+        "extensions": [extensions("s1-completions", "T3", "T4", ["A", "B", "C"], 3,
+                                  [["X"], ["Y"], ["Z"]], 0)],
         "images": [],
         "ell5": [
             {"id": "s1-chain-lmygh", "nodes": ["L", "M", "Y", "G", "H"]},
@@ -216,6 +234,8 @@ def fig5():
         "blue_unit": [["H", "C"], ["I", "C"], ["K", "B"], ["L", "B"],
                       ["M", "D"], ["N", "D"]],
         "dist2": units(["P", "Q"], ["P", "R"]),
+        "extensions": [extensions("s2-completions", "T4", "T5", ["A", "B", "C", "D"], 4,
+                                  [["X"], ["F"], ["G"]], 1)],
         "images": [],
         "ell5": [
             {"id": "s2-chain-fhigp", "nodes": ["F", "H", "I", "G", "P"]},
@@ -303,7 +323,12 @@ def figcol1():
                       ["S1'", "D"], ["S2'", "E"], ["S4'", "A'"], ["V'", "E"]],
         "dist2": units(["R", "Q"], ["R", "P"], ["X", "X1"], ["X", "X2"],
                        ["Y", "X1'"], ["Y", "X2'"]),
-        "images": [],
+        "images": [image(f"translate-{n}", ["translate", 5, 0], n, f"{n}'") for n in "ABCDEF"],
+        "extensions": [extensions("t6-candidates", "T3", "T6", ["A'", "B'", "F'"], 4,
+                                  [["C'", "D'", "E'"]], 0, blocked=["X", "Y"])],
+        "symmetry": [{"id": "step-symmetry", "nodes": ["A", "B", "C", "D", "E", "F"],
+                      "centroid": [2, 0], "sixths": 2, "steps": [[5, 0], [-5, 5], [0, -5]],
+                      "norm2": 25}],
         "ell5": [
             {"id": "chain-kliqp", "nodes": ["K", "L", "I", "Q", "P"]},
             {"id": "chain-ajnmr", "nodes": ["A'", "J", "N", "M", "R"]},
@@ -347,6 +372,9 @@ def figcol2():
         "blue_unit": [["E", "B"], ["F", "B"], ["I", "B"], ["H", "B"],
                       ["K", "B"], ["J", "B"]],
         "dist2": [dist2("ab-sqrt3", "A", "B", 3), dist2(None, "N", "B'", 1)],
+        "sublattice": [{"id": "line-lattice", "pattern": "B", "origin": "A",
+                        "steps": {"B": [1, 0], "C": [2, 0], "A'": [0, 1], "B'": [1, 1]},
+                        "members": ["A''", "B''", "A'''", "B'''"], "index": 5}],
         "images": [],
         "ell5": [
             {"id": "chain-defgb", "nodes": ["D", "E", "F", "G", "B'"]},
@@ -363,6 +391,26 @@ def figcol2():
          claims)
 
 
+def figthm():
+    """The closing step: a unit pair B, C both at distance 5 from the red
+    point A, and the lattice facts that make every such point red."""
+    A, B = node(0, 0), node(5, 0)
+    C = point(Fraction(49, 10), fe(0, 0, Fraction(3, 10)))
+    colors = {"A": "red", "B": "red", "C": "red"}
+    claims = {
+        "blue_unit": [],
+        "dist2": [dist2("witness-pair-geometry", "A", "C", 25), dist2(None, "A", "B", 25),
+                  dist2(None, "B", "C", 1)],
+        "images": [image("blue-point-on-lattice", ["translate", 5, 0], "A", "B")],
+        "ell5": [],
+        "patterns": [],
+        "invariance": [{"id": "distance5-invariance", "patterns": ["A", "B"],
+                        "vectors": [[5, 0], [-5, 0], [0, 5], [0, -5], [5, -5], [-5, 5]]}],
+    }
+    dump("figthm", [("A", A), ("B", B), ("C", C)], colors,
+         ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN"], claims)
+
+
 if __name__ == "__main__":
     fig1a()
     fig1b()
@@ -372,3 +420,4 @@ if __name__ == "__main__":
     fig6()
     figcol1()
     figcol2()
+    figthm()
