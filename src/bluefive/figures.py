@@ -105,11 +105,16 @@ def _check_extensions(cfg: Configuration, claim: dict):
     """The plane placements of the big template that contain the anchor
     copy of the small one number `count`; of those that add no `blocked`
     node, the ones whose added points are all nodes add exactly the `open`
-    node sets, and `outside` more leave the configuration."""
+    node sets, and `outside` more leave the configuration.  An anchor that
+    is no copy of the small template fails the claim."""
     small, big = claim["extend"]
     anchor = [cfg.point_of(n) for n in claim["nodes"]]
     blocked = {cfg.point_of(n) for n in claim["blocked"]}
-    cands = template_extensions(small, big, anchor)
+    try:
+        cands = template_extensions(small, big, anchor)
+    except ValueError as exc:
+        return ({"error": str(exc)},
+                f"the {small} anchor {','.join(claim['nodes'])} does not extend to {big}: {exc}")
     opened, outside = [], 0
     for cand in cands:
         added = set(cand).difference(anchor)

@@ -12,9 +12,8 @@ list of machine-checkable obligations over a fixed configuration:
 * SAT_WITNESS     - an explicit colouring satisfies an instance.
 
 The scripts are data: data/scripts.json holds, per script, its
-dependencies, the rules it grants, its transcription notes, its stages,
-the registries it reads besides its stages' (`figures`), and one
-obligation row per line, in dependency order.  A stage is a figure
+dependencies, the rules it grants, its transcription notes, its stages
+and one obligation row per line, in dependency order.  A stage is a figure
 registry (its configuration and rules), optionally grown by a hex patch
 of lattice nodes, or a bare patch, or an inline instance in the registry
 format; each also names its fixed premises.  A SAT_WITNESS row names the
@@ -28,6 +27,11 @@ the kind of the claim's section (every section but ell5 and patterns
 reports GEOM_IDENTITY).  Scripts run in dependency order; a passing script
 unlocks its derived rule for the scripts above it.  Forced colours
 accumulate inside a script, mirroring how the argument walks point by point.
+
+A certified run writes a certificate for each FORCED, UNSAT and
+SAT_WITNESS row and for no figure-claim row: the instance's CNF and, per
+verdict, its assumptions and either the model (sat) or the trace (unsat)
+that `replay_certificate` checks.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .configuration import (Configuration, ExtensionSchema, NO_RED_T3, RuleSet,
 from .figures import Figure, load_figure, self_check
 from .geometry import hex_indices, lattice_symmetries, node
 from .solver import (CertificateError, ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
-                     check_trace_assumptions, enumerate_models, export_dimacs, forced_color,
-                     parse_dimacs, replay_model, replay_unsat_trace, solve)
+                     enumerate_models, export_dimacs, forced_color, parse_dimacs,
+                     replay_model, replay_unsat_trace, solve)
 from .tilings import PATTERNS
 
 GEOM_IDENTITY = "GEOM_IDENTITY"
@@ -230,12 +234,12 @@ def _granted_rules(rules: RuleSet, granted: frozenset) -> RuleSet:
 
 def build_stages(script_id: str, options: Optional[Options] = None,
                  granted: frozenset = frozenset()) -> tuple[dict[str, Stage], tuple[Figure, ...]]:
-    """The script's stages, in table order, and the figures it reads: its
-    stages' and then those its `figures` list names, each loaded once."""
+    """The script's stages, in table order, and the figures its stages
+    read, each loaded once."""
     options = options or Options()
     script = SCRIPTS[script_id]
     fids = [spec["figure"] for spec in script["stages"].values() if "figure" in spec]
-    figures = {fid: load_figure(fid) for fid in dict.fromkeys(fids + script.get("figures", []))}
+    figures = {fid: load_figure(fid) for fid in dict.fromkeys(fids)}
     stages: dict[str, Stage] = {}
     for sid, spec in script["stages"].items():
         cfg, rules = None, RuleSet()
@@ -263,14 +267,15 @@ def build_stages(script_id: str, options: Optional[Options] = None,
 
 def _certificate(problem: ColoringProblem, verdicts: dict[str, Verdict],
                  assumptions: dict[str, list[int]]) -> dict:
+    """The CNF and, per tag, the verdict's assumptions and the evidence a
+    replay checks: a sat entry's model or an unsat entry's trace."""
     cnf, varmap = export_dimacs(problem)
     cert: dict = {"cnf": cnf, "varmap": varmap}
     for tag, verdict in verdicts.items():
-        entry: dict = {"kind": verdict.kind,
-                       "assumptions": assumptions.get(tag, [])}
-        if verdict.model is not None:
+        entry: dict = {"kind": verdict.kind, "assumptions": assumptions.get(tag, [])}
+        if verdict.is_sat:
             entry["model"] = [1 if b else 0 for b in verdict.model]
-        if verdict.trace is not None:
+        else:
             entry["trace"] = verdict.trace
         cert[tag] = entry
     return cert
@@ -336,8 +341,6 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
                                        {"witness": assumptions})
     else:
         raise ValueError(f"unknown obligation kind {ob.kind!r}")
-    if emit and kind == GEOM_IDENTITY:
-        certificate = {"identity": detail}
 
     return ObligationResult(ob.oid, kind, ob.statement, status, detail,
                             certificate, (time.perf_counter() - t0) * 1e3)
@@ -577,44 +580,38 @@ def _proof_shape(payload) -> dict:
     """The certificate of `payload` once it has the shape of a proof of the
     claim it is filed under; CertificateError otherwise.
 
-    The status is "pass".  A GEOM_IDENTITY certificate holds only its
-    restated values.  Any other holds its CNF text, its variable map and
-    exactly the entries of `_PROOF_ENTRIES` for its kind: an unsat entry
-    with a trace that assumes only what the entry declares, a sat entry
-    with a model, each with a list of integer assumptions.  A FORCED
-    refuted side assumes one literal and its asserted side the negation;
-    an UNSAT entry assumes nothing.
+    The status is "pass", and the kind is one of `_PROOF_ENTRIES`.  The
+    certificate holds its CNF text, its variable map and exactly the
+    entries of `_PROOF_ENTRIES` for its kind: an unsat entry holds exactly
+    its kind, its assumptions and its trace, and a sat entry its kind, its
+    assumptions and its model, the assumptions a list of integers.  A
+    FORCED refuted side assumes one literal and its asserted side the
+    negation; an UNSAT entry assumes nothing.
     """
     if not isinstance(payload, dict):
         raise CertificateError("a certificate file holds a JSON object")
     kind, status, cert = (payload.get(key) for key in ("kind", "status", "certificate"))
     if status != "pass":
         raise CertificateError(f"status {status!r} claims nothing; a proof has status 'pass'")
-    if kind == GEOM_IDENTITY:
-        want = {"identity"}
-    elif kind in _PROOF_ENTRIES:
-        want = {"cnf", "varmap", *_PROOF_ENTRIES[kind]}
-    else:
+    if kind not in _PROOF_ENTRIES:
         raise CertificateError(f"no certificate proves a claim of kind {kind!r}")
+    want = {"cnf", "varmap", *_PROOF_ENTRIES[kind]}
     if not isinstance(cert, dict) or set(cert) != want:
         raise CertificateError(f"a {kind} certificate holds exactly {sorted(want)}, "
                                f"not {sorted(cert) if isinstance(cert, dict) else cert!r}")
-    if kind == GEOM_IDENTITY:
-        return cert
     if type(cert["cnf"]) is not str or type(cert["varmap"]) is not str:
         raise CertificateError("the CNF and the variable map are strings")
     assumed = {}
     for tag, verdict in _PROOF_ENTRIES[kind].items():
         entry = cert[tag]
         evidence = "trace" if verdict == "unsat" else "model"
-        if (not isinstance(entry, dict) or entry.get("kind") != verdict
-                or type(entry.get(evidence)) not in (list, tuple)):
-            raise CertificateError(f"{tag} is not a {verdict} entry with a {evidence}")
-        assumed[tag] = entry.get("assumptions", [])
+        if (not isinstance(entry, dict) or set(entry) != {"kind", "assumptions", evidence}
+                or entry["kind"] != verdict or type(entry[evidence]) not in (list, tuple)):
+            raise CertificateError(f"{tag} is not a {verdict} entry of exactly a kind, "
+                                   f"assumptions and a {evidence}")
+        assumed[tag] = entry["assumptions"]
         if type(assumed[tag]) is not list or any(type(a) is not int for a in assumed[tag]):
             raise CertificateError(f"{tag} assumptions are not a list of integers")
-        if verdict == "unsat":
-            check_trace_assumptions(entry["trace"], assumed[tag])
     if kind == FORCED:
         refuted, asserted = assumed["refuted_side"], assumed["asserted_side"]
         if len(refuted) != 1 or not refuted[0] or asserted != [-refuted[0]]:
@@ -630,23 +627,24 @@ def replay_certificate(payload: dict) -> bool:
 
     The certificate must first have the shape of a proof of the claim it
     is filed under (`_proof_shape`).  Its CNF is read with `parse_dimacs`
-    (ValueError on text `export_dimacs` would not write); each unsat trace
-    must replay, and each model must assign every variable and satisfy the
-    clauses and assumptions.  Raises CertificateError otherwise.
+    (ValueError on text `export_dimacs` would not write), and each entry
+    is checked against the CNF's clauses followed by one unit clause per
+    entry assumption, in order: an unsat trace must replay, and a model
+    must assign every variable and satisfy those clauses.  Raises
+    CertificateError otherwise.
     """
     cert = _proof_shape(payload)
-    if "cnf" not in cert:
-        return True  # geometric identity: restated values, nothing to replay
     problem = parse_dimacs(cert["cnf"], cert["varmap"])
     for tag, verdict in _PROOF_ENTRIES[payload["kind"]].items():
         entry = cert[tag]
+        clauses = problem.clauses + [(lit,) for lit in entry["assumptions"]]
         if verdict == "unsat":
-            replay_unsat_trace(problem.clauses, entry["trace"])
+            replay_unsat_trace(clauses, entry["trace"])
         else:
             model = entry["model"]
             if (len(model) != problem.var_count
                     or model.count(0) + model.count(1) != len(model)):
                 raise CertificateError(f"{tag} model is not one 0 or 1 per variable "
                                        f"of the {problem.var_count}")
-            replay_model(problem.clauses, model, entry.get("assumptions", []))
+            replay_model(clauses, model)
     return True

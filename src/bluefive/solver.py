@@ -6,8 +6,9 @@ the caller gives one), tries the red (true) branch first, never restarts
 and uses no randomness.  A search that records a trace builds a fresh
 engine on a copy of the watch lists that the problem indexes once per
 clause, and backtracks chronologically.  The trace lists every decision,
-propagation, flip and conflict; an independent replayer re-checks traces
-and models without touching the search code.
+propagation, flip and conflict; an assumption is one more unit clause
+after the problem's, so setting it is a propagation.  An independent
+replayer re-checks traces and models without touching the search code.
 
 A search that records no trace runs on the problem's one learning engine
 (MiniSat's incremental scheme, Een & Sorensson 2003), built by the first
@@ -30,7 +31,8 @@ included, is a ValueError.  A certificate replay
 (`lemmata.replay_certificate`) first checks that the certificate has the
 shape of a proof of the claim it is filed under, then reads its CNF here
 and replays its traces and models with `replay_unsat_trace` and
-`replay_model`.
+`replay_model`, each against the CNF's clauses followed by one unit
+clause per assumption of the entry.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import not_
 from typing import Iterable, Optional, Sequence
 
@@ -186,8 +188,9 @@ class _Engine:
     def load(self, problem: ColoringProblem, assumptions: Sequence[int]) -> bool:
         """Set up a traced search on copies of the problem's clauses and
         indexed watch lists: an empty clause conflicts at once; otherwise
-        assign the unit clauses and the assumptions at level 0, in order,
-        recording each as an event.  False on a contradiction."""
+        assign the unit clauses and then the assumptions at level 0, in
+        order, recording each as an event.  Assumption i is the unit clause
+        of id C + i after the problem's C clauses.  False on a contradiction."""
         trace = self.trace
         index = problem._indexed()
         if index.empty is not None:
@@ -196,7 +199,7 @@ class _Engine:
         self.clauses = list(map(list, problem.clauses))
         self.watch = list(map(list.copy, index.watch))
         val = self.val
-        for lit, cid in index.units:
+        for lit, cid in chain(index.units, zip(assumptions, count(index.count))):
             cur = val[lit]
             if cur == -1:
                 trace.append(("conflict", cid))
@@ -204,14 +207,6 @@ class _Engine:
             if cur == 0:
                 self._assign(lit)
                 trace.append(("imply", lit, cid))
-        for lit in assumptions:
-            cur = val[lit]
-            if cur == -1:
-                trace.append(("conflict_assume", lit))
-                return False
-            if cur == 0:
-                trace.append(("assume", lit))
-                self._assign(lit)
         return True
 
     def absorb(self, clauses: Sequence[Sequence[int]]) -> bool:
@@ -736,8 +731,7 @@ def _read_varmap(text: str, var_count: int) -> list[str]:
 
 
 # arguments after each event's tag: a clause id for "conflict", else a literal first
-_EVENT_ARITY = {"assume": 1, "conflict_assume": 1, "decide": 1, "flip": 1,
-                "imply": 2, "conflict": 1}
+_EVENT_ARITY = {"decide": 1, "flip": 1, "imply": 2, "conflict": 1}
 
 
 def _event_tag(ev) -> str:
@@ -756,11 +750,12 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
     """Re-check an unsat trace step by step, independently of the engine.
 
     Verifies that every event has a known tag and arity, every
-    assumption comes before the first decision, every
     implication is forced by its reason clause, every conflict clause is
     fully falsified, every flip answers a conflict on the deepest open
     decision, and that the final conflict happens with no open decision
-    left (decision level 0).  Raises CertificateError on the first
+    left (decision level 0).  A refutation under assumptions is checked
+    with each assumption appended to `clauses` as a unit clause, so the
+    trace can use no other.  Raises CertificateError on the first
     discrepancy.
     """
     assign: dict[int, bool] = {}
@@ -787,25 +782,9 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
 
     for ev in trace:
         tag = _event_tag(ev)
-        if conflict_pending and tag not in ("flip",):
+        if conflict_pending and tag != "flip":
             raise CertificateError(f"expected flip after conflict, got {tag}")
-        if tag == "assume":
-            lit = ev[1]
-            if decisions:
-                raise CertificateError("assumption above decision level 0")
-            if abs(lit) in assign:
-                if assign[abs(lit)] != (lit > 0):
-                    raise CertificateError("assumption contradicts trail without conflict event")
-                continue
-            set_lit(lit)
-        elif tag == "conflict_assume":
-            lit = ev[1]
-            if not lit_false(lit):
-                raise CertificateError("conflicting assumption is not falsified")
-            if decisions:
-                raise CertificateError("assumption conflict above decision level 0")
-            return True
-        elif tag == "decide":
+        if tag == "decide":
             lit = ev[1]
             decisions.append([len(trail), lit, False])
             set_lit(lit)
@@ -854,24 +833,7 @@ def replay_unsat_trace(clauses: Sequence[Sequence[int]], trace: Sequence[Sequenc
     return True
 
 
-def check_trace_assumptions(trace: Sequence[Sequence], assumptions: Sequence[int]) -> bool:
-    """Check that an unsat trace assumes only the declared literals.
-
-    Every ``assume`` and ``conflict_assume`` literal must be one of the
-    declared assumptions.  Containment, not equality: the engine emits no
-    ``assume`` for a literal that a unit clause has already set.  Raises
-    CertificateError otherwise, and on a malformed event.
-    """
-    declared = set(assumptions)
-    for ev in trace:
-        if _event_tag(ev) in ("assume", "conflict_assume") and ev[1] not in declared:
-            raise CertificateError(
-                f"trace assumes {ev[1]}, which is not a declared assumption")
-    return True
-
-
-def replay_model(clauses: Sequence[Sequence[int]], model: Sequence[bool],
-                 assumptions: Sequence[int] = ()) -> bool:
-    if not check_model(clauses, model, assumptions):
+def replay_model(clauses: Sequence[Sequence[int]], model: Sequence[bool]) -> bool:
+    if not check_model(clauses, model):
         raise CertificateError("model does not satisfy the clause set")
     return True

@@ -116,7 +116,6 @@ def embeddings_brute(cfg, tpl):
 # reason codes for trail entries
 _R_DECISION = -1
 _R_FLIP = -2
-_R_ASSUMPTION = -3
 
 
 class ReferenceEngine:
@@ -159,18 +158,15 @@ class ReferenceEngine:
             if not self._enqueue(lit, cid):
                 self.failed = ("conflict", cid)
                 return
-        for lit in assumptions:
-            if self.trace is not None and self.assign[abs(lit)] == 0:
-                self.trace.append(("assume", lit))
-            if not self._enqueue(lit, _R_ASSUMPTION, quiet=True):
-                if self.trace is not None:
-                    self.trace.append(("conflict_assume", lit))
-                self.failed = ("conflict_assume", lit)
+        # assumption i is the unit clause of id C + i after the C clauses
+        for cid, lit in enumerate(assumptions, len(self.clauses)):
+            if not self._enqueue(lit, cid):
+                self.failed = ("conflict", cid)
                 return
 
     # ------------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: int, quiet: bool = False) -> bool:
+    def _enqueue(self, lit: int, reason: int) -> bool:
         var = abs(lit)
         val = 1 if lit > 0 else -1
         cur = self.assign[var]
@@ -182,7 +178,7 @@ class ReferenceEngine:
             return False
         self.assign[var] = val
         self.trail.append(lit)
-        if self.trace is not None and not quiet:
+        if self.trace is not None:
             if reason >= 0:
                 self.trace.append(("imply", lit, reason))
             elif reason == _R_DECISION:

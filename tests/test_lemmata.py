@@ -270,14 +270,17 @@ _VECTORS25 = [[-5, 0], [-5, 5], [0, -5], [0, 5], [5, -5], [5, 0]]
      {"candidates": 3, "open": [["Y"], ["Z"]], "outside": 1},
      "fig4: the T3 anchor A,B,C extends to T4 as {'candidates': 3, 'open': [['Y'], ['Z']], "
      "'outside': 1}, not {'candidates': 3, 'open': [['X'], ['Y'], ['Z']], 'outside': 0}"),
+    ("t3t6", "fig4", _moved("A", node(9, 9)), "s1-completions",
+     {"error": "anchor is not congruent to template T3"},
+     "fig4: the T3 anchor A,B,C does not extend to T4: anchor is not congruent to template T3"),
     ("theorem", "figthm", _claim_set("invariance", 0, vectors=_VECTORS25[1:]),
      "distance5-invariance", {"patterns": ["A", "B"], "vectors": [tuple(v) for v in _VECTORS25]},
      f"figthm: the norm-25 lattice vectors are {[tuple(v) for v in _VECTORS25]}, "
      f"not {[tuple(v) for v in _VECTORS25[1:]]}"),
     ("redtr", "fig1b", _moved("A'", node(1, 0)), "chord-pair",
      {"dist2": "1", "expected": "3"}, "fig1b: O,A' is at squared distance 1, not 3"),
-], ids=["turn60", "translate", "symmetry", "sublattice", "extensions", "invariance",
-        "chord-pair"])
+], ids=["turn60", "translate", "symmetry", "sublattice", "extensions",
+        "extensions-anchor", "invariance", "chord-pair"])
 def test_moved_geometry_fails_its_claim_row_and_the_self_check(monkeypatch, sid, fid, edit,
                                                                oid, detail, failure):
     """Each claim section and map kind decides its row on the registry's
@@ -392,6 +395,40 @@ def test_forced_and_unsat_have_certificates(full_run):
                 assert res.certificate is not None, (sid, res.oid)
 
 
+def test_bundle_holds_only_what_the_replayer_checks(bundle):
+    """Only FORCED, UNSAT and SAT_WITNESS rows write files; a sat entry
+    carries its model and no trace, and every trace event is a decision,
+    an implication, a flip or a conflict (at R=7 every refutation is by
+    propagation alone)."""
+    assert Counter(p["kind"] for p in bundle.values()) == {
+        "FORCED": 84, "UNSAT": 11, "SAT_WITNESS": 4}
+    tags = set()
+    for payload in bundle.values():
+        for tag, entry in payload["certificate"].items():
+            if tag in ("cnf", "varmap"):
+                continue
+            evidence = "model" if entry["kind"] == "sat" else "trace"
+            assert set(entry) == {"kind", "assumptions", evidence}
+            tags.update(ev[0] for ev in entry.get("trace", ()))
+    assert {"imply", "conflict"} <= tags <= {"imply", "decide", "flip", "conflict"}
+
+
+@pytest.mark.parametrize("radius", [7, 9])
+def test_certified_models_are_the_untraced_models(full_run, radius):
+    """Each sat entry's model is the one an untraced solve of its CNF under
+    its assumptions finds, so the sat sides need no traced search."""
+    run = (full_run[0] if radius == 7
+           else verify_all(Options(patch_radius=radius, emit_certificates=True)))
+    entries = [(res.certificate, entry) for report in run.reports.values()
+               for res in report.obligations if res.certificate is not None
+               for entry in res.certificate.values()
+               if isinstance(entry, dict) and entry["kind"] == "sat"]
+    assert len(entries) == 88
+    for cert, entry in entries:
+        model = solve(parse_dimacs(cert["cnf"], cert["varmap"]), entry["assumptions"]).model
+        assert [int(b) for b in model] == entry["model"]
+
+
 def test_certificates_replay(full_run, tmp_path):
     run, _ = full_run
     manifest = write_certificates(run, tmp_path)
@@ -402,31 +439,37 @@ def test_certificates_replay(full_run, tmp_path):
         assert replay_certificate(payload)
 
 
-def test_refutation_trace_bound_to_declared_assumption(full_run, tmp_path):
-    """A FORCED refutation may assume only what its entry declares: with the
-    declared assumption negated, or with one more assume in the trace, the
-    trace still replays on its own but the certificate is rejected."""
-    run, _ = full_run
-    manifest = write_certificates(run, tmp_path)
-    payload = next(p for p in (json.loads((tmp_path / f).read_text())
-                               for f in sorted(manifest["files"]))
-                   if p["kind"] == "FORCED")
-    cert = payload["certificate"]
-    problem = parse_dimacs(cert["cnf"], cert["varmap"])
-    trace = cert["refuted_side"]["trace"]
-    [declared] = cert["refuted_side"]["assumptions"]
-    at = trace.index(["assume", declared]) + 1
+def test_refutation_trace_bound_to_declared_assumption(bundle):
+    """A FORCED refutation may use only the assumption its entry declares,
+    which replays as the unit clause of id C after the CNF's C clauses:
+    with the declared assumption negated the replay itself fails, and an
+    implication that cites clause C + 1 cites no clause."""
+    for payload in bundle.values():
+        if payload["kind"] != "FORCED":
+            continue
+        cert = payload["certificate"]
+        problem = parse_dimacs(cert["cnf"], cert["varmap"])
+        count = len(problem.clauses)
+        trace = cert["refuted_side"]["trace"]
+        [declared] = cert["refuted_side"]["assumptions"]
+        if ["imply", declared, count] in trace:
+            break
+    else:
+        pytest.fail("no FORCED refutation sets its assumption by an implication")
+    at = trace.index(["imply", declared, count]) + 1
     assigned = {abs(ev[1]) for ev in trace if ev[0] != "conflict"}
     free = next(v for v in range(1, problem.var_count + 1) if v not in assigned)
+    assert replay_unsat_trace(problem.clauses + [(declared,)], trace)
+    with pytest.raises(CertificateError, match=f"implied literal {declared} not in clause"):
+        replay_unsat_trace(problem.clauses + [(-declared,)], trace)
 
     negated = json.loads(json.dumps(payload))
     negated["certificate"]["refuted_side"]["assumptions"] = [-declared]
+    negated["certificate"]["asserted_side"]["assumptions"] = [declared]
     extra = json.loads(json.dumps(payload))
-    extra["certificate"]["refuted_side"]["trace"].insert(at, ["assume", free])
-    for bad in (negated, extra):
-        side = bad["certificate"]["refuted_side"]
-        assert replay_unsat_trace(problem.clauses, side["trace"])
-        with pytest.raises(CertificateError, match="not a declared assumption"):
+    extra["certificate"]["refuted_side"]["trace"].insert(at, ["imply", free, count + 1])
+    for bad, message in ((negated, "not in clause"), (extra, "out of range")):
+        with pytest.raises(CertificateError, match=message):
             replay_certificate(bad)
     assert replay_certificate(payload)
 
@@ -473,9 +516,14 @@ _MUTATIONS = {
     "witness-relabelled-unsat": ("SAT_WITNESS", lambda p, c: p.update(kind="UNSAT")),
     "witness-entry-marked-unsat": ("SAT_WITNESS", lambda p, c: c["witness"].update(kind="unsat")),
     "witness-status-fail": ("SAT_WITNESS", lambda p, c: p.update(status="fail")),
-    "identity-with-cnf": ("GEOM_IDENTITY", lambda p, c: c.update(cnf="p cnf 0 0\n")),
-    "identity-status-fail": ("GEOM_IDENTITY", lambda p, c: p.update(status="fail")),
-    "unknown-kind": ("GEOM_IDENTITY", lambda p, c: p.update(kind="LEMMA")),
+    "unsat-status": ("UNSAT", lambda p, c: p.update(status="fail")),
+    "unknown-kind": ("FORCED", lambda p, c: p.update(kind="LEMMA")),
+    # no certificate proves a geometric claim
+    "geom-identity": ("FORCED", lambda p, c: p.update(kind="GEOM_IDENTITY")),
+    # an entry holds exactly the evidence its verdict is checked by
+    "sat-with-trace": ("FORCED", lambda p, c: c["asserted_side"].update(
+        trace=c["refuted_side"]["trace"])),
+    "unsat-with-model": ("UNSAT", lambda p, c: c["unsat"].update(model=[])),
     "no-certificate": ("SAT_WITNESS", lambda p, c: p.pop("certificate")),
 }
 
@@ -494,7 +542,10 @@ def test_replay_rejects_a_certificate_that_does_not_prove_its_claim(bundle, muta
 
 
 def test_replay_rejects_what_is_not_a_certificate_payload():
-    for payload in ([], None, {"kind": "FORCED", "status": "pass", "certificate": []}):
+    identity = {"kind": "GEOM_IDENTITY", "status": "pass",
+                "certificate": {"identity": {"dist2": "25", "expected": "25"}}}
+    for payload in ([], None, {"kind": "FORCED", "status": "pass", "certificate": []},
+                    identity):
         with pytest.raises(CertificateError):
             replay_certificate(payload)
 
@@ -503,11 +554,10 @@ def test_replay_reads_only_the_exported_cnf_form(bundle):
     """With a comment line in front of its CNF, no file of a real bundle
     replays: the reader takes only what `export_dimacs` writes."""
     for payload in bundle.values():
-        if "cnf" in payload["certificate"]:
-            payload = json.loads(json.dumps(payload))
-            payload["certificate"]["cnf"] = "c comment\n" + payload["certificate"]["cnf"]
-            with pytest.raises(ValueError, match="missing 'p cnf' header"):
-                replay_certificate(payload)
+        payload = json.loads(json.dumps(payload))
+        payload["certificate"]["cnf"] = "c comment\n" + payload["certificate"]["cnf"]
+        with pytest.raises(ValueError, match="missing 'p cnf' header"):
+            replay_certificate(payload)
 
 
 def test_certificate_files_hash_match(full_run, tmp_path):
@@ -543,7 +593,7 @@ def test_certificate_files_are_compact_lines_of_their_payload(full_run, tmp_path
                     "script": sid, "obligation": res.oid, "kind": res.kind,
                     "statement": res.statement, "status": res.status,
                     "certificate": res.certificate}
-    assert sorted(manifest["files"]) == sorted(payloads) and len(payloads) == 146
+    assert sorted(manifest["files"]) == sorted(payloads) and len(payloads) == 99
     for fname, payload in payloads.items():
         text = (tmp_path / fname).read_text()
         assert text.endswith("\n") and text.count("\n") == 1, fname
@@ -567,7 +617,7 @@ def test_in_memory_certificates_with_tuple_traces_replay(full_run):
                     assert all(type(ev) is tuple for ev in entry["trace"])
             assert replay_certificate({"kind": res.kind, "status": res.status,
                                        "certificate": res.certificate})
-    assert traced == 84 * 2 + 11
+    assert traced == 84 + 11  # one refutation per FORCED row and per UNSAT row
 
 
 def test_reused_certs_directory_holds_only_the_new_bundle(full_run, tmp_path):
@@ -577,7 +627,7 @@ def test_reused_certs_directory_holds_only_the_new_bundle(full_run, tmp_path):
     write_certificates(run, tmp_path)
     small = verify_all(Options(emit_certificates=True), only=["bluetr"])
     manifest = write_certificates(small, tmp_path)
-    assert len(manifest["files"]) == 14
+    assert len(manifest["files"]) == 7
     assert ({p.name for p in tmp_path.iterdir()}
             == set(manifest["files"]) | {"manifest.json"})
 
@@ -668,8 +718,8 @@ def test_stretch_mode(full_run):
 
 # sha256 of the certified run's report JSON (sort_keys, every elapsed_ms
 # removed) and of its manifest.json, at the default patch radius
-REPORT_SHA256 = "888450749fea5f75d18f755a01e54cac847ddf758bf2e6889825c8240e1ed986"
-MANIFEST_SHA256 = "3f5001d36758d28ca57c627379c8c9f1200a158bae4eb03a8223953337e9f10a"
+REPORT_SHA256 = "8f59ca8b76bef1c01c6fd7a6c126d59ab9245f448e3864473a3652e92ad6dce1"
+MANIFEST_SHA256 = "3aced4d0c8ea277a676b846885273f6fbd55b1096a35aeeca1c330d49aa07114"
 
 
 def _strip_timings(obj):
@@ -713,8 +763,8 @@ def test_learning_and_chronological_search_agree_on_patches():
 # sha256 over `cnf + varmap` of every stage's base problem with every
 # grant, in SCRIPT_ORDER and table order: the bytes export-cnf writes
 DIMACS_SHA256 = {
-    7: "638d1d9d48b9fef589520f6ce887b952ed7da557dad026db51f5e5250fa3d36b",
-    11: "ebb9e11ff102177703c0a64a09441b1158581d5c78e2e2cf927ae5837caf1d57",
+    7: "0355e0e26d5f03f094260251ad3982ab6f1b8eb41caa56c38a804637b03d959a",
+    11: "41a55c9edb6847d856fb5dbfc0d8e272dcf34ac5a68ccb84ce3b60f63b345edc",
 }
 
 

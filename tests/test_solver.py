@@ -11,9 +11,8 @@ from bluefive.geometry import hex_indices, node
 from bluefive.lemmata import CENTER_RADIUS, GRANTS, SCRIPTS, Options, build_stages
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
                              ColoringProblem, brute_force, check_model,
-                             check_trace_assumptions, enumerate_models,
-                             export_dimacs, forced_color, parse_dimacs,
-                             replay_model, replay_unsat_trace, solve)
+                             enumerate_models, export_dimacs, forced_color,
+                             parse_dimacs, replay_model, replay_unsat_trace, solve)
 
 
 def _problem(nvars, clauses):
@@ -50,14 +49,14 @@ def test_contradictory_units():
 @pytest.mark.parametrize("clauses, assumptions, trace", [
     ([(1, 2), (), (-1,)], [], [("conflict", 1)]),
     ([(1,), (2, -1), (-1,)], [2], [("imply", 1, 0), ("conflict", 2)]),
-    ([(-2,), (1, 2)], [1, 2], [("imply", -2, 0), ("assume", 1), ("conflict_assume", 2)]),
+    # assumption i is the unit clause C + i: the first is implied, the second conflicts
+    ([(-2,), (1, 2)], [1, 2], [("imply", -2, 0), ("imply", 1, 2), ("conflict", 3)]),
 ], ids=["empty-clause", "contradictory-units", "assumption-falsified-by-unit"])
 def test_setup_failures_give_replayable_traces(clauses, assumptions, trace):
     problem = _problem(2, clauses)
     verdict = solve(problem, assumptions, record_trace=True)
     assert verdict.kind == "unsat" and verdict.trace == trace
-    assert replay_unsat_trace(problem.clauses, verdict.trace)
-    assert check_trace_assumptions(verdict.trace, assumptions)
+    assert replay_unsat_trace(problem.clauses + [(lit,) for lit in assumptions], verdict.trace)
 
 
 @pytest.mark.parametrize("lit", [0, 3, -3])
@@ -301,6 +300,8 @@ def test_engine_matches_reference_engine(monkeypatch):
         verdict = solve(problem, assumptions, record_trace=True)
         want = _ref_solve(problem, assumptions)
         assert (verdict.kind, verdict.model, verdict.trace) == want
+        if verdict.kind == "unsat":  # each assumption replays as one more unit clause
+            assert replay_unsat_trace(clauses + [(lit,) for lit in assumptions], verdict.trace)
         verdict = solve(problem, assumptions)
         assert (verdict.kind, verdict.model, verdict.trace) == (*want[:2], None)
 
@@ -529,21 +530,18 @@ def test_replayer_rejects_tampered_trace():
         replay_unsat_trace(problem.clauses, bad)
 
 
-def test_replayer_rejects_assume_after_decide():
+def test_case_split_refutation_replays_only_with_its_assumption_unit():
     # forcing v1 blue needs a case split: with v1 red every sign of v2, v3 dies
     problem = _problem(3, [(-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3)])
     refuted = forced_color(problem, "v1", record_trace=True).when_red
-    trace = [tuple(ev) for ev in refuted.trace]
-    assert trace[0] == ("assume", 1) and trace[1][0] == "decide"
-    assert replay_unsat_trace(problem.clauses, trace)
-    moved = [trace[1], trace[0]] + trace[2:]
-    # the assumption re-issued after the flip makes a trace that replays
-    # clean except for its level
-    flip = next(i for i, ev in enumerate(trace) if ev[0] == "flip")
-    reissued = trace[:flip + 1] + [("assume", 1)] + trace[flip + 1:]
-    for bad in (moved, reissued):
-        with pytest.raises(CertificateError, match="decision level 0"):
-            replay_unsat_trace(problem.clauses, bad)
+    trace = refuted.trace
+    assert trace[0] == ("imply", 1, 4) and trace[1][0] == "decide"
+    assert any(ev[0] == "flip" for ev in trace)
+    assert replay_unsat_trace(problem.clauses + [(1,)], trace)
+    with pytest.raises(CertificateError, match="clause id 4 out of range"):
+        replay_unsat_trace(problem.clauses, trace)
+    with pytest.raises(CertificateError, match="implied literal 1 not in clause 4"):
+        replay_unsat_trace(problem.clauses + [(-1,)], trace)
 
 
 def test_replayer_rejects_truncated_trace():
@@ -724,5 +722,3 @@ def test_malformed_trace_events_are_certificate_errors(event):
     bad = trace[:1] + [event] + trace[1:]
     with pytest.raises(CertificateError):
         replay_unsat_trace(problem.clauses, bad)
-    with pytest.raises(CertificateError):
-        check_trace_assumptions(bad, [])
