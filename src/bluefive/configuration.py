@@ -10,9 +10,10 @@ a ColoringProblem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .field import FieldElement, ONE, fe
+from .field import FieldElement, ONE, ZERO, fe
 from .geometry import (Point, cross, dist2, dot, lattice_coords, lattice_norm2,
                        lattice_vectors_of_norm2, node)
 from .solver import AUX_PREFIX, ColoringProblem, UnprovedRuleError
@@ -107,7 +108,8 @@ class Configuration:
         integer n, and the pairs at n are the nodes whose index difference
         is one of lattice_vectors_of_norm2(n).
 
-        Otherwise every pair is compared exactly in the field; no shipped
+        Otherwise the pairs are read off the exact squared distances of
+        all pairs, which are computed once (_dist2_rows); no shipped
         configuration off the lattice has more than a few dozen points.
         Results are cached; configurations are immutable once built.
         """
@@ -116,12 +118,21 @@ class Configuration:
         if cached is not None:
             return cached
         lattice = self.lattice()
-        pts = self.points
         out = (sorted(_lattice_pairs(d2, *lattice)) if lattice is not None
-               else [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
-                     if dist2(pts[i], pts[j]) == d2])
+               else [(i, j) for i, row in enumerate(self._dist2_rows())
+                     for j in range(i + 1, len(row)) if row[j] == d2.nd])
         self._cache[key] = out
         return out
+
+    def _dist2_rows(self) -> list[list[tuple]]:
+        """rows[i][j]: the .nd tuple of the squared distance of points i and j."""
+        rows = self._cache.get("dist2")
+        if rows is None:
+            pts = self.points
+            rows = self._cache["dist2"] = [[ZERO.nd] * len(pts) for _ in pts]
+            for i, j in combinations(range(len(pts)), 2):
+                rows[i][j] = rows[j][i] = dist2(pts[i], pts[j]).nd
+        return rows
 
 
 def _lattice_pairs(d2: FieldElement, coords: list[tuple[int, int]],
@@ -159,10 +170,6 @@ def unit_directions(cfg: Configuration) -> list[Point]:
     return sorted({_canonical_direction(v) for v in diffs}, key=Point.coord_key)
 
 
-def _lattice_step(ab: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    return (ab[0] + v[0], ab[1] + v[1])
-
-
 def _lattice_order(ab: tuple[int, int]) -> tuple[int, int]:
     """node(a, b) has x = (2a + b)/2 and y = b*sqrt3/2, so (2a + b, b)
     orders nodes exactly as Point.coord_key does."""
@@ -172,7 +179,8 @@ def _lattice_order(ab: tuple[int, int]) -> tuple[int, int]:
 def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
     """All runs of k nodes at unit spacing on a line, one orientation each.
 
-    On a configuration of lattice nodes the walk steps through integer
+    Each node's successor along each unit direction is looked up once and
+    runs walk successor indices.  On lattice nodes the lookup is in integer
     coordinates: a unit direction between two nodes is itself a lattice
     vector, and the index map finds a node exactly when point_index would.
     """
@@ -184,19 +192,19 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
         return cached
     lattice = cfg.lattice()
     if lattice is None:
-        pts, index, steps = cfg.points, cfg.point_index, unit_directions(cfg)
-        step, order = Point.__add__, Point.coord_key
+        pts, index, order = cfg.points, cfg.point_index, Point.coord_key
+        successors = [[index.get(p + v) for p in pts] for v in unit_directions(cfg)]
     else:
-        (pts, index), steps = lattice, [lattice_coords(v) for v in unit_directions(cfg)]
-        step, order = _lattice_step, _lattice_order
+        (pts, index), order = lattice, _lattice_order
+        successors = [[index.get((a + va, b + vb)) for a, b in pts]
+                      for va, vb in map(lattice_coords, unit_directions(cfg))]
     chains = []
-    for v in steps:
-        for i, start in enumerate(pts):
+    for succ in successors:  # succ[i]: the node one unit step on from node i
+        for i in range(len(pts)):
             run = [i]
-            pt = start
+            j = i
             for _ in range(k - 1):
-                pt = step(pt, v)
-                j = index.get(pt)
+                j = succ[j]
                 if j is None:
                     break
                 run.append(j)
@@ -262,32 +270,26 @@ def template(tid: str) -> Template:
         raise KeyError(f"unknown template {tid!r}") from None
 
 
-def _rigid_maps(src0: Point, src1: Point, dst0: Point, dst1: Point):
-    """The unique direct map sending the ordered source pair to the ordered
-    destination pair (assumes equal squared span lengths)."""
-    u = src1 - src0
-    v = dst1 - dst0
-    uu = dot(u, u)
-    cos_phi = dot(u, v) / uu
-    sin_phi = cross(u, v) / uu
-
-    def apply(p: Point) -> Point:
-        dx = p.x - src0.x
-        dy = p.y - src0.y
-        return Point(dst0.x + cos_phi * dx - sin_phi * dy,
-                     dst0.y + sin_phi * dx + cos_phi * dy)
-
-    return apply
-
-
 def _placements(shape: Sequence[Point], i0: int, j0: int):
-    """place(dst0, dst1): the images of the direct shape and of its mirror
-    across the x axis under the rigid maps sending points i0 and j0 to
-    dst0 and dst1, in that order."""
-    variants = (shape, [Point(p.x, -p.y) for p in shape])
+    """place(dst0, dst1, mirror=True): the images of the shape under the
+    direct rigid map sending points i0 and j0 to dst0 and dst1 and, if
+    mirror, under the opposite one.  Each point is written once as
+    s0 + a*u + b*perp(u) (s0 = point i0, u = point j0 - s0, perp(x, y) =
+    (-y, x)) and placed at dst0 + a*v +- b*perp(v) (v = dst1 - dst0), so
+    placing divides nothing.  The two spans must be equally long."""
+    s0 = shape[i0]
+    u = shape[j0] - s0
+    w = dot(u, u).inverse()
+    coefficients = [(dot(p - s0, u) * w, cross(u, p - s0) * w) for p in shape]
 
-    def place(dst0: Point, dst1: Point) -> list[list[Point]]:
-        return [list(map(_rigid_maps(s[i0], s[j0], dst0, dst1), s)) for s in variants]
+    def place(dst0: Point, dst1: Point, mirror: bool = True) -> list[list[Point]]:
+        x0, y0 = dst0.x, dst0.y
+        vx, vy = dst1.x - x0, dst1.y - y0
+        terms = [(x0 + a * vx, y0 + a * vy, b * vx, b * vy) for a, b in coefficients]
+        images = [[Point(ax - by, ay + bx) for ax, ay, bx, by in terms]]
+        if mirror:
+            images.append([Point(ax + by, ay - bx) for ax, ay, bx, by in terms])
+        return images
 
     return place
 
@@ -331,16 +333,19 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     """All congruent embeddings of the template, mirror images included.
 
     Anchors the most distant ordered template pair onto every
-    matching-length pair of the configuration, places the direct and the
-    mirrored template on it, and keeps the placements whose full image
-    lands on nodes.  Every returned embedding passes a pair-by-pair check:
-    template points i and j are exactly as far apart as their images.
+    matching-length pair of the configuration, in sorted order and both
+    orientations, and lists the direct image before the mirrored one.
+    Every returned embedding passes a pair-by-pair check: template points
+    i and j are exactly as far apart as their images.
 
-    Placement uses the exact rigid maps of _placements.  When the
-    configuration and the template are all lattice nodes, it reads them
-    from a per-template offset table (_offset_table) instead, and squared
-    distances are integer norms.  An image that is not a node cannot be
-    in the configuration, so dropping it loses no embedding.
+    Off the lattice the anchor is extended through the other template
+    points in order, each onto the nodes whose squared distance to every
+    node placed so far is the template's, which is that check; the direct
+    image puts the first point off the anchor line on its template side
+    (the exact sign of `cross`).  On lattice nodes both images are read
+    from a per-template offset table (_offset_table) and squared distances
+    are integer norms; an image off the nodes cannot be in the
+    configuration, so dropping it loses no embedding.
     """
     m = len(tpl.points)
     if m < 2:
@@ -353,44 +358,54 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     shape, span = (tpl.points, dist2) if exact else (tpl_coords, _lattice_dist2)
     spans = [(i, j, span(shape[i], shape[j])) for i in range(m) for j in range(i + 1, m)]
     i0, j0, best_d = max(spans, key=lambda s: s[2])  # the first of the longest
-
+    pairs = cfg.pairs_with_dist2(FieldElement.coerce(best_d))
+    out: list[tuple[int, ...]] = []
     if exact:
-        pts, get = cfg.points, cfg.point_index.get
-        images = _placements(shape, i0, j0)
+        rows, pts = cfg._dist2_rows(), cfg.points
+        want = {key: d.nd for i, j, d in spans for key in ((i, j), (j, i))}
+        # the anchor is placed first, then the other points in template order
+        order = [i0, j0] + [k for k in range(m) if k != i0 and k != j0]
+        checks = [[(q, want[order[p], order[q]]) for q in range(p)] for p in range(m)]
+        where = [order.index(k) for k in range(m)]
+        s0, u = shape[i0], shape[j0] - shape[i0]
+        sides = [cross(u, p - s0).sign() for p in shape]
+        k_side = next((k for k, side in enumerate(sides) if side), None)
 
-        def place(dst0, dst1):
-            return [[get(p) for p in image] for image in images(dst0, dst1)]
+        def grow(run: list[int]) -> list[tuple[int, ...]]:
+            if len(run) == m:
+                return [tuple([run[p] for p in where])]
+            check = checks[len(run)]
+            return [emb for c, row in enumerate(rows) if all(row[run[q]] == d for q, d in check)
+                    for emb in grow(run + [c])]
+
+        for a, b in pairs:
+            for d0, d1 in ((a, b), (b, a)):
+                embs = grow([d0, d1])
+                if len(embs) == 2 and cross(pts[d1] - pts[d0], pts[embs[0][k_side]] - pts[d0]
+                                            ).sign() != sides[k_side]:
+                    embs.reverse()
+                out += embs
     else:
         pts, get = lattice[0], lattice[1].get
         table = _offset_table(tpl_coords, i0, j0, best_d)
-
-        def place(dst0, dst1):
-            a, b = dst0
-            return [[get((a + oa, b + ob)) for oa, ob in offsets]
-                    for offsets in table[(dst1[0] - a, dst1[1] - b)] if offsets is not None]
-
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for a, b in cfg.pairs_with_dist2(FieldElement.coerce(best_d)):
-        for dst0, dst1 in ((pts[a], pts[b]), (pts[b], pts[a])):
-            for emb in place(dst0, dst1):
-                if None in emb:
-                    continue
-                key = tuple(emb)
-                if key in seen:
-                    continue
-                seen.add(key)
-                for i, j, d in spans:
-                    p, q = pts[key[i]], pts[key[j]]
-                    if exact:
-                        got = dist2(p, q)
-                    else:
+        seen: set[tuple[int, ...]] = set()
+        for a, b in pairs:
+            for dst0, dst1 in ((pts[a], pts[b]), (pts[b], pts[a])):
+                x, y = dst0
+                for offsets in table[(dst1[0] - x, dst1[1] - y)]:
+                    if offsets is None:
+                        continue
+                    key = tuple([get((x + oa, y + ob)) for oa, ob in offsets])
+                    if None in key or key in seen:
+                        continue
+                    seen.add(key)
+                    for i, j, d in spans:
+                        p, q = pts[key[i]], pts[key[j]]
                         da, db = p[0] - q[0], p[1] - q[1]
-                        got = da * da + da * db + db * db
-                    if got != d:
-                        raise AssertionError(
-                            f"embedding of {tpl.id} failed the distance check at ({i}, {j})")
-                out.append(key)
+                        if da * da + da * db + db * db != d:
+                            raise AssertionError(f"embedding of {tpl.id} failed the "
+                                                 f"distance check at ({i}, {j})")
+                    out.append(key)
     names = cfg.names
     return [tuple([names[i] for i in emb]) for emb in out]
 
@@ -413,6 +428,10 @@ def placement_count(cfg: Configuration, tpl: Template, names: Sequence[str],
     return len(hits)
 
 
+# (small, big) templates -> [(embedding of small in big, _placements of big)]
+_EXTENSION_FRAMES: dict[tuple[Template, Template], list] = {}
+
+
 def template_extensions(small_id: str, big_id: str,
                         anchor_points: Sequence[Point]) -> list[tuple[Point, ...]]:
     """All plane placements of the big template containing the anchor copy
@@ -427,17 +446,19 @@ def template_extensions(small_id: str, big_id: str,
     anchor_orders = match_template(anchor_cfg, small)
     if not anchor_orders:
         raise ValueError(f"anchor is not congruent to template {small_id}")
-    big_cfg = Configuration((f"_b{i}", p) for i, p in enumerate(big.points))
-
     # Every embedding of the small template into the big one is listed,
     # so mapping each onto one ordering of the anchor finds every placement.
+    frames = _EXTENSION_FRAMES.get((small, big))
+    if frames is None:
+        big_cfg = Configuration((f"_b{i}", p) for i, p in enumerate(big.points))
+        subs = [[big_cfg.index_of(n) for n in sub] for sub in match_template(big_cfg, small)]
+        frames = _EXTENSION_FRAMES[(small, big)] = [
+            (sub, _placements(big.points, sub[0], sub[1])) for sub in subs]
     targets = [anchor_cfg.point_of(n) for n in anchor_orders[0]]
     found: dict[frozenset, tuple[Point, ...]] = {}
-    for sub in match_template(big_cfg, small):
-        srcs = [big_cfg.point_of(n) for n in sub]
-        mapped = _rigid_maps(srcs[0], srcs[1], targets[0], targets[1])
-        if all(mapped(s) == t for s, t in zip(srcs, targets)):
-            image = tuple(mapped(p) for p in big.points)
+    for sub, place in frames:
+        image = tuple(place(targets[0], targets[1], mirror=False)[0])
+        if all(image[s] == t for s, t in zip(sub, targets)):
             found.setdefault(frozenset(image), image)
     images = list(found.values())
     images.sort(key=lambda pts: [c for p in pts for c in p.serialize()["x"] + p.serialize()["y"]])

@@ -7,15 +7,17 @@ four integer numerators over one shared positive denominator,
 
     (n0 + n1*sqrt3 + n2*sqrt11 + n3*sqrt33) / d,
 
-in lowest terms (gcd(n0, n1, n2, n3, d) == 1).  The basis is linearly
-independent over Q, so every value has exactly one such form, and
-equality and hashing compare the integer tuple.  Each operation does its
-arithmetic in Python ints and reduces with one gcd.  Fraction appears only
-at the edges: constructor input, the c0..c3 views and serialisation.
+in lowest terms (gcd(n0, n1, n2, n3, d) == 1), kept as the one tuple `nd`.
+The basis is linearly independent over Q, so every value has exactly one
+such form, and equality and hashing compare `nd`.  Each operation unpacks
+its operands' tuples once, does its arithmetic in Python ints and reduces
+with one gcd.  Fraction appears only in constructor input and the c0..c3
+views; `deserialize` reads serialize's integer form with int().
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -25,6 +27,7 @@ RationalLike = Union[int, Fraction, str]
 _SQRT3_FLOAT = 3.0 ** 0.5
 _SQRT11_FLOAT = 11.0 ** 0.5
 _SQRT33_FLOAT = 33.0 ** 0.5
+_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _rat(x: RationalLike) -> Fraction:
@@ -35,18 +38,17 @@ def _rat(x: RationalLike) -> Fraction:
 
 class FieldElement:
     """(n0 + n1*sqrt3 + n2*sqrt11 + n3*sqrt33) / d with integer ni and
-    d > 0, in lowest terms.  c0..c3 are the coefficients as Fractions."""
+    d > 0, in lowest terms, held as the tuple nd = (n0, n1, n2, n3, d).
+    c0..c3 are the coefficients as Fractions."""
 
-    __slots__ = ("n0", "n1", "n2", "n3", "d")
+    __slots__ = ("nd",)
 
     def __init__(self, c0: RationalLike = 0, c1: RationalLike = 0,
                  c2: RationalLike = 0, c3: RationalLike = 0) -> None:
         cs = [_rat(c) for c in (c0, c1, c2, c3)]
         # over the lcm of reduced denominators the numerators share no factor
         d = lcm(*(c.denominator for c in cs))
-        for set_n, c in zip(_SETTERS, cs):
-            set_n(self, c.numerator * (d // c.denominator))
-        _set_d(self, d)
+        _set_nd(self, (*[c.numerator * (d // c.denominator) for c in cs], d))
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("FieldElement is immutable")
@@ -73,47 +75,46 @@ class FieldElement:
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2, self.c3)
 
-    c0 = property(lambda self: Fraction(self.n0, self.d))
-    c1 = property(lambda self: Fraction(self.n1, self.d))
-    c2 = property(lambda self: Fraction(self.n2, self.d))
-    c3 = property(lambda self: Fraction(self.n3, self.d))
+    n0, n1, n2, n3, d = (property(lambda self, i=i: self.nd[i]) for i in range(5))
+    c0, c1, c2, c3 = (property(lambda self, i=i: Fraction(self.nd[i], self.nd[4]))
+                      for i in range(4))
 
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other) -> "FieldElement":
         o = other if isinstance(other, FieldElement) else FieldElement.coerce(other)
-        d, e = self.d, o.d
+        a0, a1, a2, a3, d = self.nd
+        b0, b1, b2, b3, e = o.nd
         if d == e:
-            return _reduced(self.n0 + o.n0, self.n1 + o.n1,
-                            self.n2 + o.n2, self.n3 + o.n3, d)
-        return _reduced(self.n0 * e + o.n0 * d, self.n1 * e + o.n1 * d,
-                        self.n2 * e + o.n2 * d, self.n3 * e + o.n3 * d, d * e)
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, d)
+        return _reduced(a0 * e + b0 * d, a1 * e + b1 * d,
+                        a2 * e + b2 * d, a3 * e + b3 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return _raw(-self.n0, -self.n1, -self.n2, -self.n3, self.d)
+        n0, n1, n2, n3, d = self.nd
+        return _raw(-n0, -n1, -n2, -n3, d)
 
     def __sub__(self, other) -> "FieldElement":
         o = other if isinstance(other, FieldElement) else FieldElement.coerce(other)
-        d, e = self.d, o.d
+        a0, a1, a2, a3, d = self.nd
+        b0, b1, b2, b3, e = o.nd
         if d == e:
-            return _reduced(self.n0 - o.n0, self.n1 - o.n1,
-                            self.n2 - o.n2, self.n3 - o.n3, d)
-        return _reduced(self.n0 * e - o.n0 * d, self.n1 * e - o.n1 * d,
-                        self.n2 * e - o.n2 * d, self.n3 * e - o.n3 * d, d * e)
+            return _reduced(a0 - b0, a1 - b1, a2 - b2, a3 - b3, d)
+        return _reduced(a0 * e - b0 * d, a1 * e - b1 * d,
+                        a2 * e - b2 * d, a3 * e - b3 * d, d * e)
 
     def __rsub__(self, other) -> "FieldElement":
         return FieldElement.coerce(other) - self
 
     def __mul__(self, other) -> "FieldElement":
         o = other if isinstance(other, FieldElement) else FieldElement.coerce(other)
-        a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
-        b0, b1, b2, b3 = o.n0, o.n1, o.n2, o.n3
+        a0, a1, a2, a3, d = self.nd
+        b0, b1, b2, b3, e = o.nd
         if not (a2 or a3 or b2 or b3):
             # both operands lie in Q(sqrt3); lattice geometry stays here
-            return _reduced(a0 * b0 + 3 * a1 * b1, a0 * b1 + a1 * b0, 0, 0,
-                            self.d * o.d)
+            return _reduced(a0 * b0 + 3 * a1 * b1, a0 * b1 + a1 * b0, 0, 0, d * e)
         # sqrt3*sqrt3=3, sqrt11*sqrt11=11, sqrt3*sqrt11=sqrt33,
         # sqrt33*sqrt33=33, sqrt3*sqrt33=3*sqrt11, sqrt11*sqrt33=11*sqrt3
         return _reduced(
@@ -121,7 +122,7 @@ class FieldElement:
             a0 * b1 + a1 * b0 + 11 * (a2 * b3 + a3 * b2),
             a0 * b2 + a2 * b0 + 3 * (a1 * b3 + a3 * b1),
             a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
-            self.d * o.d,
+            d * e,
         )
 
     __rmul__ = __mul__
@@ -131,7 +132,7 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         # self = (u + v*sqrt11)/d with u = u0 + u1*sqrt3, v = v0 + v1*sqrt3
-        u0, u1, v0, v1, d = self.n0, self.n1, self.n2, self.n3, self.d
+        u0, u1, v0, v1, d = self.nd
         # (u + v*sqrt11)(u - v*sqrt11) = u^2 - 11 v^2 =: m0 + m1*sqrt3
         m0 = u0 * u0 + 3 * u1 * u1 - 11 * (v0 * v0 + 3 * v1 * v1)
         m1 = 2 * (u0 * u1 - 11 * v0 * v1)
@@ -164,21 +165,20 @@ class FieldElement:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.n0 or self.n1 or self.n2 or self.n3)
+        return not any(self.nd[:4])
 
     def is_rational(self) -> bool:
-        return not (self.n1 or self.n2 or self.n3)
+        return not any(self.nd[1:4])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = FieldElement(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return (self.d == other.d and self.n0 == other.n0 and self.n1 == other.n1
-                and self.n2 == other.n2 and self.n3 == other.n3)
+        return self.nd == other.nd
 
     def __hash__(self) -> int:
-        return hash((self.n0, self.n1, self.n2, self.n3, self.d))
+        return hash(self.nd)
 
     def sign(self) -> int:
         """Sign of the real value: -1, 0 or +1, decided exactly.
@@ -190,7 +190,7 @@ class FieldElement:
         Neither difference is ever zero, as sqrt3 and sqrt11 are not in
         the smaller fields.
         """
-        n0, n1, n2, n3 = self.n0, self.n1, self.n2, self.n3
+        n0, n1, n2, n3, _ = self.nd
         sp = _sign_sqrt3(n0, n1)
         sq = _sign_sqrt3(n2, n3)
         if sq == 0 or sp == sq:
@@ -217,24 +217,31 @@ class FieldElement:
 
     def __float__(self) -> float:
         # n/d is int true division, correctly rounded like float(Fraction(n, d))
-        d = self.d
-        return (self.n0 / d + (self.n1 / d) * _SQRT3_FLOAT
-                + (self.n2 / d) * _SQRT11_FLOAT + (self.n3 / d) * _SQRT33_FLOAT)
+        n0, n1, n2, n3, d = self.nd
+        return (n0 / d + (n1 / d) * _SQRT3_FLOAT
+                + (n2 / d) * _SQRT11_FLOAT + (n3 / d) * _SQRT33_FLOAT)
 
     def serialize(self) -> list[str]:
         """Four reduced 'p/q' strings in basis order (1, sqrt3, sqrt11, sqrt33)."""
-        d = self.d
-        return [_fmt_rat(n, d) for n in (self.n0, self.n1, self.n2, self.n3)]
+        *ns, d = self.nd
+        return [_fmt_rat(n, d) for n in ns]
 
     @staticmethod
     def deserialize(parts) -> "FieldElement":
+        """Read what serialize writes: four strings "-?[0-9]+" or
+        "-?[0-9]+/[0-9]+", reduced or not; anything else is a ValueError."""
         if (not isinstance(parts, list) or len(parts) != 4
                 or not all(isinstance(p, str) for p in parts)):
             raise ValueError(f"field element needs a list of 4 coefficient strings, got {parts!r}")
-        try:
-            return FieldElement(*[Fraction(p) for p in parts])
-        except ZeroDivisionError:
-            raise ValueError(f"field element has a zero denominator: {parts!r}") from None
+        found = [_COEFFICIENT.fullmatch(p) for p in parts]
+        if None in found:
+            raise ValueError(f"coefficient {parts[found.index(None)]!r} is not an integer "
+                             "or a ratio of integers")
+        pairs = [(int(n), int(q or 1)) for n, q in (m.groups() for m in found)]
+        if not all(q for _, q in pairs):
+            raise ValueError(f"field element has a zero denominator: {parts!r}")
+        d = lcm(*(q for _, q in pairs))
+        return _reduced(*[n * (d // q) for n, q in pairs], d)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.c0!s}, {self.c1!s}, {self.c2!s}, {self.c3!s})"
@@ -247,20 +254,15 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-# slot setters that bypass the immutability guard, for construction only
-_SETTERS = tuple(vars(FieldElement)[s].__set__ for s in FieldElement.__slots__)
-_set_n0, _set_n1, _set_n2, _set_n3, _set_d = _SETTERS
+# the slot setter, which bypasses the immutability guard, for construction only
+_set_nd = vars(FieldElement)["nd"].__set__
 _new = object.__new__
 
 
 def _raw(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElement:
     """The element with these numerators, which must be in lowest terms over d > 0."""
     x = _new(FieldElement)
-    _set_n0(x, n0)
-    _set_n1(x, n1)
-    _set_n2(x, n2)
-    _set_n3(x, n3)
-    _set_d(x, d)
+    _set_nd(x, (n0, n1, n2, n3, d))
     return x
 
 
@@ -273,7 +275,9 @@ def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElement:
         n2 //= g
         n3 //= g
         d //= g
-    return _raw(n0, n1, n2, n3, d)
+    x = _new(FieldElement)
+    _set_nd(x, (n0, n1, n2, n3, d))
+    return x
 
 
 def _sign_sqrt3(a: int, b: int) -> int:

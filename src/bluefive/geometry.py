@@ -20,9 +20,9 @@ class Point:
     __slots__ = ("x", "y", "_hash")
 
     def __init__(self, x, y) -> None:
-        object.__setattr__(self, "x", FieldElement.coerce(x))
-        object.__setattr__(self, "y", FieldElement.coerce(y))
-        object.__setattr__(self, "_hash", None)
+        _set_x(self, x if isinstance(x, FieldElement) else FieldElement.coerce(x))
+        _set_y(self, y if isinstance(y, FieldElement) else FieldElement.coerce(y))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
@@ -34,7 +34,7 @@ class Point:
         h = self._hash
         if h is None:
             h = hash((self.x, self.y))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __add__(self, other: "Point") -> "Point":
@@ -53,6 +53,10 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
+
+
+# slot setters that bypass the immutability guard, for construction only
+_set_x, _set_y, _set_hash = (vars(Point)[s].__set__ for s in Point.__slots__)
 
 
 def point(x, y) -> Point:
@@ -175,12 +179,12 @@ def lattice_coords(p: Point) -> Optional[tuple[int, int]]:
     A node has x = (2a + b)/2 and y = b*sqrt3/2, so both denominators are
     1 or 2 and the integers read off the numerators.
     """
-    x, y = p.x, p.y
-    if (y.n0 or y.n2 or y.n3 or x.n1 or x.n2 or x.n3
-            or x.d > 2 or y.d > 2):
+    x0, x1, x2, x3, xd = p.x.nd
+    y0, y1, y2, y3, yd = p.y.nd
+    if y0 or y2 or y3 or x1 or x2 or x3 or xd > 2 or yd > 2:
         return None
-    b = 2 * y.n1 // y.d
-    a2 = 2 * x.n0 // x.d - b
+    b = 2 * y1 // yd
+    a2 = 2 * x0 // xd - b
     if a2 & 1:
         return None
     return a2 // 2, b

@@ -5,10 +5,11 @@ Every search decides variables in a fixed order (ascending index unless
 the caller gives one), tries the red (true) branch first, never restarts
 and uses no randomness.  A search that records a trace builds a fresh
 engine on a copy of the watch lists that the problem indexes once per
-clause, and backtracks chronologically.  The trace lists every decision,
-propagation, flip and conflict; an assumption is one more unit clause
-after the problem's, so setting it is a propagation.  An independent
-replayer re-checks traces and models without touching the search code.
+clause, copies a clause only when propagation first reorders it, and
+backtracks chronologically.  The trace lists every decision, propagation,
+flip and conflict; an assumption is one more unit clause after the
+problem's, so setting it is a propagation.  An independent replayer
+re-checks traces and models without touching the search code.
 
 A search that records no trace runs on the problem's one learning engine
 (MiniSat's incremental scheme, Een & Sorensson 2003), built by the first
@@ -181,22 +182,25 @@ class _Engine:
         self.qhead = 0
         self.trace = trace
         self.clauses: list[list[int]] = []
+        self.shared: Sequence[Sequence[int]] = ()  # the problem's clauses, never written
         self.watch: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
         self.absorbed = 0   # problem clauses taken in by `absorb`
         self.unsat = False  # a level-0 conflict: no query has a model
 
     def load(self, problem: ColoringProblem, assumptions: Sequence[int]) -> bool:
-        """Set up a traced search on copies of the problem's clauses and
-        indexed watch lists: an empty clause conflicts at once; otherwise
-        assign the unit clauses and then the assumptions at level 0, in
-        order, recording each as an event.  Assumption i is the unit clause
-        of id C + i after the problem's C clauses.  False on a contradiction."""
+        """Set up a traced search on the problem's clauses (`propagate`
+        copies one before reordering it) and a copy of its indexed watch
+        lists: an empty clause conflicts at once; otherwise assign the unit
+        clauses and then the assumptions at level 0, in order, recording
+        each.  Assumption i is the unit clause of id C + i after the
+        problem's C clauses.  False on a contradiction."""
         trace = self.trace
         index = problem._indexed()
         if index.empty is not None:
             trace.append(("conflict", index.empty))
             return False
-        self.clauses = list(map(list, problem.clauses))
+        self.clauses = list(problem.clauses)
+        self.shared = problem.clauses
         self.watch = list(map(list.copy, index.watch))
         val = self.val
         for lit, cid in chain(index.units, zip(assumptions, count(index.count))):
@@ -255,11 +259,13 @@ class _Engine:
 
         Each clause keeps its two watched literals in positions 0 and 1.
         When a watch turns false it moves to position 1, and is replaced
-        by the first later literal that is not false.
+        by the first later literal that is not false; a clause that is
+        still the problem's own object (`shared`) is copied first.
         """
         val = self.val
         watch = self.watch
         clauses = self.clauses
+        shared, n_shared = self.shared, len(self.shared)
         trail = self.trail
         trace = self.trace
         reason = self.reason
@@ -276,6 +282,8 @@ class _Engine:
                 clause = clauses[cid]
                 first = clause[0]
                 if first == neg:
+                    if cid < n_shared and clause is shared[cid]:
+                        clause = clauses[cid] = list(clause)
                     first = clause[0] = clause[1]
                     clause[1] = neg
                 if val[first] == 1:
@@ -284,6 +292,8 @@ class _Engine:
                 for k in range(2, len(clause)):
                     lit = clause[k]
                     if val[lit] != -1:
+                        if cid < n_shared and clause is shared[cid]:
+                            clause = clauses[cid] = list(clause)
                         clause[k] = clause[1]
                         clause[1] = lit
                         watch[lit].append(cid)

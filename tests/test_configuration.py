@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -286,6 +288,32 @@ def test_match_against_brute_force_on_figures():
         cfg = load_figure(fid).cfg
         tpl = template(tid)
         assert set(match_template(cfg, tpl)) == embeddings_brute(cfg, tpl), (fid, tid)
+
+
+# sha256 over the nine registries, each also with a far non-node added so
+# that it takes the exact path: the matches of every template in TEMPLATES
+# order, every `patterns` claim's placement count and every `extensions`
+# claim's placements
+MATCH_ORDER_SHA256 = "d0de74a3f14c6410ed97145bb8877bef76336d73b1fff910fe09df0c5e890090"
+
+
+def test_match_order_pinned_on_every_registry():
+    h = hashlib.sha256()
+    for fid in FIGURE_IDS:
+        fig = load_figure(fid)
+        for cfg in (fig.cfg, _with_distant_non_node(fig.cfg)):
+            for tid, tpl in TEMPLATES.items():
+                h.update(repr((fid, tid, match_template(cfg, tpl))).encode())
+        for claim in fig.claims.get("patterns", ()):
+            hits = placement_count(fig.cfg, template(claim["template"]), claim["nodes"],
+                                   claim.get("center_last", False))
+            h.update(repr((fid, claim["nodes"], hits)).encode())
+        for claim in fig.claims.get("extensions", ()):
+            small, big = claim["extend"]
+            images = template_extensions(small, big,
+                                         [fig.cfg.point_of(n) for n in claim["nodes"]])
+            h.update(json.dumps([[p.serialize() for p in img] for img in images]).encode())
+    assert h.hexdigest() == MATCH_ORDER_SHA256
 
 
 def test_t5_placements_named_in_second_stage():

@@ -52,6 +52,21 @@ def test_serialization_round_trip():
     assert FieldElement.deserialize(x.serialize()) == x
 
 
+@pytest.mark.parametrize("text", [
+    "1.5", "+1", " 1", "1 ", "1\n", "1e3", "1e1000000", "1E2", "1/-2", "-1/+2", "--1",
+    "", "-", "/2", "1/", "1/2/3", "1_000", "0x10", "\u0661", "1/\u0662", "inf", "nan",
+])
+def test_deserialize_reads_only_the_integer_form(text):
+    with pytest.raises(ValueError, match="coefficient"):
+        FieldElement.deserialize(["0", text, "0", "0"])
+
+
+def test_deserialize_reads_signs_zeros_and_unreduced_ratios():
+    assert FieldElement.deserialize(["-3/6", "-0", "007", "12/1"]) == fe(Fraction(-1, 2), 0, 7, 12)
+    with pytest.raises(ValueError, match="zero denominator"):
+        FieldElement.deserialize(["1/0", "0", "0", "0"])
+
+
 @given(elements, elements)
 @settings(max_examples=150, deadline=None)
 def test_commutativity(a, b):
@@ -151,9 +166,11 @@ coefficient_tuples = st.tuples(rationals, rationals, rationals, rationals)
 
 def _canonical(x):
     """x, after checking it holds four numerators over d > 0 in lowest terms."""
-    values = [getattr(x, slot) for slot in FieldElement.__slots__]
+    values = x.nd
+    assert type(values) is tuple and len(values) == 5
     assert all(type(v) is int for v in values)
-    assert x.d > 0 and gcd(*values) == 1
+    assert values[4] > 0 and gcd(*values) == 1
+    assert values == (x.n0, x.n1, x.n2, x.n3, x.d)
     return x
 
 
@@ -210,16 +227,18 @@ def test_canonical_form_examples():
 
 
 def test_instances_hold_integers_only():
-    assert FieldElement.__slots__ == ("n0", "n1", "n2", "n3", "d")
+    assert FieldElement.__slots__ == ("nd",)
     x = fe(Fraction(1, 7), Fraction(-2, 3), Fraction(5, 11), Fraction(1, 2))
     assert not hasattr(x, "__dict__")
-    assert (x.n0, x.n1, x.n2, x.n3, x.d) == (66, -308, 210, 231, 462)
+    assert _canonical(x).nd == (66, -308, 210, 231, 462)
+    assert (x.n0, x.n1, x.n2, x.n3, x.d) == x.nd
+    assert hash(x) == hash(x.nd)
     assert (x.c0, x.c1, x.c2, x.c3) == x.coefficients()
     assert all(type(c) is Fraction for c in x.coefficients())
-    with pytest.raises(AttributeError):
-        x.n0 = 1
-    with pytest.raises(AttributeError):
-        x.c0 = Fraction(1)
+    for name in ("nd", "n0", "d", "c0"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert x.nd == (66, -308, 210, 231, 462)
 
 
 def test_float_matches_fraction_coefficients():

@@ -676,7 +676,7 @@ def test_rule_style_equals_gadget_style():
     the red side-3 triangle is refuted (a) with the granted pattern rule and
     (b) with only base rules after adding the first diagram's six auxiliary
     points mapped rigidly onto the turned triangle."""
-    from bluefive.configuration import Configuration, _rigid_maps, pattern_rule
+    from bluefive.configuration import Configuration, _placements, pattern_rule
 
     fig = load_figure("fig1b").cfg
     base = load_figure("fig1a").cfg
@@ -686,17 +686,12 @@ def test_rule_style_equals_gadget_style():
     rules = RuleSet(derived=(pattern_rule("BLUE_EQ3_RED_CENTER", proved=True),))
     assert solve(emit_clauses(fig, rules, fixed)).kind == "unsat"
 
-    # style (b): map the construction onto the turned triangle A'B'C'
-    src_o, src_a = base.point_of("O"), base.point_of("A")
-    dst_o, dst_a = fig.point_of("O"), fig.point_of("A'")
+    # style (b): map the construction onto the turned triangle A'B'C', by
+    # the direct and by the mirrored rigid map
+    place = _placements(base.points, base.index_of("O"), base.index_of("A"))
     verdicts = []
-    for mirror in (False, True):
-        def pre(p):
-            from bluefive.geometry import Point
-            return Point(p.x, -p.y) if mirror else p
-
-        gmap = _rigid_maps(pre(src_o), pre(src_a), dst_o, dst_a)
-        mapped = {nm: gmap(pre(base.point_of(nm))) for nm in base.names}
+    for image in place(fig.point_of("O"), fig.point_of("A'")):
+        mapped = dict(zip(base.names, image))
         if {mapped["B"], mapped["C"]} != {fig.point_of("B'"), fig.point_of("C'")}:
             continue
         entries = list(zip(fig.names, fig.points))

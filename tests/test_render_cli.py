@@ -218,6 +218,8 @@ _ORIGIN = {"name": "A", "x": ["0", "0", "0", "0"], "y": ["0", "0", "0", "0"]}
     ({"points": [], "rules": [{"rule": "T3_TO_T6_SCHEMA", "anchors": []}]},
      "needs at least one anchor"),
     ({"points": [dict(_ORIGIN, name="aux:x")]}, "may not start with 'aux:'"),
+    ({"points": [dict(_ORIGIN, x=["1e1000000", "0", "0", "0"])]}, "coefficient '1e1000000'"),
+    ({"points": [dict(_ORIGIN, y=["0", "1.5", "0", "0"])]}, "coefficient '1.5'"),
 ])
 def test_cli_oracle_rejects_wrongly_typed_instances(tmp_path, capsys, instance, message):
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import tracemalloc
@@ -465,6 +466,32 @@ def test_clause_index_is_exact():
         assert export_dimacs(copy) == export_dimacs(problem) == _render_dimacs(problem)
         assert copy._index is not problem._index
     assert min(seen.values()) >= 10, seen
+
+
+def test_traced_search_leaves_the_problem_clauses_alone():
+    """A traced search reorders literals only in its own copies: a problem
+    built with list clauses equals its deep copy after a traced solve, and
+    two traced solves with an untraced query between them trace alike."""
+    rng = random.Random(17)
+    seen = {"sat": 0, "unsat": 0, "flip": 0}
+    for _ in range(40):
+        nvars = 12
+        clauses = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, nvars + 1), 3)]
+                   for _ in range(rng.randint(40, 60))]
+        names = [f"v{i}" for i in range(1, nvars + 1)]
+        problem = ColoringProblem(clauses=clauses, names=names,
+                                  name_to_var={n: i + 1 for i, n in enumerate(names)})
+        before = copy.deepcopy(problem.clauses)
+        assumptions = [rng.choice((1, -1)) * rng.randint(1, nvars)]
+        first = solve(problem, assumptions, record_trace=True)
+        assert problem.clauses == before
+        assert solve(problem, assumptions).kind == first.kind
+        second = solve(problem, assumptions, record_trace=True)
+        assert problem.clauses == before
+        assert (second.kind, second.model, second.trace) == (first.kind, first.model, first.trace)
+        seen[first.kind] += 1
+        seen["flip"] += any(ev[0] == "flip" for ev in first.trace)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_empty_clause_conflicts_before_any_unit():
