@@ -10,6 +10,7 @@ a ColoringProblem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -177,13 +178,17 @@ def _lattice_order(ab: tuple[int, int]) -> tuple[int, int]:
 
 
 def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
-    """All runs of k nodes at unit spacing on a line, one orientation each.
+    """All runs of k nodes at unit spacing on a line, one orientation each, by name."""
+    names = cfg.names
+    return [tuple([names[i] for i in run]) for run in _chain_runs(cfg, k)]
 
-    Each node's successor along each unit direction is looked up once and
-    runs walk successor indices.  On lattice nodes the lookup is in integer
-    coordinates: a unit direction between two nodes is itself a lattice
-    vector, and the index map finds a node exactly when point_index would.
-    """
+
+def _chain_runs(cfg: Configuration, k: int) -> list[tuple[int, ...]]:
+    """ell_chains as index runs.  Each node's successor along each unit
+    direction is looked up once and runs walk successor indices.  On lattice
+    nodes the lookup is in integer coordinates: a unit direction between two
+    nodes is itself a lattice vector, and the index map finds a node exactly
+    when point_index would."""
     if k < 2:
         raise ValueError("k must be >= 2")
     key = ("chains", k)
@@ -212,10 +217,8 @@ def ell_chains(cfg: Configuration, k: int) -> list[tuple[str, ...]]:
                 chains.append(tuple(run))
     keys = [order(p) for p in pts]
     chains.sort(key=lambda run: tuple([keys[i] for i in run]))
-    names = cfg.names
-    result = [tuple([names[i] for i in run]) for run in chains]
-    cfg._cache[key] = result
-    return result
+    cfg._cache[key] = chains
+    return chains
 
 
 def is_unit_chain(cfg: Configuration, names: Sequence[str]) -> bool:
@@ -330,13 +333,20 @@ def _lattice_dist2(p: tuple[int, int], q: tuple[int, int]) -> int:
 
 
 def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
-    """All congruent embeddings of the template, mirror images included.
+    """All congruent embeddings of the template, mirror images included,
+    by node name, in the order _embeddings lists them."""
+    names = cfg.names
+    return [tuple([names[i] for i in emb]) for emb in _embeddings(cfg, tpl)]
 
-    Anchors the most distant ordered template pair onto every
-    matching-length pair of the configuration, in sorted order and both
-    orientations, and lists the direct image before the mirrored one.
-    Every returned embedding passes a pair-by-pair check: template points
-    i and j are exactly as far apart as their images.
+
+def _embeddings(cfg: Configuration, tpl: Template,
+                roles: Optional[Sequence[str]] = None) -> list[tuple[int, ...]]:
+    """The embeddings of the template, as index tuples.  Anchors the most
+    distant ordered template pair onto every matching-length pair of the
+    configuration, in sorted order and both orientations, and lists the
+    direct image before the mirrored one.  Every returned embedding passes
+    a pair-by-pair check: template points i and j are exactly as far apart
+    as their images.
 
     Off the lattice the anchor is extended through the other template
     points in order, each onto the nodes whose squared distance to every
@@ -346,6 +356,13 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     from a per-template offset table (_offset_table) and squared distances
     are integer norms; an image off the nodes cannot be in the
     configuration, so dropping it loses no embedding.
+
+    Given roles, only the first embedding of each orbit under the
+    symmetries σ that keep them (_automorphisms) is returned: emb and emb∘σ
+    give one clause.  emb∘σ is listed at the anchor (emb[σ(i0)],
+    emb[σ(j0)]), so a kept σ swapping i0 and j0 skips the reversed
+    orientation, one fixing both the mirrored image, and any other drops
+    emb, before its distance check, when that anchor's sorted pair is earlier.
     """
     m = len(tpl.points)
     if m < 2:
@@ -359,6 +376,18 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
     spans = [(i, j, span(shape[i], shape[j])) for i in range(m) for j in range(i + 1, m)]
     i0, j0, best_d = max(spans, key=lambda s: s[2])  # the first of the longest
     pairs = cfg.pairs_with_dist2(FieldElement.coerce(best_d))
+    ends = {(s[i0], s[j0]) for s in (() if roles is None else _automorphisms(tpl)[1:])
+            if all(roles[s[k]] == roles[k] for k in range(m))}
+    turns, images = 2 - ((j0, i0) in ends), 2 - ((i0, j0) in ends)
+    tests = sorted({(min(e), max(e)) for e in ends} - {(i0, j0)})
+
+    def first(emb: tuple[int, ...], pair: tuple[int, int]) -> bool:  # no earlier emb∘σ
+        for s, t in tests:
+            p, q = emb[s], emb[t]
+            if ((p, q) if p < q else (q, p)) < pair:
+                return False
+        return True
+
     out: list[tuple[int, ...]] = []
     if exact:
         rows, pts = cfg._dist2_rows(), cfg.points
@@ -378,25 +407,25 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
             return [emb for c, row in enumerate(rows) if all(row[run[q]] == d for q, d in check)
                     for emb in grow(run + [c])]
 
-        for a, b in pairs:
-            for d0, d1 in ((a, b), (b, a)):
+        for pair in pairs:
+            for d0, d1 in (pair, pair[::-1])[:turns]:
                 embs = grow([d0, d1])
                 if len(embs) == 2 and cross(pts[d1] - pts[d0], pts[embs[0][k_side]] - pts[d0]
                                             ).sign() != sides[k_side]:
                     embs.reverse()
-                out += embs
+                out += [emb for emb in embs[:images] if first(emb, pair)]
     else:
         pts, get = lattice[0], lattice[1].get
         table = _offset_table(tpl_coords, i0, j0, best_d)
         seen: set[tuple[int, ...]] = set()
-        for a, b in pairs:
-            for dst0, dst1 in ((pts[a], pts[b]), (pts[b], pts[a])):
-                x, y = dst0
-                for offsets in table[(dst1[0] - x, dst1[1] - y)]:
+        for pair in pairs:
+            for d0, d1 in (pair, pair[::-1])[:turns]:
+                (x, y), (x1, y1) = pts[d0], pts[d1]
+                for offsets in table[(x1 - x, y1 - y)][:images]:
                     if offsets is None:
                         continue
                     key = tuple([get((x + oa, y + ob)) for oa, ob in offsets])
-                    if None in key or key in seen:
+                    if None in key or key in seen or not first(key, pair):
                         continue
                     seen.add(key)
                     for i, j, d in spans:
@@ -406,8 +435,14 @@ def match_template(cfg: Configuration, tpl: Template) -> list[tuple[str, ...]]:
                             raise AssertionError(f"embedding of {tpl.id} failed the "
                                                  f"distance check at ({i}, {j})")
                     out.append(key)
-    names = cfg.names
-    return [tuple([names[i] for i in emb]) for emb in out]
+    return out
+
+
+@cache
+def _automorphisms(tpl: Template) -> tuple[tuple[int, ...], ...]:
+    """The template's symmetries, identity first: its embeddings onto a
+    configuration of its own points, found on first use and kept."""
+    return tuple(_embeddings(Configuration((str(k), p) for k, p in enumerate(tpl.points)), tpl))
 
 
 def placement_count(cfg: Configuration, tpl: Template, names: Sequence[str],
@@ -441,8 +476,7 @@ def template_extensions(small_id: str, big_id: str,
     big = template(big_id)
     if len(anchor_points) != len(small.points):
         raise ValueError("anchor size does not match the small template")
-    anchor_cfg = Configuration(
-        (f"_t{i}", p) for i, p in enumerate(anchor_points))
+    anchor_cfg = Configuration((f"_t{i}", p) for i, p in enumerate(anchor_points))
     anchor_orders = match_template(anchor_cfg, small)
     if not anchor_orders:
         raise ValueError(f"anchor is not congruent to template {small_id}")
@@ -460,9 +494,8 @@ def template_extensions(small_id: str, big_id: str,
         image = tuple(place(targets[0], targets[1], mirror=False)[0])
         if all(image[s] == t for s, t in zip(sub, targets)):
             found.setdefault(frozenset(image), image)
-    images = list(found.values())
-    images.sort(key=lambda pts: [c for p in pts for c in p.serialize()["x"] + p.serialize()["y"]])
-    return images
+    return sorted(found.values(),
+                  key=lambda pts: [c for p in pts for c in p.serialize()["x"] + p.serialize()["y"]])
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +544,10 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
                  fixed: dict[str, str]) -> ColoringProblem:
     """Encode the configuration under the rule set as CNF.
 
-    Variable v (true = red) is the v-th node in insertion order;
-    auxiliary selector variables for the extension schema follow.  All
-    derived rules must be marked proved.
+    Variable v (true = red) is the v-th node in insertion order; auxiliary
+    selector variables for the extension schema follow.  Each clause of a
+    pattern rule is built from one embedding (_embeddings given the rule's
+    roles).  All derived rules must be marked proved.
     """
     for rule in rules.derived:
         if not rule.proved:
@@ -535,37 +569,31 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     if RED_L2_FORBIDDEN in rules.base:
         for i, j in cfg.pairs_with_dist2(ONE):
             add((-(i + 1), -(j + 1)))
-    index = cfg.index
     if BLUE_L5_FORBIDDEN in rules.base:
-        for chain in ell_chains(cfg, 5):
-            add(tuple([index[nm] + 1 for nm in chain]))
+        for run in _chain_runs(cfg, 5):
+            add(tuple([i + 1 for i in run]))
 
     for rule in rules.derived:
         signs = [-1 if role == "red" else 1 for role in rule.roles]
-        for emb in match_template(cfg, template(rule.template_id)):
-            add(tuple([sign * (index[nm] + 1) for sign, nm in zip(signs, emb)]))
+        for emb in _embeddings(cfg, template(rule.template_id), rule.roles):
+            add(tuple([sign * (i + 1) for sign, i in zip(signs, emb)]))
 
     if rules.existential is not None:
-        anchor_sets = [tuple(cfg.primary(nm) for nm in anchor)
-                       for anchor in rules.existential.anchors]
-        for anchor in anchor_sets:
-            pts = [cfg.point_of(nm) for nm in anchor]
-            candidates = template_extensions("T3", "T6", pts)
-            tag = ",".join(anchor)
+        for anchor in rules.existential.anchors:
+            tri = [cfg.index_of(nm) for nm in anchor]
+            tag = ",".join([cfg.names[i] for i in tri])
             allred = len(names) + 1
             names.append(f"{AUX_PREFIX}allred:{tag}")
-            tri = [cfg.index_of(nm) + 1 for nm in anchor]
-            add((allred, -tri[0], -tri[1], -tri[2]))
+            add((allred, *[-(i + 1) for i in tri]))
             sel_vars = []
-            for ci, cand in enumerate(candidates):
-                sv = len(names) + 1
+            for ci, cand in enumerate(template_extensions("T3", "T6",
+                                                          [cfg.points[i] for i in tri])):
+                sel_vars.append(len(names) + 1)
                 names.append(f"{AUX_PREFIX}sel:{tag}:{ci}")
-                sel_vars.append(sv)
-                for p in cand:
-                    k = cfg.point_index.get(p)
+                for k in map(cfg.point_index.get, cand):
                     if k is not None:
-                        add((-sv, k + 1))
-            add(tuple([-allred] + sel_vars))
+                        add((-sel_vars[-1], k + 1))
+            add((-allred, *sel_vars))
 
     pinned: dict[int, str] = {}
     for nm, colour in fixed.items():

@@ -65,6 +65,10 @@ def _check_dist2(cfg: Configuration, claim: dict):
             got != want and f"{a},{b} is at squared distance {got}, not {want}")
 
 
+class ClaimFormatError(ValueError):
+    """A claim in a form no checker reads: self_check raises it."""
+
+
 def _image_map(cfg: Configuration, spec: list):
     kind, p, q = spec
     if kind == "chord":
@@ -76,7 +80,7 @@ def _image_map(cfg: Configuration, spec: list):
         return lambda pt: pt + shift
     if kind == "turn60":
         return rotation60(cfg.point_of(p), q)
-    raise ValueError(f"unknown map kind {kind!r}")
+    raise ClaimFormatError(f"unknown map kind {kind!r}")
 
 
 def _check_image(cfg: Configuration, claim: dict):
@@ -195,6 +199,7 @@ def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tup
 
     Returns the human-readable failures (none when every transcription is
     consistent) and, per claim id, the (kind, detail, failure) of each claim.
+    A checker's KeyError or ValueError fails its claim; a ClaimFormatError raises.
     """
     problems: list[str] = []
     decided: dict[str, list[tuple]] = {}
@@ -207,7 +212,14 @@ def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tup
                 problems.append(f"{figure.id}: {blue_name} is not drawn blue")
         for section, check in CLAIM_CHECKS.items():
             for claim in figure.claims.get(section, ()):
-                detail, failure = check(cfg, claim)
+                try:
+                    detail, failure = check(cfg, claim)
+                except ClaimFormatError:
+                    raise
+                except (KeyError, ValueError) as exc:  # an unknown node, template or sense
+                    detail = {"error": str(exc.args[0]) if exc.args else type(exc).__name__}
+                    failure = (f"the {section} claim {claim.get('id', claim.get('nodes'))} "
+                               f"cannot be decided: {detail['error']}")
                 if failure:
                     problems.append(f"{figure.id}: {failure}")
                 if "id" in claim:

@@ -6,6 +6,9 @@ distance-preserving bijection search.  Both enumerations are exact and
 complete (pruning only discards subsets whose partial distance multiset
 already fails, which can never exclude a true hit).
 
+`reference_clauses` is `emit_clauses` as first written: a clause from
+every embedding `match_template` lists, each repeat then dropped.
+
 `ReferenceEngine` and `reference_search` are the solver's DPLL engine as
 first written, kept as the reference that the solver's traces, models
 and verdicts must match exactly.  `reference_stage_problem` builds a
@@ -17,9 +20,11 @@ from collections import Counter
 from dataclasses import replace
 from typing import Iterator, Optional, Sequence
 
-from bluefive.field import FieldElement
+from bluefive.configuration import (BLUE_L5_FORBIDDEN, RED_L2_FORBIDDEN, ell_chains,
+                                    match_template, template, template_extensions)
+from bluefive.field import ONE, FieldElement
 from bluefive.geometry import collinear, dist2
-from bluefive.solver import ColoringProblem, check_model
+from bluefive.solver import AUX_PREFIX, ColoringProblem, check_model
 
 
 def _pair_key(p, q):
@@ -107,6 +112,57 @@ def embeddings_brute(cfg, tpl):
 
     subsets([], 0, Counter())
     return set(hits)
+
+
+# ---------------------------------------------------------------------------
+# Reference clause emission
+# ---------------------------------------------------------------------------
+
+
+def reference_clauses(cfg, rules, fixed) -> ColoringProblem:
+    """The problem emit_clauses builds, from every chain ell_chains lists
+    and every embedding match_template lists, mapped through node names;
+    a clause whose literal set was already emitted is dropped."""
+    names = list(cfg.names)
+    clauses, seen = [], set()
+
+    def add(clause):
+        if frozenset(clause) not in seen:
+            seen.add(frozenset(clause))
+            clauses.append(tuple(clause))
+
+    index = cfg.index
+    if RED_L2_FORBIDDEN in rules.base:
+        for i, j in cfg.pairs_with_dist2(ONE):
+            add((-(i + 1), -(j + 1)))
+    if BLUE_L5_FORBIDDEN in rules.base:
+        for chain in ell_chains(cfg, 5):
+            add(tuple(index[nm] + 1 for nm in chain))
+    for rule in rules.derived:
+        signs = [-1 if role == "red" else 1 for role in rule.roles]
+        for emb in match_template(cfg, template(rule.template_id)):
+            add(tuple(sign * (index[nm] + 1) for sign, nm in zip(signs, emb)))
+    if rules.existential is not None:
+        for anchor in (tuple(cfg.primary(nm) for nm in a) for a in rules.existential.anchors):
+            tag = ",".join(anchor)
+            allred = len(names) + 1
+            names.append(f"{AUX_PREFIX}allred:{tag}")
+            add((allred, *(-(index[nm] + 1) for nm in anchor)))
+            sel_vars = []
+            cands = template_extensions("T3", "T6", [cfg.point_of(nm) for nm in anchor])
+            for ci, cand in enumerate(cands):
+                sel_vars.append(len(names) + 1)
+                names.append(f"{AUX_PREFIX}sel:{tag}:{ci}")
+                for p in cand:
+                    if p in cfg.point_index:
+                        add((-sel_vars[-1], cfg.point_index[p] + 1))
+            add((-allred, *sel_vars))
+    pinned = {cfg.index_of(nm): colour for nm, colour in fixed.items()}
+    for idx in sorted(pinned):
+        add((idx + 1,) if pinned[idx] == "red" else (-(idx + 1),))
+    name_to_var = ({nm: i + 1 for i, nm in enumerate(names)}
+                   | {nm: i + 1 for nm, i in cfg.index.items()})
+    return ColoringProblem(clauses=clauses, names=names, name_to_var=name_to_var)
 
 
 # ---------------------------------------------------------------------------

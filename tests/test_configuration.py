@@ -1,21 +1,27 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import bluefive.configuration as configuration
-from _oracles import chain_sets_brute, embeddings_brute
+from _oracles import chain_sets_brute, embeddings_brute, reference_clauses
 from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
-                                    RuleSet, Template, ell_chains, emit_clauses,
-                                    is_unit_chain, match_template, pattern_rule,
-                                    placement_count, template, template_extensions)
+                                    PatternRule, RuleSet, Template, ell_chains,
+                                    emit_clauses, is_unit_chain, match_template,
+                                    pattern_rule, placement_count, template,
+                                    template_extensions)
 from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, load_figure
 from bluefive.geometry import (Point, chord_rotation, dist2, hex_indices, lattice_coords,
                                node)
+from bluefive.lemmata import GRANTS, SCRIPTS, Options, build_stages
 from bluefive.solver import UnprovedRuleError, solve
 
 
@@ -391,6 +397,75 @@ def test_restriction_matches_filtered_clauses():
         tuple(sorted((remap[abs(l)] if l > 0 else -remap[abs(l)]) for l in c))
         for c in direct.clauses)
     assert translated == sorted(tuple(sorted(c)) for c in filtered)
+
+
+def _same_problem(got, want):
+    return (got.clauses, got.names, got.name_to_var) == (want.clauses, want.names,
+                                                         want.name_to_var)
+
+
+@pytest.mark.parametrize("radius", [0, 3, 7, 8, 11, 12])
+def test_emission_equals_the_reference_on_every_stage(radius):
+    granted = frozenset(g for grants in GRANTS.values() for g in grants)
+    for sid in SCRIPTS:
+        stages, _ = build_stages(sid, Options(patch_radius=radius), granted)
+        for stage in stages.values():
+            got = emit_clauses(stage.cfg, stage.rules, stage.fixed)
+            assert _same_problem(got, reference_clauses(stage.cfg, stage.rules, stage.fixed)), (
+                sid, stage.sid)
+
+
+def test_emission_equals_the_reference_on_random_subsets():
+    """One embedding per orbit of the role-keeping symmetries gives the
+    clauses of all embeddings, in their order, and builds no clause twice:
+    random lattice subsets in shuffled insertion order, on the lattice path
+    and the exact one, for every template with all-red and mixed roles."""
+    rng = random.Random(27)
+    cases = 0
+    for trial in range(24):
+        coords = [ab for ab in hex_indices(4) if rng.random() < 0.75]
+        rng.shuffle(coords)
+        cfg = _lattice_cfg(coords)
+        for c in (cfg, _with_distant_non_node(cfg)) if trial % 4 == 0 else (cfg,):
+            for tid, tpl in TEMPLATES.items():
+                mixed = tuple(rng.choice(("red", "blue")) for _ in tpl.points)
+                for roles in (("red",) * len(tpl.points), mixed):
+                    rules = RuleSet(base=(), derived=(PatternRule("R", tid, roles, True),))
+                    got = emit_clauses(c, rules, {})
+                    assert _same_problem(got, reference_clauses(c, rules, {})), (trial, tid,
+                                                                                 roles)
+                    # one embedding is built per clause
+                    assert len(configuration._embeddings(c, tpl, roles)) == len(got.clauses)
+                    cases += bool(got.clauses)
+    assert cases > 300
+
+
+SYMMETRY_ORDERS = {"L2": 2, "L5": 2, "T3": 6, "T4": 4, "T5": 2, "T6": 6, "T7": 2,
+                   "EQ3_CENTERED": 6}
+
+
+def test_template_symmetries_keep_every_distance():
+    """Each template's symmetry group has its order, lists the identity
+    first and keeps every pairwise squared distance; a turned copy off the
+    lattice (the exact path) has the same group, and N7 only the identity."""
+    turn = chord_rotation(node(0, 0), 1)
+    shapes = [(tpl, SYMMETRY_ORDERS[tid]) for tid, tpl in TEMPLATES.items()]
+    shapes += [(Template("turned", tuple(map(turn, tpl.points))), order)
+               for tpl, order in shapes] + [(N7, 1)]
+    for tpl, order in shapes:
+        perms = configuration._automorphisms(tpl)
+        pts, m = tpl.points, len(tpl.points)
+        assert len(set(perms)) == len(perms) == order, tpl
+        assert perms[0] == tuple(range(m)) and all(tuple(sorted(s)) == perms[0] for s in perms)
+        assert all(dist2(pts[s[i]], pts[s[j]]) == dist2(pts[i], pts[j])
+                   for s in perms for i in range(m) for j in range(i + 1, m)), tpl
+
+
+def test_template_symmetries_are_not_computed_at_import():
+    code = ("import bluefive.cli, bluefive.configuration as c; "
+            "assert c._automorphisms.cache_info().currsize == 0")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(configuration.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_schema_clauses_force_extension():

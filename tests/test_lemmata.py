@@ -292,6 +292,27 @@ def test_moved_geometry_fails_its_claim_row_and_the_self_check(monkeypatch, sid,
     assert failure in results["transcription-self-check"].detail["failures"]
 
 
+@pytest.mark.parametrize("section, index, changes, oid, kind, error", [
+    ("images", 0, {"map": ["mirror", "B", "B"]}, "x-mirror", "GEOM_IDENTITY",
+     "reflection line endpoints must be distinct"),
+    ("dist2", 0, {"nodes": ["A", "Z"]}, "chord-a", "GEOM_IDENTITY", "unknown node 'Z'"),
+    ("images", 1, {"map": ["chord", "B", 2]}, "image-xp", "GEOM_IDENTITY",
+     "sense must be +1 or -1"),
+    ("patterns", 0, {"template": "T9"}, "seven-red", "PATTERN_PRESENT",
+     "unknown template 'T9'"),
+], ids=["mirror-line", "unknown-node", "chord-sense", "unknown-template"])
+def test_malformed_claim_fails_its_row(monkeypatch, section, index, changes, oid, kind, error):
+    """A claim its checker cannot decide fails its row, with the error as
+    the detail, and the self-check names the figure and the claim; the
+    run goes on."""
+    results = _failed_rows(monkeypatch, "t7", "fig3", _claim_set(section, index, **changes))
+    row = results[oid]
+    assert (row.kind, row.status, row.detail) == (kind, "fail", {"error": error})
+    assert results["transcription-self-check"].detail == {"failures": [
+        f"fig3: the {section} claim {oid} cannot be decided: {error}"]}
+    assert results["contradiction"].status == "pass"
+
+
 @pytest.mark.parametrize("index, equals, failure", [
     (1, 24, "figthm: A,B is at squared distance 25, not 24"),
     (2, 2, "figthm: B,C is at squared distance 1, not 2"),
