@@ -274,21 +274,25 @@ def template(tid: str) -> Template:
 
 
 def _placements(shape: Sequence[Point], i0: int, j0: int):
-    """place(dst0, dst1, mirror=True): the images of the shape under the
-    direct rigid map sending points i0 and j0 to dst0 and dst1 and, if
-    mirror, under the opposite one.  Each point is written once as
-    s0 + a*u + b*perp(u) (s0 = point i0, u = point j0 - s0, perp(x, y) =
-    (-y, x)) and placed at dst0 + a*v +- b*perp(v) (v = dst1 - dst0), so
-    placing divides nothing.  The two spans must be equally long."""
+    """place(dst0, dst1, mirror=True, ks=None): the images of the shape
+    (of its points ks, if given) under the direct rigid map sending points
+    i0 and j0 to dst0 and dst1 and, if mirror, under the opposite one.
+    Each point is written once as s0 + a*u + b*perp(u) (s0 = point i0,
+    u = point j0 - s0, perp(x, y) = (-y, x)) and placed at
+    dst0 + a*v +- b*perp(v) (v = dst1 - dst0), so placing divides nothing
+    and points i0 and j0 land exactly on dst0 and dst1.  The two spans
+    must be equally long."""
     s0 = shape[i0]
     u = shape[j0] - s0
     w = dot(u, u).inverse()
     coefficients = [(dot(p - s0, u) * w, cross(u, p - s0) * w) for p in shape]
 
-    def place(dst0: Point, dst1: Point, mirror: bool = True) -> list[list[Point]]:
+    def place(dst0: Point, dst1: Point, mirror: bool = True,
+              ks: Optional[Sequence[int]] = None) -> list[list[Point]]:
         x0, y0 = dst0.x, dst0.y
         vx, vy = dst1.x - x0, dst1.y - y0
-        terms = [(x0 + a * vx, y0 + a * vy, b * vx, b * vy) for a, b in coefficients]
+        chosen = coefficients if ks is None else [coefficients[k] for k in ks]
+        terms = [(x0 + a * vx, y0 + a * vy, b * vx, b * vy) for a, b in chosen]
         images = [[Point(ax - by, ay + bx) for ax, ay, bx, by in terms]]
         if mirror:
             images.append([Point(ax + by, ay - bx) for ax, ay, bx, by in terms])
@@ -491,9 +495,12 @@ def template_extensions(small_id: str, big_id: str,
     targets = [anchor_cfg.point_of(n) for n in anchor_orders[0]]
     found: dict[frozenset, tuple[Point, ...]] = {}
     for sub, place in frames:
+        # the frame sends the first two anchor points onto their targets
+        # exactly, so only the others' images decide whether it fits
+        if place(targets[0], targets[1], mirror=False, ks=sub[2:])[0] != targets[2:]:
+            continue
         image = tuple(place(targets[0], targets[1], mirror=False)[0])
-        if all(image[s] == t for s, t in zip(sub, targets)):
-            found.setdefault(frozenset(image), image)
+        found.setdefault(frozenset(image), image)
     return sorted(found.values(),
                   key=lambda pts: [c for p in pts for c in p.serialize()["x"] + p.serialize()["y"]])
 

@@ -25,6 +25,19 @@ follows from the clauses, the assumptions and the decisions on earlier
 variables, so the first model found is the lexicographically first one
 over the decision order.
 
+The kept engine also keeps the model of its last query in ascending
+order that found one, with that query's assumptions and the number of
+clauses the model was checked against.  A later such query returns it
+without deciding anything when every kept assumption is assumed again
+or true at level 0 after the new clauses are taken in, and the model
+satisfies those new clauses and the query's assumptions.  Level-0
+facts follow from the clauses, so the query's models are then a subset
+of the models the kept one was first among, and it holds in the subset:
+it is first there too.  `clauses` only grows, as `absorb` relies on, so
+only the clauses added since need checking.  Traced searches never read
+or write the kept model, so `oracle`'s cross-check of learned against
+traced searches stays independent of it.
+
 `parse_dimacs` reads only the DIMACS form `export_dimacs` writes: the
 line ``p cnf V C`` and C lines of single-space-separated literals ending
 in `` 0``, each line ending in a newline; anything else, comment lines
@@ -186,6 +199,9 @@ class _Engine:
         self.watch: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
         self.absorbed = 0   # problem clauses taken in by `absorb`
         self.unsat = False  # a level-0 conflict: no query has a model
+        # (model, assumptions, clauses checked): the model is the first
+        # model of the problem's first `checked` clauses and the assumptions
+        self.kept: Optional[tuple[tuple[bool, ...], tuple[int, ...], int]] = None
 
     def load(self, problem: ColoringProblem, assumptions: Sequence[int]) -> bool:
         """Set up a traced search on the problem's clauses (`propagate`
@@ -219,14 +235,20 @@ class _Engine:
         Literals false at level 0 stay false, so they are dropped, and a
         clause true at level 0 is skipped.  A unit left over is assigned
         at level 0; a longer clause is watched on its first two literals.
-        Returns False, and marks the engine unsat for good, when a clause
-        or the propagation that follows is falsified at level 0.
+        Each literal's value is read once, and only a clause with a false
+        literal is filtered.  Returns False, and marks the engine unsat for
+        good, when a clause or the propagation that follows is falsified at
+        level 0.
         """
-        val = self.val
+        value = self.val.__getitem__
         for clause in clauses[self.absorbed:]:
-            lits = [lit for lit in clause if val[lit] != -1]
-            if any(val[lit] == 1 for lit in lits):
+            vals = list(map(value, clause))
+            if 1 in vals:
                 continue
+            if -1 in vals:
+                lits = [lit for lit, v in zip(clause, vals) if not v]
+            else:
+                lits = list(clause)
             if len(lits) > 1:
                 self._attach(lits)
             elif lits:
@@ -237,6 +259,26 @@ class _Engine:
         if not self.unsat and self.propagate() is not None:
             self.unsat = True
         return not self.unsat
+
+    def kept_first(self, clauses: Sequence[Sequence[int]],
+                   assumptions: Sequence[int]) -> Optional[tuple[bool, ...]]:
+        """The kept model when it is also the first model of `clauses`
+        and `assumptions` in ascending order, else None; called at level 0
+        after `absorb`.  It is when every kept assumption is assumed again
+        or true at level 0, and the model satisfies the clauses added since
+        it was checked and the assumptions.  A model returned is kept with
+        the new assumptions and clause count."""
+        if self.kept is None:
+            return None
+        model, held, checked = self.kept
+        val = self.val
+        for lit in held:
+            if val[lit] != 1 and lit not in assumptions:
+                return None
+        if not check_model(clauses[checked:], model, assumptions):
+            return None
+        self.kept = (model, tuple(assumptions), len(clauses))
+        return model
 
     # ------------------------------------------------------------------
 
@@ -438,10 +480,11 @@ def check_model(clauses: Iterable[Sequence[int]], model: Sequence[bool],
 
 
 def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
-                 order: Sequence[int],
+                 order: Optional[Sequence[int]],
                  trace: Optional[list[tuple]]) -> Optional[tuple[bool, ...]]:
-    """The first model in search-tree order, deciding variables in `order`,
-    or None when there is none.  Events go to `trace` when it is a list.
+    """The first model in search-tree order, deciding variables in `order`
+    (ascending when None), or None when there is none.  Events go to
+    `trace` when it is a list.
 
     A traced search runs on a fresh engine and backtracks chronologically.
     An untraced one runs on the problem's kept engine, decides the
@@ -449,11 +492,17 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
     implied value holds in all models that extend the assumptions and the
     decisions before it, so either way the first model is the
     lexicographically first one over `order`, with true before false.
+    An untraced query in ascending order returns the engine's kept model
+    when it is still first (`_Engine.kept_first`) and keeps the model it
+    finds.
     """
     nv = problem.var_count
     for lit in assumptions:
         if lit == 0 or not -nv <= lit <= nv:  # val[lit] would alias another literal
             raise ValueError(f"assumption {lit} references an undeclared variable")
+    keep = order is None and trace is None
+    if order is None:
+        order = range(1, nv + 1)
     if trace is not None:
         eng = _Engine(nv, trace)
         if not eng.load(problem, assumptions):
@@ -466,6 +515,10 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
         eng.cancel(0)
         if not eng.absorb(problem.clauses):
             return None
+        if keep:
+            model = eng.kept_first(problem.clauses, assumptions)
+            if model is not None:
+                return model
         first = assumptions  # assumption i is decided at level i + 1
     while True:
         conflict = eng.propagate()
@@ -484,6 +537,8 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
             model = eng.model()
             if not check_model(problem.clauses, model, assumptions):
                 raise AssertionError("solver produced an invalid model")
+            if keep:
+                eng.kept = (model, tuple(assumptions), len(problem.clauses))
             return model
         eng.decide(var)  # red (true) branch first
 
@@ -492,7 +547,7 @@ def solve(problem: ColoringProblem, assumptions: Sequence[int] = (),
           record_trace: bool = False) -> Verdict:
     """Decide the problem; deterministic given the clause set and assumptions."""
     trace: Optional[list[tuple]] = [] if record_trace else None
-    model = _first_model(problem, assumptions, range(1, problem.var_count + 1), trace)
+    model = _first_model(problem, assumptions, None, trace)
     return Verdict("unsat" if model is None else "sat", model=model, trace=trace)
 
 

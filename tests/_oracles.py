@@ -11,7 +11,9 @@ every embedding `match_template` lists, each repeat then dropped.
 
 `ReferenceEngine` and `reference_search` are the solver's DPLL engine as
 first written, kept as the reference that the solver's traces, models
-and verdicts must match exactly.  `reference_stage_problem` builds a
+and verdicts must match exactly.  `reference_absorb` is
+`_Engine.absorb` as first written, filtering each literal of a new
+clause on its own.  `reference_stage_problem` builds a
 stage's problem from scratch at each call, as `Stage.problem` did before
 it kept one problem per exclude set.
 """
@@ -360,6 +362,34 @@ def reference_search(problem, assumptions: Sequence[int],
                 return
             continue
         eng.decide(var, projected=projected)
+
+
+def reference_absorb(eng, clauses: Sequence[Sequence[int]],
+                     seen: Optional[Counter] = None) -> bool:
+    """`bluefive.solver._Engine.absorb` as first written: drop each new
+    clause's literals false at level 0, skip the clause if a kept one is
+    true, and store, assign or fail on what is left.  `seen` counts the
+    clauses skipped ("satisfied"), filtered ("false literal") and taken
+    whole ("whole")."""
+    val = eng.val
+    for clause in clauses[eng.absorbed:]:
+        lits = [lit for lit in clause if val[lit] != -1]
+        if any(val[lit] == 1 for lit in lits):
+            if seen is not None:
+                seen["satisfied"] += 1
+            continue
+        if seen is not None:
+            seen["false literal" if len(lits) < len(clause) else "whole"] += 1
+        if len(lits) > 1:
+            eng._attach(lits)
+        elif lits:
+            eng._assign(lits[0])
+        else:
+            eng.unsat = True
+    eng.absorbed = len(clauses)
+    if not eng.unsat and eng.propagate() is not None:
+        eng.unsat = True
+    return not eng.unsat
 
 
 # ---------------------------------------------------------------------------

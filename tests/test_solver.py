@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import random
@@ -7,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 import bluefive.solver as solver
-from _oracles import ReferenceEngine, reference_search
+from _oracles import ReferenceEngine, reference_absorb, reference_search
 from bluefive.geometry import hex_indices, node
 from bluefive.lemmata import CENTER_RADIUS, GRANTS, SCRIPTS, Options, build_stages
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
@@ -413,6 +414,118 @@ def test_kept_engine_matches_a_fresh_search(monkeypatch):
         for case in cases:
             seen[case] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
+    """One random sequence per problem mixes add_clause (units and longer
+    clauses) with untraced solve and forced_color queries under random
+    assumptions, and now and then a traced solve.  Every verdict and model
+    equals the reference engine's on the clauses so far.  Each lookup of
+    the kept model is sorted by why it was or was not reused: a kept
+    assumption neither assumed nor true at level 0, an added clause the
+    kept model falsifies, an assumption it falsifies, or none of these,
+    which must be a reuse.  A kept assumption taken as a level-0 fact must
+    follow from the clauses, and a traced solve leaves the kept model be."""
+    kept_first = solver._Engine.kept_first
+    seen = collections.Counter()
+
+    def holds(model, clause):
+        return any(model[abs(lit) - 1] == (lit > 0) for lit in clause)
+
+    def sorted_kept_first(eng, clauses, assumptions):
+        kept = eng.kept
+        got = kept_first(eng, clauses, assumptions)
+        if kept is None:
+            assert got is None
+            return got
+        model, held, checked = kept
+        facts = [lit for lit in held if lit not in assumptions and eng.val[lit] == 1]
+        for lit in facts:
+            assert _ref_solve(_problem(eng.nv, clauses), [-lit])[0] == "unsat"
+        if len(facts) + sum(lit in assumptions for lit in held) < len(held):
+            case = "kept-assumption-dropped"
+        elif not all(holds(model, clause) for clause in clauses[checked:]):
+            case = "added-clause-falsifies"
+        elif not all(holds(model, (lit,)) for lit in assumptions):
+            case = "assumption-falsified"
+        else:
+            case = "reuse"
+            assert got is model and eng.kept == (model, tuple(assumptions), len(clauses))
+        if case != "reuse":
+            assert got is None and eng.kept is kept
+        seen[case] += 1
+        return got
+
+    monkeypatch.setattr(solver._Engine, "kept_first", sorted_kept_first)
+    rng = random.Random(28)
+
+    def literal(nvars):
+        return rng.choice((1, -1)) * rng.randint(1, nvars)
+
+    for _ in range(150):
+        nvars = rng.randint(2, 12)
+        problem = _problem(nvars, [tuple(literal(nvars) for _ in range(rng.choice((2, 3, 3, 4))))
+                                   for _ in range(rng.randint(0, 3 * nvars))])
+        last, asked = None, []  # the last model an untraced query returned, and its assumptions
+        for _ in range(rng.randint(6, 14)):
+            step = rng.random()
+            if step < 0.3:
+                width = rng.choice((1, 2, 3, 3, 4))
+                if last is not None and rng.random() < 0.4:  # false in the last model
+                    clause = [v if not last[v - 1] else -v
+                              for v in rng.sample(range(1, nvars + 1), min(width, nvars))]
+                else:
+                    clause = [literal(nvars) for _ in range(width)]
+                problem.add_clause(clause)
+                continue
+            fresh = _problem(nvars, problem.clauses)
+            if step < 0.4:
+                kept = problem._engine and problem._engine.kept
+                assumptions = [literal(nvars) for _ in range(rng.randint(0, 2))]
+                verdict = solve(problem, assumptions, record_trace=True)
+                assert (verdict.kind, verdict.model, verdict.trace) == _ref_solve(fresh, assumptions)
+                assert (problem._engine and problem._engine.kept) is kept
+                continue
+            if step < 0.7:
+                var = rng.randint(1, nvars)
+                res = forced_color(problem, f"v{var}")
+                sides = ((res.when_blue, [-var]), (res.when_red, [var]))
+            else:
+                assumptions = [literal(nvars) for _ in range(rng.randint(0, 3))]
+                if rng.random() < 0.5:  # ask again, perhaps with more
+                    assumptions = asked + assumptions[:rng.randint(0, 1)]
+                sides = ((solve(problem, assumptions), assumptions),)
+            for verdict, lits in sides:
+                assert (verdict.kind, verdict.model, verdict.trace) == (
+                    *_ref_solve(fresh, lits)[:2], None)
+                if verdict.is_sat:
+                    last, asked = verdict.model, lits
+    assert min(seen[case] for case in ("reuse", "kept-assumption-dropped",
+                                       "added-clause-falsifies")) >= 30, seen
+
+
+def test_absorb_equals_the_per_literal_filter():
+    """`absorb` leaves the trail, values, levels, watch lists and stored
+    clauses that filtering each literal on its own leaves, batch after
+    batch, on random clause lists with level-0 units, clauses already
+    satisfied at level 0 and clauses with literals false there."""
+    rng = random.Random(29)
+    seen = collections.Counter()
+    for _ in range(300):
+        nvars = rng.randint(2, 12)
+        clauses = []
+        for _ in range(rng.randint(1, 4 * nvars)):
+            width = rng.choice((1, 1, 2, 3, 3, 4, 5))
+            clauses.append(tuple(rng.choice((1, -1)) * rng.randint(1, nvars)
+                                 for _ in range(width)))
+        if rng.random() < 0.05:
+            clauses.insert(rng.randint(0, len(clauses)), ())
+        fast, slow = solver._Engine(nvars), solver._Engine(nvars)
+        cuts = sorted(rng.sample(range(1, len(clauses) + 1), min(3, len(clauses))))
+        for cut in cuts:
+            assert fast.absorb(clauses[:cut]) == reference_absorb(slow, clauses[:cut], seen)
+            assert vars(fast) == vars(slow)
+    assert min(seen[case] for case in ("satisfied", "false literal", "whole")) >= 100, seen
 
 
 def _render_dimacs(problem):
