@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .field import FieldElement, ONE, ZERO, fe
 from .geometry import (Point, cross, dist2, dot, lattice_coords, lattice_norm2,
                        lattice_vectors_of_norm2, node)
-from .solver import AUX_PREFIX, ColoringProblem, UnprovedRuleError
+from .solver import AUX_PREFIX, ColoringProblem
 
 # rule identifiers
 RED_L2_FORBIDDEN = "RED_L2_FORBIDDEN"
@@ -517,14 +517,12 @@ class PatternRule:
     rule_id: str
     template_id: str
     roles: tuple[str, ...]
-    proved: bool = False
 
 
 @dataclass(frozen=True)
 class ExtensionSchema:
     """Each listed all-red T3 anchor extends to an all-red T6."""
     anchors: tuple[tuple[str, ...], ...]
-    proved: bool = False
 
 
 _PATTERN_RULE_DEFS: dict[str, tuple[str, tuple[str, ...]]] = {
@@ -535,9 +533,9 @@ _PATTERN_RULE_DEFS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def pattern_rule(rule_id: str, proved: bool = False) -> PatternRule:
+def pattern_rule(rule_id: str) -> PatternRule:
     template_id, roles = _PATTERN_RULE_DEFS[rule_id]
-    return PatternRule(rule_id, template_id, roles, proved)
+    return PatternRule(rule_id, template_id, roles)
 
 
 @dataclass
@@ -554,15 +552,9 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     Variable v (true = red) is the v-th node in insertion order; auxiliary
     selector variables for the extension schema follow.  Each clause of a
     pattern rule is built from one embedding (_embeddings given the rule's
-    roles).  All derived rules must be marked proved.
+    roles).  Every rule given is encoded: whether a derived rule may be
+    used is `lemmata.build_stages`' check, made against the grants it holds.
     """
-    for rule in rules.derived:
-        if not rule.proved:
-            raise UnprovedRuleError(
-                f"derived rule {rule.rule_id} has not been established")
-    if rules.existential is not None and not rules.existential.proved:
-        raise UnprovedRuleError(f"derived rule {T3_TO_T6_SCHEMA} has not been established")
-
     names = list(cfg.names)
     clauses: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
@@ -636,7 +628,7 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
                             for a in _json_field(entry.get("anchors"), list, "'anchors'"))
             if not anchors:
                 raise ValueError(f"{T3_TO_T6_SCHEMA} needs at least one anchor")
-            existential = ExtensionSchema(anchors=anchors, proved=True)
+            existential = ExtensionSchema(anchors=anchors)
         elif not isinstance(entry, str):
             raise ValueError(f"unknown rule id {entry!r}")
         elif entry in BASE_RULES:
@@ -645,7 +637,7 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
             raise ValueError(f"{entry} needs anchors: write it as an object with an "
                              "'anchors' list")
         elif entry in _PATTERN_RULE_DEFS:
-            derived.append(pattern_rule(entry, proved=True))
+            derived.append(pattern_rule(entry))
         else:
             raise ValueError(f"unknown rule id {entry!r}")
     return RuleSet(base=tuple(base), derived=tuple(derived), existential=existential)

@@ -13,14 +13,16 @@ invariance (`invariance`).  A claim with an "id" is also the sole
 statement of the verification obligation of that id.  `self_check`
 decides each claim once per run: it lists a failing claim, and returns
 every decision by id, which the obligation of that id reports under the
-kind its section maps to in CLAIM_KINDS.  The registries double as
-ready-to-run instance files for the oracle command.
+kind its section maps to in CLAIM_KINDS.  An unknown section, or a
+claim its checker cannot decide, fails the self-check.  The registries
+double as ready-to-run instance files for the oracle command.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Sequence
 
@@ -65,10 +67,6 @@ def _check_dist2(cfg: Configuration, claim: dict):
             got != want and f"{a},{b} is at squared distance {got}, not {want}")
 
 
-class ClaimFormatError(ValueError):
-    """A claim in a form no checker reads: self_check raises it."""
-
-
 def _image_map(cfg: Configuration, spec: list):
     kind, p, q = spec
     if kind == "chord":
@@ -80,7 +78,7 @@ def _image_map(cfg: Configuration, spec: list):
         return lambda pt: pt + shift
     if kind == "turn60":
         return rotation60(cfg.point_of(p), q)
-    raise ClaimFormatError(f"unknown map kind {kind!r}")
+    raise ValueError(f"unknown map kind {kind!r}")
 
 
 def _check_image(cfg: Configuration, claim: dict):
@@ -88,6 +86,15 @@ def _check_image(cfg: Configuration, claim: dict):
     got, want = _image_map(cfg, claim["map"])(cfg.point_of(src)), cfg.point_of(dst)
     return ({"image": f"({got.x}, {got.y})", "expected": f"({want.x}, {want.y})"},
             got != want and f"{claim['map']} takes {src} to ({got.x}, {got.y}), not to {dst}")
+
+
+def _check_blue_unit(colors: dict, cfg: Configuration, claim: dict):
+    """The blue node lies at unit distance from the red one and is not drawn red."""
+    blue, red = claim["nodes"]
+    got, drawn = dist2(cfg.point_of(blue), cfg.point_of(red)), colors.get(blue, "blue")
+    return ({"dist2": str(got), "drawn": drawn},
+            (got != ONE and f"{blue} is not at unit distance from {red}")
+            or (drawn != "blue" and f"{blue} is not drawn blue"))
 
 
 def _check_chain(cfg: Configuration, claim: dict):
@@ -199,24 +206,24 @@ def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tup
 
     Returns the human-readable failures (none when every transcription is
     consistent) and, per claim id, the (kind, detail, failure) of each claim.
-    A checker's KeyError or ValueError fails its claim; a ClaimFormatError raises.
+    A `blue_unit` pair [blue, red] is a claim that reports no obligation.
+    A section with no checker fails, as does a claim whose checker raises
+    KeyError or ValueError.
     """
     problems: list[str] = []
     decided: dict[str, list[tuple]] = {}
     for figure in figures:
         cfg = figure.cfg
-        for blue_name, red_name in figure.claims.get("blue_unit", ()):
-            if dist2(cfg.point_of(blue_name), cfg.point_of(red_name)) != ONE:
-                problems.append(f"{figure.id}: {blue_name} is not at unit distance from {red_name}")
-            if figure.colors.get(blue_name, "blue") != "blue":
-                problems.append(f"{figure.id}: {blue_name} is not drawn blue")
-        for section, check in CLAIM_CHECKS.items():
-            for claim in figure.claims.get(section, ()):
+        checks = {"blue_unit": partial(_check_blue_unit, figure.colors), **CLAIM_CHECKS}
+        claims = {**figure.claims,
+                  "blue_unit": [{"nodes": pair} for pair in figure.claims.get("blue_unit", ())]}
+        problems += [f"{figure.id}: unknown claim section {section!r}"
+                     for section in claims if section not in checks]
+        for section, check in checks.items():
+            for claim in claims.get(section, ()):
                 try:
                     detail, failure = check(cfg, claim)
-                except ClaimFormatError:
-                    raise
-                except (KeyError, ValueError) as exc:  # an unknown node, template or sense
+                except (KeyError, ValueError) as exc:  # an unknown node, template, sense or map
                     detail = {"error": str(exc.args[0]) if exc.args else type(exc).__name__}
                     failure = (f"the {section} claim {claim.get('id', claim.get('nodes'))} "
                                f"cannot be decided: {detail['error']}")

@@ -221,21 +221,16 @@ OBLIGATIONS: dict[str, tuple[Obligation, ...]] = {
     sid: tuple(Obligation(**row) for row in s["obligations"]) for sid, s in SCRIPTS.items()}
 
 
-def _granted_rules(rules: RuleSet, granted: frozenset) -> RuleSet:
-    """The rules with each derived rule, and the extension schema, marked
-    proved only once the script granting it has passed.  NO_RED_T3 is the
-    hypothesis of its case, so it always holds."""
-    derived = tuple(replace(r, proved=r.rule_id == NO_RED_T3 or r.rule_id in granted)
-                    for r in rules.derived)
-    schema = rules.existential and replace(rules.existential,
-                                           proved=T3_TO_T6_SCHEMA in granted)
-    return RuleSet(rules.base, derived, schema)
+class UnprovedRuleError(Exception):
+    """A stage uses a derived rule that no passed script has granted."""
 
 
 def build_stages(script_id: str, options: Optional[Options] = None,
                  granted: frozenset = frozenset()) -> tuple[dict[str, Stage], tuple[Figure, ...]]:
     """The script's stages, in table order, and the figures its stages
-    read, each loaded once."""
+    read, each loaded once.  A stage that uses a derived rule or the
+    extension schema that no passed script has granted raises
+    UnprovedRuleError; NO_RED_T3, the hypothesis of its case, always holds."""
     options = options or Options()
     script = SCRIPTS[script_id]
     fids = [spec["figure"] for spec in script["stages"].values() if "figure" in spec]
@@ -256,7 +251,12 @@ def build_stages(script_id: str, options: Optional[Options] = None,
         if "anchors" in spec:
             rules = replace(rules, existential=ExtensionSchema(
                 tuple(tuple(a) for a in spec["anchors"])))
-        stages[sid] = Stage(sid, cfg, _granted_rules(rules, granted), spec.get("fixed", {}))
+        used = [r.rule_id for r in rules.derived] + [T3_TO_T6_SCHEMA] * bool(rules.existential)
+        unproved = [r for r in used if r != NO_RED_T3 and r not in granted]
+        if unproved:
+            raise UnprovedRuleError(f"script {script_id}, stage {sid}: derived rule "
+                                    f"{unproved[0]} has not been granted")
+        stages[sid] = Stage(sid, cfg, rules, spec.get("fixed", {}))
     return stages, tuple(figures.values())
 
 

@@ -9,7 +9,9 @@ clause, copies a clause only when propagation first reorders it, and
 backtracks chronologically.  The trace lists every decision, propagation,
 flip and conflict; an assumption is one more unit clause after the
 problem's, so setting it is a propagation.  An independent replayer
-re-checks traces and models without touching the search code.
+re-checks traces and models without touching the search code.  The
+solver sees clauses only: whether a stage may use the rules behind them
+is checked before they are emitted, by `lemmata.build_stages`.
 
 A search that records no trace runs on the problem's one learning engine
 (MiniSat's incremental scheme, Een & Sorensson 2003), built by the first
@@ -70,10 +72,6 @@ AUX_PREFIX = "aux:"  # names of auxiliary variables, which are not nodes
 
 class CertificateError(Exception):
     """A trace or model failed independent replay."""
-
-
-class UnprovedRuleError(Exception):
-    """A derived rule was used before the lemma granting it was verified."""
 
 
 @dataclass

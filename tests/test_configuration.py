@@ -15,14 +15,13 @@ from _oracles import chain_sets_brute, embeddings_brute, reference_clauses
 from bluefive.configuration import (TEMPLATES, Configuration, ExtensionSchema,
                                     PatternRule, RuleSet, Template, ell_chains,
                                     emit_clauses, is_unit_chain, match_template,
-                                    pattern_rule, placement_count, template,
-                                    template_extensions)
+                                    placement_count, template, template_extensions)
 from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, load_figure
 from bluefive.geometry import (Point, chord_rotation, dist2, hex_indices, lattice_coords,
                                node)
 from bluefive.lemmata import GRANTS, SCRIPTS, Options, build_stages
-from bluefive.solver import UnprovedRuleError, solve
+from bluefive.solver import solve
 
 
 def _lattice_cfg(coords):
@@ -377,13 +376,6 @@ def test_fixed_colours_resolve_aliases():
         emit_clauses(cfg, RuleSet(), {"twin": "red", "a": "blue"})
 
 
-def test_unproved_rule_rejected():
-    cfg = load_figure("fig1b").cfg
-    rules = RuleSet(derived=(pattern_rule("BLUE_EQ3_RED_CENTER", proved=False),))
-    with pytest.raises(UnprovedRuleError):
-        emit_clauses(cfg, rules, {})
-
-
 def test_restriction_matches_filtered_clauses():
     cfg = load_figure("fig1a").cfg
     fixed = {"O": "red", "A": "blue", "B": "blue", "C": "blue"}
@@ -430,7 +422,7 @@ def test_emission_equals_the_reference_on_random_subsets():
             for tid, tpl in TEMPLATES.items():
                 mixed = tuple(rng.choice(("red", "blue")) for _ in tpl.points)
                 for roles in (("red",) * len(tpl.points), mixed):
-                    rules = RuleSet(base=(), derived=(PatternRule("R", tid, roles, True),))
+                    rules = RuleSet(base=(), derived=(PatternRule("R", tid, roles),))
                     got = emit_clauses(c, rules, {})
                     assert _same_problem(got, reference_clauses(c, rules, {})), (trial, tid,
                                                                                  roles)
@@ -480,7 +472,7 @@ def test_schema_clauses_force_extension():
     for i, (a, b) in enumerate([(-2, 1), (-1, -1), (1, -2)]):
         pts[f"x{i}"] = node(a, b)
     cfg = Configuration(pts.items())
-    schema = ExtensionSchema(proved=True, anchors=(("t0", "t1", "t2"),))
+    schema = ExtensionSchema(anchors=(("t0", "t1", "t2"),))
     rules = RuleSet(base=(), existential=schema)
     fixed = {"t0": "red", "t1": "red", "t2": "red",
              "x0": "blue", "x1": "blue", "x2": "blue"}

@@ -1,8 +1,6 @@
 import importlib.util
 import pathlib
 
-import pytest
-
 from bluefive.field import ONE
 from bluefive.figures import FIGURE_IDS, load_figure, self_check
 from bluefive.geometry import chord_rotation, dist2, node, reflection
@@ -24,13 +22,6 @@ def test_self_check_reports_bad_claims():
     assert len(problems) == 2
     assert "A-X-D-E-B is not a unit five-chain" in problems[0]
     assert "do not form a EQ3_CENTERED" in problems[1]
-
-
-def test_unknown_image_map_kind_rejected():
-    figure = load_figure("fig3")
-    figure.claims["images"][0]["map"] = ["shear", "B", "C"]
-    with pytest.raises(ValueError, match="unknown map kind 'shear'"):
-        self_check([figure])
 
 
 def test_first_figure_has_ten_nodes():

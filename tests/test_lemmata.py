@@ -10,10 +10,10 @@ from bluefive.configuration import Configuration, RuleSet, emit_clauses
 from bluefive.figures import CLAIM_CHECKS, CLAIM_KINDS, load_figure
 from bluefive.geometry import node
 from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
-                              Stage, build_stages, replay_certificate, run_script,
-                              verify_all, write_certificates)
-from bluefive.solver import (CertificateError, UnprovedRuleError, export_dimacs,
-                             parse_dimacs, replay_unsat_trace, solve)
+                              Stage, UnprovedRuleError, build_stages, replay_certificate,
+                              run_script, verify_all, write_certificates)
+from bluefive.solver import (CertificateError, export_dimacs, parse_dimacs,
+                             replay_unsat_trace, solve)
 from bluefive.tilings import PATTERNS
 
 
@@ -300,7 +300,9 @@ def test_moved_geometry_fails_its_claim_row_and_the_self_check(monkeypatch, sid,
      "sense must be +1 or -1"),
     ("patterns", 0, {"template": "T9"}, "seven-red", "PATTERN_PRESENT",
      "unknown template 'T9'"),
-], ids=["mirror-line", "unknown-node", "chord-sense", "unknown-template"])
+    ("images", 0, {"map": ["shear", "B", "C"]}, "x-mirror", "GEOM_IDENTITY",
+     "unknown map kind 'shear'"),
+], ids=["mirror-line", "unknown-node", "chord-sense", "unknown-template", "map-kind"])
 def test_malformed_claim_fails_its_row(monkeypatch, section, index, changes, oid, kind, error):
     """A claim its checker cannot decide fails its row, with the error as
     the detail, and the self-check names the figure and the claim; the
@@ -311,6 +313,24 @@ def test_malformed_claim_fails_its_row(monkeypatch, section, index, changes, oid
     assert results["transcription-self-check"].detail == {"failures": [
         f"fig3: the {section} claim {oid} cannot be decided: {error}"]}
     assert results["contradiction"].status == "pass"
+
+
+@pytest.mark.parametrize("edit, failure", [
+    (lambda figure: figure.claims.update(dist=[{"nodes": ["A", "B"], "equals": 7}]),
+     "fig1a: unknown claim section 'dist'"),
+    (lambda figure: figure.claims["blue_unit"].append(["Q", "O"]),
+     "fig1a: the blue_unit claim ['Q', 'O'] cannot be decided: unknown node 'Q'"),
+    (lambda figure: figure.claims["blue_unit"].append(["D", "G"]),
+     "fig1a: D is not at unit distance from G"),
+    (lambda figure: figure.colors.update(D="red"), "fig1a: D is not drawn blue"),
+], ids=["unknown-section", "blue-unit-unknown-node", "blue-unit-distance", "blue-unit-colour"])
+def test_unchecked_claims_fail_the_self_check(monkeypatch, edit, failure):
+    """A claim section with no checker, and a blue unit pair that names an
+    unknown node, is off unit distance or has its blue node drawn red,
+    fail the self-check and so the script; every row still passes."""
+    results = _failed_rows(monkeypatch, "bluetr", "fig1a", edit)
+    assert results.pop("transcription-self-check").detail == {"failures": [failure]}
+    assert all(row.status == "pass" for row in results.values())
 
 
 @pytest.mark.parametrize("index, equals, failure", [
@@ -339,27 +359,37 @@ def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
         assert results[oid].detail == {"claims_with_id": found}
 
 
-def _stages_with_unproved_rules(granted: frozenset) -> list:
+def _refused_stages(granted: frozenset) -> list:
+    """The message of each script's refusal by build_stages under `granted`."""
     found = []
     for sid in SCRIPT_ORDER:
-        stages, _ = build_stages(sid, Options(patch_radius=2), granted)
-        for name, stage in stages.items():
-            try:
-                stage.base_problem()
-            except UnprovedRuleError:
-                found.append((sid, name))
+        try:
+            build_stages(sid, Options(patch_radius=2), granted)
+        except UnprovedRuleError as exc:
+            found.append(str(exc))
     return found
 
 
+def _refusal(sid: str, stage: str, rule: str) -> str:
+    return f"script {sid}, stage {stage}: derived rule {rule} has not been granted"
+
+
 def test_registry_rules_are_proved_only_once_granted():
-    """The registries parse every derived rule as proved; a stage may use
-    one only after the script that grants it has passed."""
+    """The registries encode every rule they list; build_stages lets a
+    stage use a derived rule only once a passed script has granted it,
+    and names the script, the stage and the first rule it lacks."""
     everything = frozenset(g for grants in GRANTS.values() for g in grants)
-    assert _stages_with_unproved_rules(frozenset()) == [
-        ("redtr", "main"), ("t7", "main"), ("t3t6", "t5-to-t6"), ("col1", "patch"),
-        ("col2", "ring")]
-    assert _stages_with_unproved_rules(everything - {"T3_TO_T6_SCHEMA"}) == [("col1", "patch")]
-    assert _stages_with_unproved_rules(everything) == []
+    assert _refused_stages(frozenset()) == [
+        _refusal("redtr", "main", "BLUE_EQ3_RED_CENTER"),
+        _refusal("t7", "main", "BLUE_EQ3_RED_CENTER"),
+        _refusal("t3t6", "t5-to-t6", "RED_EQ3_RED_CENTER"),
+        _refusal("col1", "patch", "RED_EQ3_RED_CENTER"),
+        _refusal("col2", "ring", "BLUE_EQ3_RED_CENTER")]
+    assert _refused_stages(everything - {"T3_TO_T6_SCHEMA"}) == [
+        _refusal("col1", "patch", "T3_TO_T6_SCHEMA")]
+    assert _refused_stages(everything) == []
+    stages, (figure,) = build_stages("redtr", Options(), everything)
+    assert stages["main"].rules is figure.rules
 
 
 def test_script_table_rows_resolve():
@@ -704,7 +734,7 @@ def test_rule_style_equals_gadget_style():
     fixed = {"O": "red", "A": "red", "B": "red", "C": "red"}
 
     # style (a): derived rule
-    rules = RuleSet(derived=(pattern_rule("BLUE_EQ3_RED_CENTER", proved=True),))
+    rules = RuleSet(derived=(pattern_rule("BLUE_EQ3_RED_CENTER"),))
     assert solve(emit_clauses(fig, rules, fixed)).kind == "unsat"
 
     # style (b): map the construction onto the turned triangle A'B'C', by
