@@ -19,10 +19,10 @@ import pathlib
 import sys
 from typing import Optional
 
-from .configuration import T3_TO_T6_SCHEMA, emit_clauses, instance_from_json
+from .configuration import emit_clauses, instance_from_json
 from .figures import FIGURE_IDS
-from .lemmata import (GRANTS, Options, RunResult, SCRIPT_ORDER, build_stages,
-                      check_certificate_dir, verify_all, write_certificates)
+from .lemmata import (Options, RunResult, SCRIPT_ORDER, build_stages, check_certificate_dir,
+                      verify_all, write_certificates)
 from .render import render
 from .solver import (CertificateError, brute_force, export_dimacs, replay_unsat_trace,
                      solve)
@@ -100,9 +100,7 @@ def cmd_oracle(args) -> int:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return 2
     # the file grants its derived rules; nothing here proves them
-    hypotheses = [rule.rule_id for rule in rules.derived]
-    if rules.existential is not None:
-        hypotheses.append(T3_TO_T6_SCHEMA)
+    hypotheses = rules.hypotheses()
     learned = solve(problem)
     traced = solve(problem, record_trace=True)
     slow = brute_force(problem)
@@ -131,8 +129,7 @@ def cmd_export_cnf(args) -> int:
     if args.lemma not in SCRIPT_ORDER:
         print(f"unknown lemma id {args.lemma!r}", file=sys.stderr)
         return 2
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    stages, _ = build_stages(args.lemma, Options(patch_radius=args.radius), granted)
+    stages, _ = build_stages(args.lemma, Options(patch_radius=args.radius))
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for sid, stage in stages.items():

@@ -544,6 +544,10 @@ class RuleSet:
     derived: tuple[PatternRule, ...] = ()
     existential: Optional[ExtensionSchema] = None
 
+    def hypotheses(self) -> list[str]:
+        """The derived rule ids in order, then the extension schema's if present."""
+        return [r.rule_id for r in self.derived] + [T3_TO_T6_SCHEMA] * bool(self.existential)
+
 
 def emit_clauses(cfg: Configuration, rules: RuleSet,
                  fixed: dict[str, str]) -> ColoringProblem:
@@ -553,7 +557,7 @@ def emit_clauses(cfg: Configuration, rules: RuleSet,
     selector variables for the extension schema follow.  Each clause of a
     pattern rule is built from one embedding (_embeddings given the rule's
     roles).  Every rule given is encoded: whether a derived rule may be
-    used is `lemmata.build_stages`' check, made against the grants it holds.
+    used is `lemmata.build_stages`' check.
     """
     names = list(cfg.names)
     clauses: list[tuple[int, ...]] = []

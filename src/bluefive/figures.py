@@ -88,9 +88,11 @@ def _check_image(cfg: Configuration, claim: dict):
             got != want and f"{claim['map']} takes {src} to ({got.x}, {got.y}), not to {dst}")
 
 
-def _check_blue_unit(colors: dict, cfg: Configuration, claim: dict):
+def _check_blue_unit(colors: dict, cfg: Configuration, pair: list):
     """The blue node lies at unit distance from the red one and is not drawn red."""
-    blue, red = claim["nodes"]
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(n, str) for n in pair)):
+        raise ValueError("it is not a list of two names")
+    blue, red = pair
     got, drawn = dist2(cfg.point_of(blue), cfg.point_of(red)), colors.get(blue, "blue")
     return ({"dist2": str(got), "drawn": drawn},
             (got != ONE and f"{blue} is not at unit distance from {red}")
@@ -117,15 +119,11 @@ def _check_extensions(cfg: Configuration, claim: dict):
     copy of the small one number `count`; of those that add no `blocked`
     node, the ones whose added points are all nodes add exactly the `open`
     node sets, and `outside` more leave the configuration.  An anchor that
-    is no copy of the small template fails the claim."""
+    is no copy of the small template raises ValueError."""
     small, big = claim["extend"]
     anchor = [cfg.point_of(n) for n in claim["nodes"]]
     blocked = {cfg.point_of(n) for n in claim["blocked"]}
-    try:
-        cands = template_extensions(small, big, anchor)
-    except ValueError as exc:
-        return ({"error": str(exc)},
-                f"the {small} anchor {','.join(claim['nodes'])} does not extend to {big}: {exc}")
+    cands = template_extensions(small, big, anchor)
     opened, outside = [], 0
     for cand in cands:
         added = set(cand).difference(anchor)
@@ -207,29 +205,34 @@ def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tup
     Returns the human-readable failures (none when every transcription is
     consistent) and, per claim id, the (kind, detail, failure) of each claim.
     A `blue_unit` pair [blue, red] is a claim that reports no obligation.
-    A section with no checker fails, as does a claim whose checker raises
-    KeyError or ValueError.
+    A section with no checker fails, as does a claim that is not of its
+    section's shape (a section that is not a list is one such claim) or
+    whose checker raises KeyError or ValueError.
     """
     problems: list[str] = []
     decided: dict[str, list[tuple]] = {}
     for figure in figures:
         cfg = figure.cfg
         checks = {"blue_unit": partial(_check_blue_unit, figure.colors), **CLAIM_CHECKS}
-        claims = {**figure.claims,
-                  "blue_unit": [{"nodes": pair} for pair in figure.claims.get("blue_unit", ())]}
         problems += [f"{figure.id}: unknown claim section {section!r}"
-                     for section in claims if section not in checks]
+                     for section in figure.claims if section not in checks]
         for section, check in checks.items():
-            for claim in claims.get(section, ()):
+            listed = figure.claims.get(section, [])
+            for claim in listed if isinstance(listed, list) else [listed]:
+                is_object = isinstance(claim, dict)
                 try:
+                    if not isinstance(listed, list):
+                        raise ValueError(f"the {section} section is not a list")
+                    if section in CLAIM_KINDS and not is_object:
+                        raise ValueError("it is not an object")
                     detail, failure = check(cfg, claim)
                 except (KeyError, ValueError) as exc:  # an unknown node, template, sense or map
                     detail = {"error": str(exc.args[0]) if exc.args else type(exc).__name__}
-                    failure = (f"the {section} claim {claim.get('id', claim.get('nodes'))} "
-                               f"cannot be decided: {detail['error']}")
+                    label = claim.get("id", claim.get("nodes")) if is_object else repr(claim)
+                    failure = f"the {section} claim {label} cannot be decided: {detail['error']}"
                 if failure:
                     problems.append(f"{figure.id}: {failure}")
-                if "id" in claim:
+                if section in CLAIM_KINDS and is_object and "id" in claim:
                     decided.setdefault(claim["id"], []).append(
                         (CLAIM_KINDS[section], detail, failure))
     return problems, decided

@@ -24,8 +24,8 @@ fact lives only in the figure claim that carries the obligation's id.
 The transcription self-check decides each claim once per run and lists
 it if it fails; the obligation of that id reports that decision under
 the kind of the claim's section (every section but ell5 and patterns
-reports GEOM_IDENTITY).  Scripts run in dependency order; a passing script
-unlocks its derived rule for the scripts above it.  Forced colours
+reports GEOM_IDENTITY).  Scripts run in dependency order; a passing script's
+grants reach the scripts that rest on it, and no other.  Forced colours
 accumulate inside a script, mirroring how the argument walks point by point.
 
 A certified run writes a certificate for each FORCED, UNSAT and
@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional, Sequence
 
-from .configuration import (Configuration, ExtensionSchema, NO_RED_T3, RuleSet,
-                            T3_TO_T6_SCHEMA, emit_clauses, instance_from_json)
+from .configuration import (Configuration, ExtensionSchema, NO_RED_T3, RuleSet, emit_clauses,
+                            instance_from_json)
 from .figures import Figure, load_figure, self_check
 from .geometry import hex_indices, lattice_symmetries, node
 from .solver import (CertificateError, ColoringProblem, FORCED_BLUE, FORCED_RED, Verdict,
@@ -211,6 +211,10 @@ SCRIPTS: dict[str, dict] = json.loads(
 SCRIPT_ORDER = tuple(SCRIPTS)
 DEPENDENCIES: dict[str, tuple[str, ...]] = {
     sid: tuple(s["depends"]) for sid, s in SCRIPTS.items()}
+# each script's transitive dependencies; the table lists a script after its dependencies
+ANCESTORS: dict[str, frozenset[str]] = {}
+for _sid, _deps in DEPENDENCIES.items():
+    ANCESTORS[_sid] = frozenset(_deps).union(*(ANCESTORS[dep] for dep in _deps))
 GRANTS: dict[str, tuple[str, ...]] = {sid: tuple(s["grants"]) for sid, s in SCRIPTS.items()}
 # Source-drawing inconsistencies resolved by the shipped data; each report
 # repeats the notes that apply to its script.
@@ -222,17 +226,18 @@ OBLIGATIONS: dict[str, tuple[Obligation, ...]] = {
 
 
 class UnprovedRuleError(Exception):
-    """A stage uses a derived rule that no passed script has granted."""
+    """A stage uses a derived rule that none of its script's ancestors grants."""
 
 
-def build_stages(script_id: str, options: Optional[Options] = None,
-                 granted: frozenset = frozenset()) -> tuple[dict[str, Stage], tuple[Figure, ...]]:
+def build_stages(script_id: str, options: Optional[Options] = None
+                 ) -> tuple[dict[str, Stage], tuple[Figure, ...]]:
     """The script's stages, in table order, and the figures its stages
     read, each loaded once.  A stage that uses a derived rule or the
-    extension schema that no passed script has granted raises
+    extension schema that no ancestor of the script grants raises
     UnprovedRuleError; NO_RED_T3, the hypothesis of its case, always holds."""
     options = options or Options()
     script = SCRIPTS[script_id]
+    granted = {g for sid in ANCESTORS[script_id] for g in GRANTS[sid]}
     fids = [spec["figure"] for spec in script["stages"].values() if "figure" in spec]
     figures = {fid: load_figure(fid) for fid in dict.fromkeys(fids)}
     stages: dict[str, Stage] = {}
@@ -251,8 +256,7 @@ def build_stages(script_id: str, options: Optional[Options] = None,
         if "anchors" in spec:
             rules = replace(rules, existential=ExtensionSchema(
                 tuple(tuple(a) for a in spec["anchors"])))
-        used = [r.rule_id for r in rules.derived] + [T3_TO_T6_SCHEMA] * bool(rules.existential)
-        unproved = [r for r in used if r != NO_RED_T3 and r not in granted]
+        unproved = [r for r in rules.hypotheses() if r != NO_RED_T3 and r not in granted]
         if unproved:
             raise UnprovedRuleError(f"script {script_id}, stage {sid}: derived rule "
                                     f"{unproved[0]} has not been granted")
@@ -347,19 +351,18 @@ def _run_obligation(ob: Obligation, stages: dict[str, Stage],
 
 
 def run_script(script_id: str, options: Optional[Options] = None,
-               granted: frozenset = frozenset()) -> Report:
-    """Run one script (its dependencies must already be granted)."""
+               passed: frozenset = frozenset()) -> Report:
+    """Run one script, or report it blocked, naming its ancestors not in `passed`."""
     options = options or Options()
     if script_id not in SCRIPTS:
         raise KeyError(f"unknown script {script_id!r}")
-    missing = [dep for dep in DEPENDENCIES[script_id]
-               if not set(GRANTS[dep]) <= granted]
+    missing = sorted(ANCESTORS[script_id] - passed)
     if missing:
         return Report(script=script_id, status="blocked",
                       reason=f"unverified dependencies: {', '.join(missing)}")
 
     t0 = time.perf_counter()
-    stages, figures = build_stages(script_id, options, granted)
+    stages, figures = build_stages(script_id, options)
     report = Report(script=script_id, status="passed")
     report.notes = [n for n in TRANSCRIPTION_NOTES if n["applies_to"] == script_id]
 
@@ -392,7 +395,7 @@ def run_script(script_id: str, options: Optional[Options] = None,
     del stages  # frees their learning engines before the enumeration builds its own
 
     if options.stretch and script_id in ("col1", "col2"):
-        report.stretch = uniqueness_enumeration(script_id, options, granted)
+        report.stretch = uniqueness_enumeration(script_id, options)
 
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -422,30 +425,22 @@ class RunResult:
 
 def verify_all(options: Optional[Options] = None,
                only: Optional[Sequence[str]] = None) -> RunResult:
-    """Run scripts one after another in dependency order, propagating
-    grants and blocks.  `only` selects scripts; their dependencies run too."""
+    """Run scripts in dependency order; `run_script` blocks each one whose
+    ancestors did not all pass.  `only` selects scripts; their ancestors run too."""
     options = options or Options()
     t0 = time.perf_counter()
     wanted = set(SCRIPT_ORDER if only is None else only)
     unknown = wanted - set(SCRIPT_ORDER)
     if unknown:
         raise KeyError(f"unknown script {sorted(unknown)[0]!r}")
-    # dependencies precede their dependents, so one backward pass closes the set
-    for sid in reversed(SCRIPT_ORDER):
-        if sid in wanted:
-            wanted.update(DEPENDENCIES[sid])
-    granted: set[str] = set()
+    wanted |= {dep for sid in wanted for dep in ANCESTORS[sid]}
+    passed: set[str] = set()
     reports: dict[str, Report] = {}
     for sid in SCRIPT_ORDER:
-        if sid not in wanted:
-            continue
-        if not all(reports[dep].passed for dep in DEPENDENCIES[sid]):
-            reports[sid] = Report(script=sid, status="blocked",
-                                  reason="a dependency did not pass")
-        else:
-            reports[sid] = run_script(sid, options, frozenset(granted))
+        if sid in wanted:
+            reports[sid] = run_script(sid, options, frozenset(passed))
             if reports[sid].passed:
-                granted.update(GRANTS[sid])
+                passed.add(sid)
     return RunResult(reports, (time.perf_counter() - t0) * 1e3)
 
 
@@ -454,11 +449,10 @@ def verify_all(options: Optional[Options] = None,
 # ---------------------------------------------------------------------------
 
 
-def uniqueness_enumeration(script_id: str, options: Options,
-                           granted: frozenset) -> dict:
+def uniqueness_enumeration(script_id: str, options: Options) -> dict:
     """Enumerate patch colourings projected onto the central cells and compare
     each against the canonical pattern up to the 12 lattice symmetries."""
-    stages, _ = build_stages(script_id, Options(patch_radius=options.stretch_radius), granted)
+    stages, _ = build_stages(script_id, Options(patch_radius=options.stretch_radius))
     stage = stages["patch"]
     anchor = SCRIPTS[script_id]["stages"]["patch"]["patch"]["anchor"]
     pattern = PATTERNS[next(ob.coloring for ob in OBLIGATIONS[script_id]

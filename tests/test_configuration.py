@@ -20,7 +20,7 @@ from bluefive.field import ONE, fe
 from bluefive.figures import FIGURE_IDS, load_figure
 from bluefive.geometry import (Point, chord_rotation, dist2, hex_indices, lattice_coords,
                                node)
-from bluefive.lemmata import GRANTS, SCRIPTS, Options, build_stages
+from bluefive.lemmata import SCRIPTS, Options, build_stages
 from bluefive.solver import solve
 
 
@@ -398,9 +398,8 @@ def _same_problem(got, want):
 
 @pytest.mark.parametrize("radius", [0, 3, 7, 8, 11, 12])
 def test_emission_equals_the_reference_on_every_stage(radius):
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
     for sid in SCRIPTS:
-        stages, _ = build_stages(sid, Options(patch_radius=radius), granted)
+        stages, _ = build_stages(sid, Options(patch_radius=radius))
         for stage in stages.values():
             got = emit_clauses(stage.cfg, stage.rules, stage.fixed)
             assert _same_problem(got, reference_clauses(stage.cfg, stage.rules, stage.fixed)), (

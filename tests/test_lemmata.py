@@ -9,7 +9,7 @@ from _oracles import reference_stage_problem
 from bluefive.configuration import Configuration, RuleSet, emit_clauses
 from bluefive.figures import CLAIM_CHECKS, CLAIM_KINDS, load_figure
 from bluefive.geometry import node
-from bluefive.lemmata import (DEPENDENCIES, GRANTS, Options, SCRIPT_ORDER,
+from bluefive.lemmata import (ANCESTORS, DEPENDENCIES, Options, SCRIPT_ORDER,
                               Stage, UnprovedRuleError, build_stages, replay_certificate,
                               run_script, verify_all, write_certificates)
 from bluefive.solver import (CertificateError, export_dimacs, parse_dimacs,
@@ -96,16 +96,17 @@ def test_disabled_script_blocks_only_its_dependents(monkeypatch):
     run = verify_all()
     assert list(run.reports) == list(SCRIPT_ORDER)
     assert run.reports["t7"].status == "failed"
-    for sid in ("t3t6", "col1", "theorem"):
+    for sid, missing in (("t3t6", "t7"), ("col1", "t3t6, t7"), ("theorem", "col1, t3t6, t7")):
         assert run.reports[sid].status == "blocked", sid
-        assert run.reports[sid].reason == "a dependency did not pass", sid
+        assert run.reports[sid].reason == f"unverified dependencies: {missing}", sid
     for sid in ("bluetr", "redtr", "col2"):
         assert run.reports[sid].passed, sid
 
 
 def test_run_script_requires_grants():
-    report = run_script("redtr", Options(), granted=frozenset())
+    report = run_script("redtr", Options(), passed=frozenset())
     assert report.status == "blocked"
+    assert report.reason == "unverified dependencies: bluetr"
 
 
 def test_t3t6_self_checks_every_registry(monkeypatch):
@@ -118,8 +119,7 @@ def test_t3t6_self_checks_every_registry(monkeypatch):
         return figure
 
     monkeypatch.setattr(lemmata, "load_figure", corrupted)
-    granted = frozenset(g for sid in ("bluetr", "redtr", "t7") for g in GRANTS[sid])
-    report = run_script("t3t6", granted=granted)
+    report = run_script("t3t6", passed=ANCESTORS["t3t6"])
     check = report.obligations[0]
     assert check.oid == "transcription-self-check" and check.status == "fail"
     assert check.detail == {"failures": ["fig6: M-N-S-R-V is not a unit five-chain"]}
@@ -130,11 +130,10 @@ def test_claim_obligations_resolve_to_one_figure_claim(full_run):
     """Each CLAIM obligation id names exactly one claim among its script's
     figures, each claim id names one obligation, and the claim's section
     sets the reported kind."""
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
     sections = dict.fromkeys(CLAIM_CHECKS, 0)
     run, _ = full_run
     for sid in SCRIPT_ORDER:
-        _, figures = build_stages(sid, Options(), granted)
+        _, figures = build_stages(sid, Options())
         obligations = lemmata.OBLIGATIONS[sid]
         claims = [(section, claim) for figure in figures for section in sections
                   for claim in figure.claims.get(section, ()) if "id" in claim]
@@ -203,7 +202,7 @@ def test_corrupted_distance_and_image_claims_fail_self_check_and_obligation(monk
         return figure
 
     monkeypatch.setattr(lemmata, "load_figure", edited)
-    report = run_script("redtr", granted=frozenset(GRANTS["bluetr"]))
+    report = run_script("redtr", passed=frozenset({"bluetr"}))
     assert report.status == "failed"
     results = {o.oid: o for o in report.obligations}
     cfg = load_figure("fig1b").cfg
@@ -234,8 +233,8 @@ def _claim_set(section: str, index: int, **changes):
 
 
 def _failed_rows(monkeypatch, sid: str, fid: str, edit) -> dict:
-    """The results of running `sid`, with every grant, on registry `fid`
-    changed by `edit`; the script must fail."""
+    """The results of running `sid`, with its ancestors passed, on registry
+    `fid` changed by `edit`; the script must fail."""
     def edited(name):
         figure = load_figure(name)
         if name == fid:
@@ -243,8 +242,7 @@ def _failed_rows(monkeypatch, sid: str, fid: str, edit) -> dict:
         return figure
 
     monkeypatch.setattr(lemmata, "load_figure", edited)
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    report = run_script(sid, Options(patch_radius=2), granted)
+    report = run_script(sid, Options(patch_radius=2), ANCESTORS[sid])
     assert report.status == "failed"
     return {o.oid: o for o in report.obligations}
 
@@ -272,7 +270,8 @@ _VECTORS25 = [[-5, 0], [-5, 5], [0, -5], [0, 5], [5, -5], [5, 0]]
      "'outside': 1}, not {'candidates': 3, 'open': [['X'], ['Y'], ['Z']], 'outside': 0}"),
     ("t3t6", "fig4", _moved("A", node(9, 9)), "s1-completions",
      {"error": "anchor is not congruent to template T3"},
-     "fig4: the T3 anchor A,B,C does not extend to T4: anchor is not congruent to template T3"),
+     "fig4: the extensions claim s1-completions cannot be decided: "
+     "anchor is not congruent to template T3"),
     ("theorem", "figthm", _claim_set("invariance", 0, vectors=_VECTORS25[1:]),
      "distance5-invariance", {"patterns": ["A", "B"], "vectors": [tuple(v) for v in _VECTORS25]},
      f"figthm: the norm-25 lattice vectors are {[tuple(v) for v in _VECTORS25]}, "
@@ -315,22 +314,37 @@ def test_malformed_claim_fails_its_row(monkeypatch, section, index, changes, oid
     assert results["contradiction"].status == "pass"
 
 
-@pytest.mark.parametrize("edit, failure", [
+_FIG1A_DIST2_IDS = ["centre-oa", "centre-ob", "centre-oc", "side-ab", "side-bc", "side-ca",
+                    "xy-unit"]
+
+
+@pytest.mark.parametrize("edit, failure, lost", [
     (lambda figure: figure.claims.update(dist=[{"nodes": ["A", "B"], "equals": 7}]),
-     "fig1a: unknown claim section 'dist'"),
+     "fig1a: unknown claim section 'dist'", []),
     (lambda figure: figure.claims["blue_unit"].append(["Q", "O"]),
-     "fig1a: the blue_unit claim ['Q', 'O'] cannot be decided: unknown node 'Q'"),
+     "fig1a: the blue_unit claim ['Q', 'O'] cannot be decided: unknown node 'Q'", []),
     (lambda figure: figure.claims["blue_unit"].append(["D", "G"]),
-     "fig1a: D is not at unit distance from G"),
-    (lambda figure: figure.colors.update(D="red"), "fig1a: D is not drawn blue"),
-], ids=["unknown-section", "blue-unit-unknown-node", "blue-unit-distance", "blue-unit-colour"])
-def test_unchecked_claims_fail_the_self_check(monkeypatch, edit, failure):
-    """A claim section with no checker, and a blue unit pair that names an
-    unknown node, is off unit distance or has its blue node drawn red,
-    fail the self-check and so the script; every row still passes."""
+     "fig1a: D is not at unit distance from G", []),
+    (lambda figure: figure.colors.update(D="red"), "fig1a: D is not drawn blue", []),
+    (lambda figure: figure.claims["dist2"].append("A"),
+     "fig1a: the dist2 claim 'A' cannot be decided: it is not an object", []),
+    (lambda figure: figure.claims.update(dist2={"nodes": ["A", "B"], "equals": 9}),
+     "fig1a: the dist2 claim ['A', 'B'] cannot be decided: the dist2 section is not a list",
+     _FIG1A_DIST2_IDS),
+    (lambda figure: figure.claims["blue_unit"].append("DO"),
+     "fig1a: the blue_unit claim 'DO' cannot be decided: it is not a list of two names", []),
+], ids=["unknown-section", "blue-unit-unknown-node", "blue-unit-distance", "blue-unit-colour",
+        "claim-not-object", "section-not-list", "blue-unit-not-pair"])
+def test_unchecked_claims_fail_the_self_check(monkeypatch, edit, failure, lost):
+    """A claim section with no checker, a section that is not a list, a
+    claim that is not an object, and a blue unit entry that is not a pair
+    of names, names an unknown node, is off unit distance or has its blue
+    node drawn red, fail the self-check and so the script.  Every row
+    passes but the `lost` ones, whose claims the edit removed."""
     results = _failed_rows(monkeypatch, "bluetr", "fig1a", edit)
     assert results.pop("transcription-self-check").detail == {"failures": [failure]}
-    assert all(row.status == "pass" for row in results.values())
+    assert sorted(oid for oid, row in results.items() if row.status != "pass") == lost
+    assert all(results[oid].detail == {"claims_with_id": 0} for oid in lost)
 
 
 @pytest.mark.parametrize("index, equals, failure", [
@@ -359,12 +373,12 @@ def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
         assert results[oid].detail == {"claims_with_id": found}
 
 
-def _refused_stages(granted: frozenset) -> list:
-    """The message of each script's refusal by build_stages under `granted`."""
+def _refused_stages() -> list:
+    """The message of each script's refusal by build_stages."""
     found = []
     for sid in SCRIPT_ORDER:
         try:
-            build_stages(sid, Options(patch_radius=2), granted)
+            build_stages(sid, Options(patch_radius=2))
         except UnprovedRuleError as exc:
             found.append(str(exc))
     return found
@@ -374,22 +388,36 @@ def _refusal(sid: str, stage: str, rule: str) -> str:
     return f"script {sid}, stage {stage}: derived rule {rule} has not been granted"
 
 
-def test_registry_rules_are_proved_only_once_granted():
+def test_registry_rules_are_proved_only_once_granted(monkeypatch):
     """The registries encode every rule they list; build_stages lets a
-    stage use a derived rule only once a passed script has granted it,
-    and names the script, the stage and the first rule it lacks."""
-    everything = frozenset(g for grants in GRANTS.values() for g in grants)
-    assert _refused_stages(frozenset()) == [
+    stage use a derived rule only when an ancestor of its script grants
+    it, and names the script, the stage and the first rule it lacks."""
+    assert _refused_stages() == []
+    monkeypatch.setitem(lemmata.GRANTS, "t3t6", ())
+    assert _refused_stages() == [_refusal("col1", "patch", "T3_TO_T6_SCHEMA")]
+    monkeypatch.setattr(lemmata, "GRANTS", dict.fromkeys(SCRIPT_ORDER, ()))
+    assert _refused_stages() == [
         _refusal("redtr", "main", "BLUE_EQ3_RED_CENTER"),
         _refusal("t7", "main", "BLUE_EQ3_RED_CENTER"),
         _refusal("t3t6", "t5-to-t6", "RED_EQ3_RED_CENTER"),
         _refusal("col1", "patch", "RED_EQ3_RED_CENTER"),
         _refusal("col2", "ring", "BLUE_EQ3_RED_CENTER")]
-    assert _refused_stages(everything - {"T3_TO_T6_SCHEMA"}) == [
-        _refusal("col1", "patch", "T3_TO_T6_SCHEMA")]
-    assert _refused_stages(everything) == []
-    stages, (figure,) = build_stages("redtr", Options(), everything)
+    monkeypatch.undo()
+    stages, (figure,) = build_stages("redtr", Options())
     assert stages["main"].rules is figure.rules
+
+
+def test_a_script_uses_only_its_ancestors_grants(monkeypatch):
+    """A rule granted by a script that passed but is no ancestor is not
+    admitted: with its ancestors emptied, col2's ring stage is refused,
+    alone and in a full run alike."""
+    monkeypatch.setitem(lemmata.ANCESTORS, "col2", frozenset())
+    refusal = _refusal("col2", "ring", "BLUE_EQ3_RED_CENTER")
+    with pytest.raises(UnprovedRuleError) as alone:
+        build_stages("col2", Options(patch_radius=2))
+    with pytest.raises(UnprovedRuleError) as full:
+        verify_all(Options(patch_radius=2))
+    assert str(alone.value) == str(full.value) == refusal
 
 
 def test_script_table_rows_resolve():
@@ -397,11 +425,10 @@ def test_script_table_rows_resolve():
     of exactly the CLAIM rows is carried by exactly one claim of the
     script's registries, and exactly the SAT_WITNESS rows name a canonical
     colouring."""
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
     spec_keys = {"figure", "patch", "points", "rules", "fixed", "anchors"}
     for sid in SCRIPT_ORDER:
         assert all(set(spec) <= spec_keys for spec in lemmata.SCRIPTS[sid]["stages"].values())
-        stages, figures = build_stages(sid, Options(), granted)
+        stages, figures = build_stages(sid, Options())
         carried = Counter(claim["id"] for figure in figures for section in CLAIM_CHECKS
                           for claim in figure.claims.get(section, ()) if "id" in claim)
         obligations = lemmata.OBLIGATIONS[sid]
@@ -429,6 +456,15 @@ def test_dependencies_acyclic_and_ordered():
     for sid in SCRIPT_ORDER:
         assert all(dep in seen for dep in DEPENDENCIES[sid]), sid
         seen.add(sid)
+    # ANCESTORS is the transitive closure of DEPENDENCIES, here by search
+    for sid in SCRIPT_ORDER:
+        reached, frontier = set(), list(DEPENDENCIES[sid])
+        while frontier:
+            dep = frontier.pop()
+            if dep not in reached:
+                reached.add(dep)
+                frontier += DEPENDENCIES[dep]
+        assert ANCESTORS[sid] == reached, sid
 
 
 def test_notes_attached_to_reports(full_run):
@@ -818,10 +854,9 @@ DIMACS_SHA256 = {
 def test_dimacs_bytes_unchanged(radius):
     """Like the report pin: a change that alters the exported CNF or
     variable maps on purpose updates the constant and says why."""
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
     digest = hashlib.sha256()
     for sid in SCRIPT_ORDER:
-        stages, _ = build_stages(sid, Options(patch_radius=radius), granted)
+        stages, _ = build_stages(sid, Options(patch_radius=radius))
         for stage in stages.values():
             cnf, varmap = export_dimacs(stage.base_problem())
             digest.update((cnf + varmap).encode())
@@ -889,8 +924,7 @@ def test_stage_problems_are_freed_after_the_stages_last_row(monkeypatch):
 
     monkeypatch.setattr(lemmata, "build_stages", capture)
     monkeypatch.setattr(lemmata, "solve", watched_solve)
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    report = run_script("theorem", Options(emit_certificates=True), granted)
+    report = run_script("theorem", Options(emit_certificates=True), ANCESTORS["theorem"])
     assert report.status == "passed"
     assert list(stages) == ["all-blue-line", "witness-pair", "patch"]
     (first, engine_a, open_a), (second, engine_b, open_b) = held

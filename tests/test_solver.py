@@ -10,7 +10,7 @@ import pytest
 import bluefive.solver as solver
 from _oracles import ReferenceEngine, reference_absorb, reference_search
 from bluefive.geometry import hex_indices, node
-from bluefive.lemmata import CENTER_RADIUS, GRANTS, SCRIPTS, Options, build_stages
+from bluefive.lemmata import CENTER_RADIUS, SCRIPTS, Options, build_stages
 from bluefive.solver import (BRUTE_FORCE_MAX_FREE, CertificateError,
                              ColoringProblem, brute_force, check_model,
                              enumerate_models, export_dimacs, forced_color,
@@ -626,8 +626,7 @@ def test_enumeration_matches_reference_on_stretch_patches(script_id, radius, cou
     enumeration reads, the projections equal the reference engine's and
     the problem's clause list is left as it was.  At radius 6 the central
     colouring is unique; col2's radius-2 patch leaves five."""
-    granted = frozenset(g for grants in GRANTS.values() for g in grants)
-    stage = build_stages(script_id, Options(patch_radius=radius), granted)[0]["patch"]
+    stage = build_stages(script_id, Options(patch_radius=radius))[0]["patch"]
     problem = stage.problem()
     a0, b0 = SCRIPTS[script_id]["stages"]["patch"]["patch"]["anchor"]
     project = sorted(problem.name_to_var[stage.cfg.name_at(node(a0 + a, b0 + b))]
