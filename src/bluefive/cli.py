@@ -21,6 +21,7 @@ from typing import Optional
 
 from .configuration import emit_clauses, instance_from_json
 from .figures import FIGURE_IDS
+from .geometry import check_patch_radius
 from .lemmata import (Options, RunResult, SCRIPT_ORDER, build_stages, check_certificate_dir,
                       verify_all, write_certificates)
 from .render import render
@@ -34,6 +35,14 @@ RENDER_TARGETS = tuple(FIGURE_IDS) + ("patternA", "patternB")
 def _dump_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     pathlib.Path(path).write_text(text)
+
+
+def _radius(text: str) -> int:
+    """A --radius value; its hex patch is bounded before any node is built."""
+    try:
+        return check_patch_radius(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _options(args) -> Options:
@@ -177,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("what", help="'all' or 'lemma'")
     p_verify.add_argument("lemma_id", nargs="?",
                           help=f"lemma id: {', '.join(SCRIPT_ORDER)}")
-    p_verify.add_argument("--radius", type=int, default=7,
+    p_verify.add_argument("--radius", type=_radius, default=7,
                           help="hex patch radius for the colouring scripts")
     p_verify.add_argument("--json", help="write the full report as JSON")
     p_verify.add_argument("--certs", metavar="DIR",
@@ -194,20 +203,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnf = sub.add_parser("export-cnf", help="export DIMACS CNF per stage")
     p_cnf.add_argument("lemma")
     p_cnf.add_argument("--out", required=True)
-    p_cnf.add_argument("--radius", type=int, default=7)
+    p_cnf.add_argument("--radius", type=_radius, default=7)
     p_cnf.set_defaults(fn=cmd_export_cnf)
 
     p_render = sub.add_parser("render", help="render a figure or pattern to SVG")
     p_render.add_argument("target", help=", ".join(RENDER_TARGETS))
     p_render.add_argument("--svg", required=True)
-    p_render.add_argument("--radius", type=int, default=5)
+    p_render.add_argument("--radius", type=_radius, default=5)
     p_render.set_defaults(fn=cmd_render)
 
     p_col = sub.add_parser("coloring", help="periodic colouring checks")
     col_sub = p_col.add_subparsers(dest="subcommand", required=True)
     p_val = col_sub.add_parser("validate")
     p_val.add_argument("pattern", choices=("A", "B"))
-    p_val.add_argument("--radius", type=int, default=12)
+    p_val.add_argument("--radius", type=_radius, default=12)
     p_val.add_argument("--json")
     p_val.set_defaults(fn=cmd_coloring)
 

@@ -647,12 +647,26 @@ def rules_from_ids(rule_ids: Iterable) -> RuleSet:
     return RuleSet(base=tuple(base), derived=tuple(derived), existential=existential)
 
 
-_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a JSON string"}
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a JSON string",
+               int: "a JSON integer"}
 
 
-def _json_field(value, kind: type, what: str):
-    """Return value if it has the given JSON type; otherwise raise ValueError."""
-    if not isinstance(value, kind):
+def _json_field(value, kind, what: str):
+    """Return value if it has the given JSON shape; otherwise raise ValueError.
+
+    The shape is a JSON type (`object` admits any value), [shape] for an
+    array of items of that shape, [shape, n] for exactly n of them, or
+    {key: shape} for an object whose listed keys, where present, have those
+    shapes."""
+    if isinstance(kind, dict):
+        for key in _json_field(value, dict, what).keys() & kind.keys():
+            _json_field(value[key], kind[key], f"its {key!r}")
+    elif isinstance(kind, list):
+        for item in _json_field(value, list, what):
+            _json_field(item, kind[0], f"an item of {what}")
+        if kind[1:] not in ([], [len(value)]):
+            raise ValueError(f"{what} must hold {kind[1]} items, not {len(value)}")
+    elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 

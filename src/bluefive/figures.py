@@ -3,19 +3,17 @@
 Each registry is a JSON data file holding exact coordinates, the colours
 the diagram shows (red / blue / undetermined), the rule ids of its
 instance, and the named facts that `self_check` re-verifies against the
-coordinates.  Besides blue unit pairs there are eight claim sections,
-each decided by one checker in CLAIM_CHECKS: squared distances
-(`dist2`), images under a chord turn, mirror, lattice translation or
-turn by sixths (`images`), five-chains (`ell5`), template placements
-(`patterns`), template extensions (`extensions`), a block symmetry
-(`symmetry`), a pattern's sublattice (`sublattice`) and norm-25
+coordinates: blue unit pairs and eight claim sections, each of a shape
+in CLAIM_SHAPES and decided by one checker in CLAIM_CHECKS.  They are
+squared distances (`dist2`), images under a chord turn, mirror, lattice
+translation or turn by sixths (`images`), five-chains (`ell5`), template
+placements (`patterns`), template extensions (`extensions`), a block
+symmetry (`symmetry`), a pattern's sublattice (`sublattice`) and norm-25
 invariance (`invariance`).  A claim with an "id" is also the sole
-statement of the verification obligation of that id.  `self_check`
-decides each claim once per run: it lists a failing claim, and returns
-every decision by id, which the obligation of that id reports under the
-kind its section maps to in CLAIM_KINDS.  An unknown section, or a
-claim its checker cannot decide, fails the self-check.  The registries
-double as ready-to-run instance files for the oracle command.
+statement of the verification obligation of that id, which reports the
+self-check's one decision of it under the kind of CLAIM_KINDS its section
+maps to.  The registries double as ready-to-run instance files for the
+oracle command.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from functools import partial
 from importlib import resources
 from typing import Sequence
 
-from .configuration import (Configuration, RuleSet, instance_from_json, is_unit_chain,
-                            placement_count, template, template_extensions)
+from .configuration import (Configuration, RuleSet, _json_field, instance_from_json,
+                            is_unit_chain, placement_count, template, template_extensions)
 from .field import ONE, fe
 from .geometry import (chord_rotation, dist2, lattice_coords, lattice_norm2,
                        lattice_vectors_of_norm2, node, reflection, rotation60)
@@ -46,18 +44,12 @@ class Figure:
     claims: dict
 
 
-def _data_text(fid: str) -> str:
-    res = resources.files("bluefive").joinpath(f"data/figures/{fid}.json")
-    return res.read_text()
-
-
 def load_figure(fid: str) -> Figure:
     if fid not in FIGURE_IDS:
         raise KeyError(f"unknown figure {fid!r}")
-    data = json.loads(_data_text(fid))
+    data = json.loads(resources.files("bluefive").joinpath(f"data/figures/{fid}.json").read_text())
     cfg, fixed, rules = instance_from_json(data)
-    return Figure(id=fid, cfg=cfg, colors=fixed, rules=rules,
-                  claims=data.get("claims", {}))
+    return Figure(id=fid, cfg=cfg, colors=fixed, rules=rules, claims=data.get("claims", {}))
 
 
 def _check_dist2(cfg: Configuration, claim: dict):
@@ -90,8 +82,6 @@ def _check_image(cfg: Configuration, claim: dict):
 
 def _check_blue_unit(colors: dict, cfg: Configuration, pair: list):
     """The blue node lies at unit distance from the red one and is not drawn red."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(n, str) for n in pair)):
-        raise ValueError("it is not a list of two names")
     blue, red = pair
     got, drawn = dist2(cfg.point_of(blue), cfg.point_of(red)), colors.get(blue, "blue")
     return ({"dist2": str(got), "drawn": drawn},
@@ -102,8 +92,7 @@ def _check_blue_unit(colors: dict, cfg: Configuration, pair: list):
 def _check_chain(cfg: Configuration, claim: dict):
     names = list(claim["nodes"])
     return ({"chain": names},
-            not (len(names) == 5 and is_unit_chain(cfg, names))
-            and f"{'-'.join(names)} is not a unit five-chain")
+            not is_unit_chain(cfg, names) and f"{'-'.join(names)} is not a unit five-chain")
 
 
 def _check_placement(cfg: Configuration, claim: dict):
@@ -194,6 +183,16 @@ CLAIM_CHECKS = {"dist2": _check_dist2, "images": _check_image,
                 "ell5": _check_chain, "patterns": _check_placement,
                 "extensions": _check_extensions, "symmetry": _check_symmetry,
                 "sublattice": _check_sublattice, "invariance": _check_invariance}
+# Each section's claim shape (configuration._json_field); blue_unit's is a [blue, red] pair.
+_CLAIM = {"id": str, "nodes": [str], "template": str, "map": [object, 3]}
+CLAIM_SHAPES = {
+    "blue_unit": [str, 2], "dist2": {**_CLAIM, "nodes": [str, 2], "equals": int},
+    "images": {**_CLAIM, "nodes": [str, 2]}, "ell5": {**_CLAIM, "nodes": [str, 5]},
+    "patterns": _CLAIM, "extensions": {**_CLAIM, "extend": [str, 2], "blocked": [str],
+                                       "open": [[str]], "count": int, "outside": int},
+    "symmetry": {**_CLAIM, "sixths": int, "centroid": [int, 2], "steps": [[int, 2]]},
+    "sublattice": {**_CLAIM, "pattern": str, "origin": str, "members": [str], "steps": dict},
+    "invariance": {**_CLAIM, "patterns": [str], "vectors": [[int, 2]]}}
 # The obligation kind each claim section reports.
 CLAIM_KINDS = {**dict.fromkeys(CLAIM_CHECKS, "GEOM_IDENTITY"),
                "ell5": "CHAIN_CLAIM", "patterns": "PATTERN_PRESENT"}
@@ -204,35 +203,36 @@ def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tup
 
     Returns the human-readable failures (none when every transcription is
     consistent) and, per claim id, the (kind, detail, failure) of each claim.
-    A `blue_unit` pair [blue, red] is a claim that reports no obligation.
-    A section with no checker fails, as does a claim that is not of its
-    section's shape (a section that is not a list is one such claim) or
-    whose checker raises KeyError or ValueError.
+    A `blue_unit` pair [blue, red] is a claim that reports no obligation.  A
+    section with no checker fails, as does a claim not of its section's shape
+    (a section that is not a list, or claims that are not an object, are
+    one such claim) or whose checker raises KeyError, TypeError or ValueError.
     """
     problems: list[str] = []
     decided: dict[str, list[tuple]] = {}
     for figure in figures:
-        cfg = figure.cfg
         checks = {"blue_unit": partial(_check_blue_unit, figure.colors), **CLAIM_CHECKS}
+        claims = figure.claims if isinstance(figure.claims, dict) else {None: figure.claims}
         problems += [f"{figure.id}: unknown claim section {section!r}"
-                     for section in figure.claims if section not in checks]
-        for section, check in checks.items():
-            listed = figure.claims.get(section, [])
-            for claim in listed if isinstance(listed, list) else [listed]:
-                is_object = isinstance(claim, dict)
+                     for section in claims if section not in checks and section is not None]
+        for section in [s for s in (None, *checks) if s in claims]:
+            listed = claims[section]
+            for claim in listed if section and isinstance(listed, list) else [listed]:
                 try:
-                    if not isinstance(listed, list):
-                        raise ValueError(f"the {section} section is not a list")
-                    if section in CLAIM_KINDS and not is_object:
-                        raise ValueError("it is not an object")
-                    detail, failure = check(cfg, claim)
-                except (KeyError, ValueError) as exc:  # an unknown node, template, sense or map
+                    _json_field(figure.claims, dict, "they")
+                    _json_field(listed, list, f"the {section} section")
+                    detail, failure = checks[section](
+                        figure.cfg, _json_field(claim, CLAIM_SHAPES[section], "it"))
+                except (KeyError, TypeError, ValueError) as exc:  # unknown or malformed data
                     detail = {"error": str(exc.args[0]) if exc.args else type(exc).__name__}
-                    label = claim.get("id", claim.get("nodes")) if is_object else repr(claim)
-                    failure = f"the {section} claim {label} cannot be decided: {detail['error']}"
+                    label = (claim.get("id", claim.get("nodes")) if isinstance(claim, dict)
+                             else repr(claim))
+                    what = f"the {section} claim {label}" if section else "the claims"
+                    failure = f"{what} cannot be decided: {detail['error']}"
                 if failure:
                     problems.append(f"{figure.id}: {failure}")
-                if section in CLAIM_KINDS and is_object and "id" in claim:
-                    decided.setdefault(claim["id"], []).append(
+                claim_id = claim.get("id") if isinstance(claim, dict) else None
+                if section in CLAIM_KINDS and isinstance(claim_id, str):
+                    decided.setdefault(claim_id, []).append(
                         (CLAIM_KINDS[section], detail, failure))
     return problems, decided

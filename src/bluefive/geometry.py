@@ -160,10 +160,25 @@ def lattice_norm2(a: int, b: int) -> int:
     return a * a + a * b + b * b
 
 
-def hex_indices(radius: int) -> list[tuple[int, int]]:
-    """Index pairs of the hexagonal patch, a ascending then b ascending."""
+# most nodes a hex patch may hold: radius 182 holds 99,919
+MAX_PATCH_NODES = 100_000
+
+
+def check_patch_radius(radius: int) -> int:
+    """`radius` when its hex patch holds at most MAX_PATCH_NODES nodes,
+    which is decided before any node is built; ValueError otherwise."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    nodes = 3 * radius * (radius + 1) + 1
+    if nodes > MAX_PATCH_NODES:
+        raise ValueError(f"radius {radius} gives a hex patch of {nodes} nodes; "
+                         f"the most allowed is {MAX_PATCH_NODES}")
+    return radius
+
+
+def hex_indices(radius: int) -> list[tuple[int, int]]:
+    """Index pairs of the hexagonal patch, a ascending then b ascending."""
+    check_patch_radius(radius)
     out = []
     for a in range(-radius, radius + 1):
         b_lo = max(-radius, -a - radius)

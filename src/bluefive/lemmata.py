@@ -74,6 +74,11 @@ class Options:
     stretch: bool = False
     stretch_radius: int = 6
 
+    def __post_init__(self) -> None:
+        if self.stretch_radius < CENTER_RADIUS:
+            raise ValueError(f"stretch radius {self.stretch_radius} leaves out central cells; "
+                             f"the least stretch radius is {CENTER_RADIUS}")
+
 
 @dataclass
 class Stage:
@@ -82,6 +87,8 @@ class Stage:
     rules: RuleSet
     fixed: dict[str, str]
     accumulated: dict[str, str] = field(default_factory=dict)
+    # anchor and radius of the hex patch the stage grows its figure by
+    patch: Optional[tuple[tuple[int, int], int]] = None
     _base: Optional[ColoringProblem] = None
     # cut variables -> (their problem, the unit clauses it holds)
     _problems: dict[frozenset, tuple[ColoringProblem, set]] = field(default_factory=dict)
@@ -106,8 +113,7 @@ class Stage:
         base = self.base_problem()
         cut = frozenset(base.name_to_var[self.cfg.primary(n)] for n in exclude)
         if cut not in self._problems:
-            clauses = ([c for c in base.clauses if not any(abs(l) in cut for l in c)]
-                       if cut else list(base.clauses))
+            clauses = _clauses_outside(base.clauses, cut)
             self._problems[cut] = (replace(base, clauses=clauses),
                                    {c for c in clauses if len(c) == 1})
         problem, units = self._problems[cut]
@@ -120,6 +126,12 @@ class Stage:
                 units.add((lit,))
                 problem.add_clause((lit,))
         return problem
+
+
+def _clauses_outside(clauses: Sequence[tuple[int, ...]], cut: frozenset) -> list:
+    """The clauses that mention no variable of `cut`, in order."""
+    lits = cut | {-v for v in cut}
+    return [c for c in clauses if lits.isdisjoint(c)]
 
 
 @dataclass(frozen=True)
@@ -242,17 +254,17 @@ def build_stages(script_id: str, options: Optional[Options] = None
     figures = {fid: load_figure(fid) for fid in dict.fromkeys(fids)}
     stages: dict[str, Stage] = {}
     for sid, spec in script["stages"].items():
-        cfg, rules = None, RuleSet()
+        cfg, rules, patch = None, RuleSet(), None
         if "figure" in spec:
             cfg, rules = figures[spec["figure"]].cfg, figures[spec["figure"]].rules
         elif "points" in spec:
             cfg, _, rules = instance_from_json(spec)
         if "patch" in spec:
-            a0, b0 = spec["patch"]["anchor"]
-            radius = spec["patch"].get("radius", options.patch_radius)
+            patch = (tuple(spec["patch"]["anchor"]),
+                     spec["patch"].get("radius", options.patch_radius))
             entries = [] if cfg is None else list(zip(cfg.names, cfg.points))
-            cfg = Configuration(entries + [(f"n({a + a0},{b + b0})", node(a + a0, b + b0))
-                                           for a, b in hex_indices(radius)])
+            cfg = Configuration(entries + [(name, node(a, b))
+                                           for name, (a, b) in _patch_cells(*patch)])
         if "anchors" in spec:
             rules = replace(rules, existential=ExtensionSchema(
                 tuple(tuple(a) for a in spec["anchors"])))
@@ -260,8 +272,15 @@ def build_stages(script_id: str, options: Optional[Options] = None
         if unproved:
             raise UnprovedRuleError(f"script {script_id}, stage {sid}: derived rule "
                                     f"{unproved[0]} has not been granted")
-        stages[sid] = Stage(sid, cfg, rules, spec.get("fixed", {}))
+        stages[sid] = Stage(sid, cfg, rules, spec.get("fixed", {}), patch=patch)
     return stages, tuple(figures.values())
+
+
+def _patch_cells(anchor: tuple[int, int], radius: int) -> list[tuple[str, tuple[int, int]]]:
+    """Name and lattice index pair of each node of the hex patch about
+    `anchor`, in hex_indices order."""
+    a0, b0 = anchor
+    return [(f"n({a + a0},{b + b0})", (a + a0, b + b0)) for a, b in hex_indices(radius)]
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +411,9 @@ def run_script(script_id: str, options: Optional[Options] = None,
     report.stages = {sid: {"nodes": len(stage.cfg), "variables": stage.base_problem().var_count,
                            "clauses": len(stage.base_problem().clauses)}
                      for sid, stage in stages.items()}
-    del stages  # frees their learning engines before the enumeration builds its own
 
     if options.stretch and script_id in ("col1", "col2"):
-        report.stretch = uniqueness_enumeration(script_id, options)
+        report.stretch = uniqueness_enumeration(script_id, options, stages["patch"])
 
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -449,23 +467,50 @@ def verify_all(options: Optional[Options] = None,
 # ---------------------------------------------------------------------------
 
 
-def uniqueness_enumeration(script_id: str, options: Options) -> dict:
-    """Enumerate patch colourings projected onto the central cells and compare
-    each against the canonical pattern up to the 12 lattice symmetries."""
-    stages, _ = build_stages(script_id, Options(patch_radius=options.stretch_radius))
-    stage = stages["patch"]
-    anchor = SCRIPTS[script_id]["stages"]["patch"]["patch"]["anchor"]
+def _stretch_problem(stage: Stage, radius: int) -> ColoringProblem:
+    """The base problem of `stage`, without the colours its rows forced,
+    restricted to its figure's nodes and the radius-`radius` part of its
+    patch, which is at least that large.
+
+    Dropping every clause that mentions another node is exactly the clause
+    set of the induced sub-configuration, as in `Stage.problem`.  The kept
+    variables are renumbered in ascending order, auxiliaries last, so the
+    problem is the base problem of the stage built at `radius`: both number
+    the figure's nodes first, then the patch's in hex_indices order.
+    """
+    base = stage.base_problem()
+    anchor, outer = stage.patch
+    inner = {name for name, _ in _patch_cells(anchor, radius)}
+    ring = {name for name, _ in _patch_cells(anchor, outer) if name not in inner}
+    # a patch name that is not primary names a figure node, which stays
+    cut = frozenset(base.name_to_var[name] for name in ring if stage.cfg.primary(name) == name)
+    kept = [v for v in range(1, base.var_count + 1) if v not in cut]
+    renumber = {v: i for i, v in enumerate(kept, 1)}
+    renumber.update({-v: -i for v, i in renumber.items()})
+    return ColoringProblem(
+        clauses=[tuple(map(renumber.__getitem__, c)) for c in _clauses_outside(base.clauses, cut)],
+        names=[base.names[v - 1] for v in kept],
+        name_to_var={name: renumber[v] for name, v in base.name_to_var.items()
+                     if name not in ring})
+
+
+def uniqueness_enumeration(script_id: str, options: Options, stage: Stage) -> dict:
+    """Enumerate colourings of the script's patch stage, cut down to the
+    stretch radius, projected onto the central cells, and compare each
+    against the canonical pattern up to the 12 lattice symmetries.
+
+    `stage` is the run's patch stage; when its patch is smaller than the
+    stretch radius, a stage built at that radius takes its place."""
+    if stage.patch[1] < options.stretch_radius:
+        stage = build_stages(script_id, Options(patch_radius=options.stretch_radius))[0]["patch"]
+    anchor = stage.patch[0]
     pattern = PATTERNS[next(ob.coloring for ob in OBLIGATIONS[script_id]
                             if ob.kind == SAT_WITNESS)]
-    problem = stage.problem()
+    problem = _stretch_problem(stage, options.stretch_radius)
 
-    central = []
-    for da, db in hex_indices(CENTER_RADIUS):
-        pt = node(anchor[0] + da, anchor[1] + db)
-        name = stage.cfg.name_at(pt)
-        central.append((problem.name_to_var[name], (da, db)))
     # enumerate_models reports projections in ascending variable order
-    central.sort()
+    central = sorted((problem.name_to_var[name], (a - anchor[0], b - anchor[1]))
+                     for name, (a, b) in _patch_cells(anchor, CENTER_RADIUS))
     proj_vars = [v for v, _ in central]
 
     allowed = set()

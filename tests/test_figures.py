@@ -1,8 +1,10 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 from bluefive.field import ONE
-from bluefive.figures import FIGURE_IDS, load_figure, self_check
+from bluefive.figures import CLAIM_SHAPES, FIGURE_IDS, load_figure, self_check
 from bluefive.geometry import chord_rotation, dist2, node, reflection
 from bluefive.solver import BRUTE_FORCE_MAX_FREE, brute_force, solve
 from bluefive.configuration import emit_clauses
@@ -22,6 +24,88 @@ def test_self_check_reports_bad_claims():
     assert len(problems) == 2
     assert "A-X-D-E-B is not a unit five-chain" in problems[0]
     assert "do not form a EQ3_CENTERED" in problems[1]
+
+
+def _name_list_fields() -> list:
+    """(figure, section, claim index, field) of the first shipped claim of
+    each section that has each list-of-names field; field None stands for
+    a blue_unit pair, which is itself a list of names."""
+    cases = []
+    for section, shape in CLAIM_SHAPES.items():
+        keys = [None] if section == "blue_unit" else [
+            key for key, kind in shape.items() if isinstance(kind, list) and kind[0] is str]
+        for key in keys:
+            cases += [case for case in [next(
+                ((fid, section, index, key) for fid in FIGURE_IDS
+                 for index, claim in enumerate(load_figure(fid).claims.get(section, []))
+                 if key is None or key in claim), None)] if case]
+    return cases
+
+
+@pytest.mark.parametrize("fid, section, index, key", _name_list_fields())
+def test_names_written_as_a_string_fail_the_claim(fid, section, index, key):
+    """A string in place of a list of names is not read letter by letter:
+    the claim cannot be decided, and the row of its id fails with it."""
+    figure = load_figure(fid)
+    claims = figure.claims[section]
+    if key is None:
+        text = claims[index] = "".join(claims[index])
+    else:
+        text = claims[index][key] = "".join(claims[index][key])
+    problems, decided = self_check([figure])
+    assert len(problems) == 1, problems
+    assert f" cannot be decided: {'it' if key is None else repr(key).join(['its ', ''])} " \
+           f"must be a JSON array, got {text!r}" in problems[0]
+    claim_id = key and claims[index].get("id")
+    if claim_id:
+        [(_, detail, failure)] = decided[claim_id]
+        assert f"{fid}: {failure}" == problems[0] and "error" in detail
+
+
+def _set_claims(figure, claims):
+    figure.claims = claims
+
+
+@pytest.mark.parametrize("edit, failure", [
+    (lambda f: f.claims["dist2"].append({"nodes": "AB", "equals": 9}),
+     "the dist2 claim AB cannot be decided: its 'nodes' must be a JSON array, got 'AB'"),
+    (lambda f: f.claims["ell5"][0].update(nodes="XADEB"),
+     "the ell5 claim chain-xadeb cannot be decided: its 'nodes' must be a JSON array, "
+     "got 'XADEB'"),
+    (lambda f: f.claims["patterns"][0].update(nodes="ABCO"),
+     "the patterns claim ABCO cannot be decided: its 'nodes' must be a JSON array, got 'ABCO'"),
+    (lambda f: f.claims["dist2"][0].update(nodes=["A", "B", "C"]),
+     "the dist2 claim side-ab cannot be decided: its 'nodes' must hold 2 items, not 3"),
+    (lambda f: _set_claims(f, []),
+     "the claims cannot be decided: they must be a JSON object, got []"),
+    (lambda f: f.claims["dist2"][6].update(equals=True),
+     "the dist2 claim xy-unit cannot be decided: its 'equals' must be a JSON integer, got True"),
+], ids=["dist2-string", "ell5-string", "patterns-string", "dist2-three", "claims-list",
+        "dist2-boolean"])
+def test_malformed_claims_fail_the_self_check(edit, failure):
+    """A claim not of its section's shape cannot be decided.  The three
+    strings passed, read letter by letter, `true` passed as the squared
+    distance 1, and claims that were a list raised AttributeError, before
+    claims were checked against their section's shape."""
+    figure = load_figure("fig1a")
+    edit(figure)
+    assert self_check([figure])[0] == [f"fig1a: {failure}"]
+
+
+@pytest.mark.parametrize("fid, section, key, value, failure", [
+    ("fig1b", "images", "map", ["chord", ["O"], 1],
+     "the images claim {} cannot be decided: unhashable type: 'list'"),
+    ("figcol2", "sublattice", "steps", {"A": "ab"}, "the sublattice claim {} cannot be "
+     "decided: 'str' object cannot be interpreted as an integer"),
+], ids=["map-node-list", "sublattice-step-string"])
+def test_checker_type_errors_fail_the_claim(fid, section, key, value, failure):
+    """A value of the wrong type inside a field that the shapes leave open
+    makes its checker raise TypeError, which fails the claim as one that
+    cannot be decided rather than escaping the self-check."""
+    figure = load_figure(fid)
+    claim = figure.claims[section][0]
+    claim[key] = value
+    assert self_check([figure])[0] == [f"{fid}: {failure.format(claim['id'])}"]
 
 
 def test_first_figure_has_ten_nodes():

@@ -7,8 +7,8 @@ import pytest
 
 from bluefive.field import ONE, SQRT3, fe
 from bluefive.figures import FIGURE_IDS, load_figure
-from bluefive.geometry import (Point, chord_rotation, collinear, dist2, hex_indices,
-                               lattice_coords, lattice_norm2,
+from bluefive.geometry import (MAX_PATCH_NODES, Point, check_patch_radius, chord_rotation,
+                               collinear, dist2, hex_indices, lattice_coords, lattice_norm2,
                                lattice_vectors_of_norm2, node, point, reflection,
                                rotation, rotation60)
 
@@ -102,6 +102,25 @@ def test_collinear_invariant_under_isometry():
 def test_lattice_point_counts():
     for r in range(11):
         assert len(hex_indices(r)) == 1 + 3 * r * (r + 1)
+
+
+def test_patch_radius_bound_is_decided_before_any_node():
+    """Radius 182 is the largest whose hex patch fits the node bound; the
+    bound is checked by arithmetic alone, so no larger patch is built here."""
+    assert 1 + 3 * 182 * 183 <= MAX_PATCH_NODES < 1 + 3 * 183 * 184
+    assert check_patch_radius(182) == 182 and check_patch_radius(0) == 0
+    for radius in (183, 100000):
+        with pytest.raises(ValueError, match=f"the most allowed is {MAX_PATCH_NODES}"):
+            check_patch_radius(radius)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        check_patch_radius(-1)
+
+
+def test_hex_indices_checks_the_bound(monkeypatch):
+    monkeypatch.setattr("bluefive.geometry.MAX_PATCH_NODES", 7)
+    assert len(hex_indices(1)) == 7
+    with pytest.raises(ValueError, match="radius 2 gives a hex patch of 19 nodes"):
+        hex_indices(2)
 
 
 def test_node_is_lattice_combination():

@@ -8,11 +8,11 @@ import bluefive.lemmata as lemmata
 from _oracles import reference_stage_problem
 from bluefive.configuration import Configuration, RuleSet, emit_clauses
 from bluefive.figures import CLAIM_CHECKS, CLAIM_KINDS, load_figure
-from bluefive.geometry import node
+from bluefive.geometry import hex_indices, lattice_symmetries, node
 from bluefive.lemmata import (ANCESTORS, DEPENDENCIES, Options, SCRIPT_ORDER,
                               Stage, UnprovedRuleError, build_stages, replay_certificate,
                               run_script, verify_all, write_certificates)
-from bluefive.solver import (CertificateError, export_dimacs, parse_dimacs,
+from bluefive.solver import (CertificateError, enumerate_models, export_dimacs, parse_dimacs,
                              replay_unsat_trace, solve)
 from bluefive.tilings import PATTERNS
 
@@ -327,12 +327,12 @@ _FIG1A_DIST2_IDS = ["centre-oa", "centre-ob", "centre-oc", "side-ab", "side-bc",
      "fig1a: D is not at unit distance from G", []),
     (lambda figure: figure.colors.update(D="red"), "fig1a: D is not drawn blue", []),
     (lambda figure: figure.claims["dist2"].append("A"),
-     "fig1a: the dist2 claim 'A' cannot be decided: it is not an object", []),
+     "fig1a: the dist2 claim 'A' cannot be decided: it must be a JSON object, got 'A'", []),
     (lambda figure: figure.claims.update(dist2={"nodes": ["A", "B"], "equals": 9}),
-     "fig1a: the dist2 claim ['A', 'B'] cannot be decided: the dist2 section is not a list",
-     _FIG1A_DIST2_IDS),
+     "fig1a: the dist2 claim ['A', 'B'] cannot be decided: the dist2 section must be a JSON "
+     "array, got {'nodes': ['A', 'B'], 'equals': 9}", _FIG1A_DIST2_IDS),
     (lambda figure: figure.claims["blue_unit"].append("DO"),
-     "fig1a: the blue_unit claim 'DO' cannot be decided: it is not a list of two names", []),
+     "fig1a: the blue_unit claim 'DO' cannot be decided: it must be a JSON array, got 'DO'", []),
 ], ids=["unknown-section", "blue-unit-unknown-node", "blue-unit-distance", "blue-unit-colour",
         "claim-not-object", "section-not-list", "blue-unit-not-pair"])
 def test_unchecked_claims_fail_the_self_check(monkeypatch, edit, failure, lost):
@@ -796,6 +796,86 @@ def test_stretch_mode(full_run):
         assert stretch["exhausted"]
         assert stretch["central_restrictions"] >= 1
         assert stretch["all_match_canonical"]
+
+
+def _reference_stretch(script_id: str, stage: Stage) -> dict:
+    """The stretch report read straight off `stage`, built at the stretch
+    radius: its base problem's models projected onto the central cells."""
+    (a0, b0), radius = stage.patch
+    problem = stage.base_problem()
+    central = sorted((problem.name_to_var[stage.cfg.name_at(node(a0 + a, b0 + b))], (a, b))
+                     for a, b in hex_indices(lemmata.CENTER_RADIUS))
+    pattern = PATTERNS[next(ob.coloring for ob in lemmata.OBLIGATIONS[script_id]
+                            if ob.kind == lemmata.SAT_WITNESS)]
+    allowed = {tuple(pattern.is_red(a0 + sym(a, b)[0], b0 + sym(a, b)[1]) for _, (a, b) in central)
+               for sym in lattice_symmetries()}
+    models, exhausted = enumerate_models(problem, lemmata.MODEL_CAP,
+                                         project=[v for v, _ in central])
+    mismatches = [list(m) for m in models if m not in allowed]
+    return {"patch_radius": radius, "center_radius": lemmata.CENTER_RADIUS,
+            "model_cap": lemmata.MODEL_CAP, "central_restrictions": len(models),
+            "exhausted": exhausted, "all_match_canonical": not mismatches,
+            "mismatches": mismatches[:5]}
+
+
+@pytest.mark.parametrize("script_id, patch, stretch, restrictions", [
+    *[(sid, patch, stretch, 1) for sid in ("col1", "col2")
+      for patch, stretch in ((11, 8), (7, 6), (3, 6))],
+    ("col2", 12, 2, 5)])
+def test_stretch_enumeration_restricts_the_patch_stage(monkeypatch, script_id, patch, stretch,
+                                                       restrictions):
+    """The enumeration's problem is the base problem of the stage built at
+    the stretch radius: the same variable names in the same order, hence
+    the same clauses named by node, and the same aliases.  Its report is
+    the one read straight off that stage.  A patch smaller than the
+    stretch radius is replaced by a stage built at that radius."""
+    enumerated = []
+
+    def recording(problem, *args, **kwargs):
+        enumerated.append(problem)
+        return enumerate_models(problem, *args, **kwargs)
+
+    monkeypatch.setattr(lemmata, "enumerate_models", recording)
+    stage = build_stages(script_id, Options(patch_radius=patch))[0]["patch"]
+    report = lemmata.uniqueness_enumeration(
+        script_id, Options(patch_radius=patch, stretch_radius=stretch), stage)
+    reference = build_stages(script_id, Options(patch_radius=stretch))[0]["patch"]
+    assert enumerated == [reference.base_problem()]
+    assert report == _reference_stretch(script_id, reference)
+    assert (report["central_restrictions"], report["exhausted"]) == (restrictions, True)
+    assert report["all_match_canonical"] == (restrictions == 1)
+
+
+@pytest.mark.parametrize("patch, builds", [(7, 1), (3, 2)])
+def test_stretch_reads_the_run_patch_stage(monkeypatch, patch, builds):
+    """A stretch run builds col1's stages once, and a stage at the stretch
+    radius (6) only when the run's patch is smaller.  The problem it
+    enumerates holds none of the colours the run's rows forced."""
+    calls, enumerated = [], []
+
+    def counting(script_id, options=None):
+        calls.append(script_id)
+        return build_stages(script_id, options)
+
+    def recording(problem, *args, **kwargs):
+        enumerated.append(problem)
+        return enumerate_models(problem, *args, **kwargs)
+
+    monkeypatch.setattr(lemmata, "build_stages", counting)
+    monkeypatch.setattr(lemmata, "enumerate_models", recording)
+    run = verify_all(Options(patch_radius=patch, stretch=True), only=["col1"])
+    assert run.ok and run.reports["col1"].stretch["central_restrictions"] == 1
+    assert calls.count("col1") == builds
+    assert enumerated == [build_stages("col1", Options(patch_radius=6))[0]["patch"].base_problem()]
+
+
+def test_stretch_radius_below_the_centre_is_refused(monkeypatch):
+    """A stretch radius that leaves out central cells is refused before
+    any stage is built, naming the least radius."""
+    monkeypatch.setattr(lemmata, "build_stages", None)
+    with pytest.raises(ValueError, match="the least stretch radius is 2"):
+        verify_all(Options(patch_radius=5, stretch=True, stretch_radius=1), only=["col1", "col2"])
+    assert Options(stretch_radius=2).stretch_radius == 2
 
 
 # sha256 of the certified run's report JSON (sort_keys, every elapsed_ms

@@ -167,6 +167,24 @@ def test_cli_render(tmp_path):
     assert main(["render", "nosuch", "--svg", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"], ["export-cnf", "col1", "--out", "{tmp}/cnf"],
+    ["render", "patternA", "--svg", "{tmp}/p.svg"], ["coloring", "validate", "A"]])
+def test_cli_refuses_a_patch_past_the_node_bound(monkeypatch, tmp_path, capsys, argv):
+    """Every command that takes --radius refuses, with exit 2, a radius
+    whose hex patch passes the node bound, before it builds anything.  The
+    bound is lowered to 19 nodes (radius 2) so that radius 6 stays small
+    even if the refusal were missing."""
+    monkeypatch.setattr("bluefive.geometry.MAX_PATCH_NODES", 19)
+    for name in ("verify_all", "build_stages", "render", "validate_pattern"):
+        monkeypatch.setattr(cli, name, None)  # the refusal comes before any of them
+    args = [a.format(tmp=tmp_path) for a in argv] + ["--radius", "6"]
+    assert main(args) == 2
+    assert "radius 6 gives a hex patch of 127 nodes; the most allowed is 19" in (
+        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_coloring_validate(tmp_path):
     report = tmp_path / "a.json"
     assert main(["coloring", "validate", "A", "--radius", "12",
