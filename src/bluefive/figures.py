@@ -3,30 +3,29 @@
 Each registry is a JSON data file holding exact coordinates, the colours
 the diagram shows (red / blue / undetermined), the rule ids of its
 instance, and the named facts that `self_check` re-verifies against the
-coordinates: blue unit pairs and eight claim sections, each of a shape
-in CLAIM_SHAPES and decided by one checker in CLAIM_CHECKS.  They are
-squared distances (`dist2`), images under a chord turn, mirror, lattice
-translation or turn by sixths (`images`), five-chains (`ell5`), template
-placements (`patterns`), template extensions (`extensions`), a block
-symmetry (`symmetry`), a pattern's sublattice (`sublattice`) and norm-25
+coordinates: eight claim sections, each of a shape in CLAIM_SHAPES and
+decided by one checker in CLAIM_CHECKS.  They are squared distances
+(`dist2`), images under a chord turn, mirror, lattice translation or
+turn by sixths (`images`), five-chains (`ell5`), template placements
+(`patterns`), template extensions (`extensions`), a block symmetry
+(`symmetry`), a pattern's sublattice (`sublattice`) and norm-25
 invariance (`invariance`).  A claim with an "id" is also the sole
 statement of the verification obligation of that id, which reports the
 self-check's one decision of it under the kind of CLAIM_KINDS its section
-maps to.  The registries double as ready-to-run instance files for the
-oracle command.
+maps to.  The colours drawn are `lemmata.figure_colors`, as each run
+checks; the registries are also ready-to-run oracle instance files.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from typing import Sequence
 
 from .configuration import (Configuration, RuleSet, _json_field, instance_from_json,
                             is_unit_chain, placement_count, template, template_extensions)
-from .field import ONE, fe
+from .field import fe
 from .geometry import (chord_rotation, dist2, lattice_coords, lattice_norm2,
                        lattice_vectors_of_norm2, node, reflection, rotation60)
 from .tilings import PATTERNS, distance5_invariance
@@ -78,15 +77,6 @@ def _check_image(cfg: Configuration, claim: dict):
     got, want = _image_map(cfg, claim["map"])(cfg.point_of(src)), cfg.point_of(dst)
     return ({"image": f"({got.x}, {got.y})", "expected": f"({want.x}, {want.y})"},
             got != want and f"{claim['map']} takes {src} to ({got.x}, {got.y}), not to {dst}")
-
-
-def _check_blue_unit(colors: dict, cfg: Configuration, pair: list):
-    """The blue node lies at unit distance from the red one and is not drawn red."""
-    blue, red = pair
-    got, drawn = dist2(cfg.point_of(blue), cfg.point_of(red)), colors.get(blue, "blue")
-    return ({"dist2": str(got), "drawn": drawn},
-            (got != ONE and f"{blue} is not at unit distance from {red}")
-            or (drawn != "blue" and f"{blue} is not drawn blue"))
 
 
 def _check_chain(cfg: Configuration, claim: dict):
@@ -183,10 +173,10 @@ CLAIM_CHECKS = {"dist2": _check_dist2, "images": _check_image,
                 "ell5": _check_chain, "patterns": _check_placement,
                 "extensions": _check_extensions, "symmetry": _check_symmetry,
                 "sublattice": _check_sublattice, "invariance": _check_invariance}
-# Each section's claim shape (configuration._json_field); blue_unit's is a [blue, red] pair.
+# Each section's claim shape (configuration._json_field).
 _CLAIM = {"id": str, "nodes": [str], "template": str, "map": [object, 3]}
 CLAIM_SHAPES = {
-    "blue_unit": [str, 2], "dist2": {**_CLAIM, "nodes": [str, 2], "equals": int},
+    "dist2": {**_CLAIM, "nodes": [str, 2], "equals": int},
     "images": {**_CLAIM, "nodes": [str, 2]}, "ell5": {**_CLAIM, "nodes": [str, 5]},
     "patterns": _CLAIM, "extensions": {**_CLAIM, "extend": [str, 2], "blocked": [str],
                                        "open": [[str]], "count": int, "outside": int},
@@ -203,25 +193,23 @@ def self_check(figures: Sequence[Figure]) -> tuple[list[str], dict[str, list[tup
 
     Returns the human-readable failures (none when every transcription is
     consistent) and, per claim id, the (kind, detail, failure) of each claim.
-    A `blue_unit` pair [blue, red] is a claim that reports no obligation.  A
-    section with no checker fails, as does a claim not of its section's shape
+    A section with no checker fails, as does a claim not of its section's shape
     (a section that is not a list, or claims that are not an object, are
     one such claim) or whose checker raises KeyError, TypeError or ValueError.
     """
     problems: list[str] = []
     decided: dict[str, list[tuple]] = {}
     for figure in figures:
-        checks = {"blue_unit": partial(_check_blue_unit, figure.colors), **CLAIM_CHECKS}
         claims = figure.claims if isinstance(figure.claims, dict) else {None: figure.claims}
         problems += [f"{figure.id}: unknown claim section {section!r}"
-                     for section in claims if section not in checks and section is not None]
-        for section in [s for s in (None, *checks) if s in claims]:
+                     for section in claims if section not in CLAIM_CHECKS and section is not None]
+        for section in [s for s in (None, *CLAIM_CHECKS) if s in claims]:
             listed = claims[section]
             for claim in listed if section and isinstance(listed, list) else [listed]:
                 try:
                     _json_field(figure.claims, dict, "they")
                     _json_field(listed, list, f"the {section} section")
-                    detail, failure = checks[section](
+                    detail, failure = CLAIM_CHECKS[section](
                         figure.cfg, _json_field(claim, CLAIM_SHAPES[section], "it"))
                 except (KeyError, TypeError, ValueError) as exc:  # unknown or malformed data
                     detail = {"error": str(exc.args[0]) if exc.args else type(exc).__name__}

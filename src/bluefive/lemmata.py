@@ -237,6 +237,17 @@ OBLIGATIONS: dict[str, tuple[Obligation, ...]] = {
     sid: tuple(Obligation(**row) for row in s["obligations"]) for sid, s in SCRIPTS.items()}
 
 
+def figure_colors(figure: Figure) -> dict[str, str]:
+    """The colours `figure` draws, by primary name: the premises and FORCED
+    colours of the one stage that reads it (ValueError unless exactly one)."""
+    [(sid, stage, spec)] = [(sid, stage, spec) for sid, script in SCRIPTS.items()
+                            for stage, spec in script["stages"].items()
+                            if spec.get("figure") == figure.id]
+    colours = {**spec.get("fixed", {}), **{ob.node: ob.color for ob in OBLIGATIONS[sid]
+                                            if ob.kind == FORCED and ob.stage == stage}}
+    return {figure.cfg.primary(n): c for n, c in colours.items()}
+
+
 class UnprovedRuleError(Exception):
     """A stage uses a derived rule that none of its script's ancestors grants."""
 
@@ -389,6 +400,12 @@ def run_script(script_id: str, options: Optional[Options] = None,
     if figures:
         t1 = time.perf_counter()
         problems, decided = self_check(figures)
+        for figure in figures:  # each node drawn other than its stage proves fails the row
+            drawn = {figure.cfg.primary(n): c for n, c in figure.colors.items()}
+            proved = figure_colors(figure)
+            problems += [f"{figure.id}: {n} is drawn {drawn.get(n, 'hollow')}, but its stage "
+                         f"proves {proved.get(n, 'no colour')}" for n in sorted(drawn | proved)
+                         if drawn.get(n) != proved.get(n)]
         report.obligations.append(ObligationResult(
             "transcription-self-check", GEOM_IDENTITY,
             "the shipped registry satisfies all of its named facts",

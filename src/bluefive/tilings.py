@@ -120,16 +120,11 @@ def validate_pattern(coloring: PeriodicColoring, radius: int) -> PatternReport:
 def distance5_invariance(coloring: PeriodicColoring) -> bool:
     """True iff translating by any norm-25 lattice vector preserves the red set.
 
-    Checked on a full residue system of the pattern's lattice, which
-    suffices by periodicity; implies every distance-5 lattice pair is
+    `residues` is linear modulo det, so translating by v shifts each red
+    residue by residues(v); implies every distance-5 lattice pair is
     monochromatic.
     """
-    vectors = lattice_vectors_of_norm2(25)
-    span = abs(coloring.det)
-    for va, vb in vectors:
-        for a in range(span):
-            for b in range(span):
-                if coloring.is_red(a, b) != coloring.is_red(a + va, b + vb):
-                    return False
-    return True
+    d, red = coloring.det, coloring.red_residues
+    return all({((ra + sa) % d, (rb + sb) % d) for ra, rb in red} == red
+               for sa, sb in (coloring.residues(*v) for v in lattice_vectors_of_norm2(25)))
 

@@ -6,6 +6,7 @@ import pytest
 from bluefive.field import ONE
 from bluefive.figures import CLAIM_SHAPES, FIGURE_IDS, load_figure, self_check
 from bluefive.geometry import chord_rotation, dist2, node, reflection
+from bluefive.lemmata import figure_colors
 from bluefive.solver import BRUTE_FORCE_MAX_FREE, brute_force, solve
 from bluefive.configuration import emit_clauses
 
@@ -28,17 +29,15 @@ def test_self_check_reports_bad_claims():
 
 def _name_list_fields() -> list:
     """(figure, section, claim index, field) of the first shipped claim of
-    each section that has each list-of-names field; field None stands for
-    a blue_unit pair, which is itself a list of names."""
+    each section that has each list-of-names field."""
     cases = []
     for section, shape in CLAIM_SHAPES.items():
-        keys = [None] if section == "blue_unit" else [
-            key for key, kind in shape.items() if isinstance(kind, list) and kind[0] is str]
-        for key in keys:
+        for key in [key for key, kind in shape.items()
+                    if isinstance(kind, list) and kind[0] is str]:
             cases += [case for case in [next(
                 ((fid, section, index, key) for fid in FIGURE_IDS
                  for index, claim in enumerate(load_figure(fid).claims.get(section, []))
-                 if key is None or key in claim), None)] if case]
+                 if key in claim), None)] if case]
     return cases
 
 
@@ -48,15 +47,11 @@ def test_names_written_as_a_string_fail_the_claim(fid, section, index, key):
     the claim cannot be decided, and the row of its id fails with it."""
     figure = load_figure(fid)
     claims = figure.claims[section]
-    if key is None:
-        text = claims[index] = "".join(claims[index])
-    else:
-        text = claims[index][key] = "".join(claims[index][key])
+    text = claims[index][key] = "".join(claims[index][key])
     problems, decided = self_check([figure])
     assert len(problems) == 1, problems
-    assert f" cannot be decided: {'it' if key is None else repr(key).join(['its ', ''])} " \
-           f"must be a JSON array, got {text!r}" in problems[0]
-    claim_id = key and claims[index].get("id")
+    assert f" cannot be decided: its {key!r} must be a JSON array, got {text!r}" in problems[0]
+    claim_id = claims[index].get("id")
     if claim_id:
         [(_, detail, failure)] = decided[claim_id]
         assert f"{fid}: {failure}" == problems[0] and "error" in detail
@@ -106,6 +101,17 @@ def test_checker_type_errors_fail_the_claim(fid, section, key, value, failure):
     claim = figure.claims[section][0]
     claim[key] = value
     assert self_check([figure])[0] == [f"{fid}: {failure.format(claim['id'])}"]
+
+
+def test_registries_draw_what_their_stages_fix_and_force():
+    """Each registry's colours are its stage's premises plus the colours of
+    that stage's FORCED rows: no proved colour goes undrawn, and fig3's X
+    (proved by no row) and figthm's A (the hypothesis of red-point-exists,
+    not a premise of the witness-pair stage) are not drawn."""
+    for fid in FIGURE_IDS:
+        figure = load_figure(fid)
+        assert figure.colors == figure_colors(figure), fid
+    assert "X" not in load_figure("fig3").colors and "A" not in load_figure("figthm").colors
 
 
 def test_first_figure_has_ten_nodes():

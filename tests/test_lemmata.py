@@ -164,7 +164,8 @@ def test_each_claim_is_decided_once_per_run(monkeypatch):
             return check(cfg, claim)
         monkeypatch.setitem(CLAIM_CHECKS, section, counted)
     assert verify_all(Options()).ok
-    assert len(calls) == 119
+    # 44 of them are id-less unit pairs, each of a blue node and its red neighbour
+    assert len(calls) == 163
 
 
 def _bluetr_with_edited_chains(monkeypatch, edit):
@@ -321,26 +322,25 @@ _FIG1A_DIST2_IDS = ["centre-oa", "centre-ob", "centre-oc", "side-ab", "side-bc",
 @pytest.mark.parametrize("edit, failure, lost", [
     (lambda figure: figure.claims.update(dist=[{"nodes": ["A", "B"], "equals": 7}]),
      "fig1a: unknown claim section 'dist'", []),
-    (lambda figure: figure.claims["blue_unit"].append(["Q", "O"]),
-     "fig1a: the blue_unit claim ['Q', 'O'] cannot be decided: unknown node 'Q'", []),
-    (lambda figure: figure.claims["blue_unit"].append(["D", "G"]),
-     "fig1a: D is not at unit distance from G", []),
-    (lambda figure: figure.colors.update(D="red"), "fig1a: D is not drawn blue", []),
+    (lambda figure: figure.claims["dist2"].append({"nodes": ["Q", "O"], "equals": 1}),
+     "fig1a: the dist2 claim ['Q', 'O'] cannot be decided: unknown node 'Q'", []),
+    (lambda figure: figure.claims["dist2"].append({"nodes": ["D", "G"], "equals": 1}),
+     "fig1a: D,G is at squared distance 3, not 1", []),
     (lambda figure: figure.claims["dist2"].append("A"),
      "fig1a: the dist2 claim 'A' cannot be decided: it must be a JSON object, got 'A'", []),
     (lambda figure: figure.claims.update(dist2={"nodes": ["A", "B"], "equals": 9}),
      "fig1a: the dist2 claim ['A', 'B'] cannot be decided: the dist2 section must be a JSON "
      "array, got {'nodes': ['A', 'B'], 'equals': 9}", _FIG1A_DIST2_IDS),
-    (lambda figure: figure.claims["blue_unit"].append("DO"),
-     "fig1a: the blue_unit claim 'DO' cannot be decided: it must be a JSON array, got 'DO'", []),
-], ids=["unknown-section", "blue-unit-unknown-node", "blue-unit-distance", "blue-unit-colour",
-        "claim-not-object", "section-not-list", "blue-unit-not-pair"])
+    (lambda figure: figure.claims["dist2"].append({"nodes": ["D"], "equals": 1}),
+     "fig1a: the dist2 claim ['D'] cannot be decided: its 'nodes' must hold 2 items, not 1", []),
+], ids=["unknown-section", "unit-unknown-node", "unit-distance", "claim-not-object",
+        "section-not-list", "unit-one-node"])
 def test_unchecked_claims_fail_the_self_check(monkeypatch, edit, failure, lost):
     """A claim section with no checker, a section that is not a list, a
-    claim that is not an object, and a blue unit entry that is not a pair
-    of names, names an unknown node, is off unit distance or has its blue
-    node drawn red, fail the self-check and so the script.  Every row
-    passes but the `lost` ones, whose claims the edit removed."""
+    claim that is not an object, and an id-less unit distance claim that
+    names an unknown node, is off unit distance or names one node, fail
+    the self-check and so the script.  Every row passes but the `lost`
+    ones, whose claims the edit removed."""
     results = _failed_rows(monkeypatch, "bluetr", "fig1a", edit)
     assert results.pop("transcription-self-check").detail == {"failures": [failure]}
     assert sorted(oid for oid, row in results.items() if row.status != "pass") == lost
@@ -360,6 +360,44 @@ def test_witness_pair_distances_without_an_id_fail_the_theorem(monkeypatch, inde
                            _claim_set("dist2", index, equals=equals))
     assert results["transcription-self-check"].detail == {"failures": [failure]}
     assert results["witness-pair-geometry"].status == "pass"
+
+
+@pytest.mark.parametrize("sid, fid, edit, failure", [
+    ("bluetr", "fig1a", lambda colors: colors.update(D="red"),
+     "fig1a: D is drawn red, but its stage proves blue"),
+    ("t7", "fig3", lambda colors: colors.update(X="blue"),
+     "fig3: X is drawn blue, but its stage proves no colour"),
+    ("col2", "figcol2", lambda colors: colors.pop("N"),
+     "figcol2: N is drawn hollow, but its stage proves blue"),
+], ids=["flip", "add", "drop"])
+def test_edited_drawn_colour_fails_the_self_check(monkeypatch, sid, fid, edit, failure):
+    """A registry draws exactly the colours its stage fixes and forces: one
+    drawn colour flipped, added or dropped fails the self-check, naming the
+    figure and the node, and no other row, since stages read their
+    premises from the script table and not from the registry."""
+    results = _failed_rows(monkeypatch, sid, fid, lambda figure: edit(figure.colors))
+    assert results.pop("transcription-self-check").detail == {"failures": [failure]}
+    assert all(row.status == "pass" for row in results.values())
+
+
+def test_edited_drawn_colour_fails_verify_lemma(monkeypatch, tmp_path):
+    """`bluefive verify lemma` exits 1 on a registry with a flipped colour,
+    and its report names the figure and the node."""
+    from bluefive.cli import main
+
+    def edited(name):
+        figure = load_figure(name)
+        if name == "fig3":
+            figure.colors["A'"] = "red"
+        return figure
+
+    monkeypatch.setattr(lemmata, "load_figure", edited)
+    report = tmp_path / "t7.json"
+    assert main(["verify", "lemma", "t7", "--json", str(report)]) == 1
+    rows = {row["id"]: row for row in json.loads(report.read_text())["reports"]["t7"][
+        "obligations"]}
+    assert rows["transcription-self-check"]["detail"] == {
+        "failures": ["fig3: A' is drawn red, but its stage proves blue"]}
 
 
 def test_claim_obligation_needs_exactly_one_claim(monkeypatch):
@@ -524,6 +562,18 @@ def test_certificates_replay(full_run, tmp_path):
     for fname in names:
         payload = json.loads((tmp_path / fname).read_text())
         assert replay_certificate(payload)
+
+
+def test_certified_rows_have_distinct_bundle_file_names(full_run, tmp_path):
+    """Every certified row of the table, across scripts, gets its own file
+    `{script}__{oid with ' spelled p}.json`: write_certificates keys its
+    files by that name, so two rows of one name would leave one
+    certificate silently overwritten by the other."""
+    certified = [sid + "__" + ob.oid.replace("'", "p") + ".json" for sid in SCRIPT_ORDER
+                 for ob in lemmata.OBLIGATIONS[sid]
+                 if ob.kind in ("FORCED", "UNSAT", "SAT_WITNESS")]
+    assert [name for name, n in Counter(certified).items() if n > 1] == []
+    assert sorted(write_certificates(full_run[0], tmp_path)["files"]) == sorted(certified)
 
 
 def test_refutation_trace_bound_to_declared_assumption(bundle):

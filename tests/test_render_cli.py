@@ -19,10 +19,10 @@ from bluefive.tilings import PATTERN_B
 
 def test_first_figure_glyph_counts():
     svg = render_figure("fig1a")
-    # one red diamond, seven blue discs, two hollow discs
-    assert svg.count("<polygon") == 1
+    # three red diamonds (O, X, Y), seven blue discs, no hollow disc
+    assert svg.count("<polygon") == 3
     assert svg.count('fill="#24c"') == 7
-    assert svg.count('fill="white"') == 2
+    assert svg.count('fill="white"') == 0
 
 
 def test_third_figure_has_primed_labels():
@@ -44,7 +44,7 @@ def test_svg_byte_stable():
 
 
 # sha256 of render(t) concatenated over RENDER_TARGETS at the default radius
-SVG_SHA256 = "a47be45ac2cc41370db88cb72b8969edb2d6c204fd4814dd22e638db45af2f57"
+SVG_SHA256 = "8d6fdcd249001ff75b17d201499859fea2da32ca11befae919a3fef4fc4d24cf"
 
 
 def test_svg_bytes_unchanged():

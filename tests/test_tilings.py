@@ -163,6 +163,36 @@ def test_distance5_invariance():
     assert not distance5_invariance(checker)
 
 
+def _invariance_by_scan(coloring: PeriodicColoring) -> bool:
+    """The reference: compare the colour of every node of a full residue
+    system with the colour of its translate by each norm-25 vector."""
+    span = abs(coloring.det)
+    return all(coloring.is_red(a, b) == coloring.is_red(a + va, b + vb)
+               for va, vb in lattice_vectors_of_norm2(25)
+               for a in range(span) for b in range(span))
+
+
+def test_distance5_invariance_agrees_with_the_scan():
+    """Shifting the red residues decides what the scan decides, on random
+    periodic colourings whose determinant takes either sign."""
+    rng = random.Random(25)
+    verdicts, signs = set(), set()
+    for pattern in (PATTERN_A, PATTERN_B):
+        assert distance5_invariance(pattern) is _invariance_by_scan(pattern) is True
+    for _ in range(300):
+        gen1, gen2 = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2)]
+        if gen1[0] * gen2[1] == gen1[1] * gen2[0]:
+            continue
+        cluster = tuple((rng.randint(-6, 6), rng.randint(-6, 6))
+                        for _ in range(rng.randint(1, 4)))
+        coloring = PeriodicColoring("random", cluster, gen1, gen2)
+        verdict = distance5_invariance(coloring)
+        assert verdict == _invariance_by_scan(coloring), coloring
+        verdicts.add(verdict)
+        signs.add(coloring.det > 0)
+    assert verdicts == signs == {True, False}
+
+
 def test_every_blue_has_a_red_unit_neighbor():
     assert blue_has_red_unit_neighbor(PATTERN_A, 10)
     assert blue_has_red_unit_neighbor(PATTERN_B, 10)

@@ -4,13 +4,18 @@
 Each registry records exact coordinates, the colours shown in the
 construction diagram (red / blue / undetermined), the rule ids its
 instance uses, and the named facts that the transcription self-check
-re-verifies: blue unit pairs, squared distances (`dist2`), images under
-a chord turn, mirror, lattice translation or turn by sixths (`images`),
-five-chains (`ell5`), template placements (`patterns`), template
-extensions (`extensions`), a block symmetry (`symmetry`), a pattern's
-sublattice (`sublattice`) and norm-25 invariance (`invariance`).  A fact
-that a verification script proves carries the id of that script's
-obligation, which reads it from here.
+re-verifies: squared distances (`dist2`), images under a chord turn,
+mirror, lattice translation or turn by sixths (`images`), five-chains
+(`ell5`), template placements (`patterns`), template extensions
+(`extensions`), a block symmetry (`symmetry`), a pattern's sublattice
+(`sublattice`) and norm-25 invariance (`invariance`).  A fact that a
+verification script proves carries the id of that script's obligation,
+which reads it from here.  The colours are not written here: they are
+what the stage reading the figure in scripts.json fixes and forces
+(`lemmata.figure_colors`).
+
+Run from the root of a checkout with `PYTHONPATH=src python3
+tools/make_figures.py`.
 """
 
 from __future__ import annotations
@@ -19,18 +24,22 @@ import json
 import pathlib
 from fractions import Fraction
 
+from bluefive.configuration import Configuration, rules_from_ids
 from bluefive.field import SQRT3, fe
+from bluefive.figures import Figure
 from bluefive.geometry import chord_rotation, node, point
+from bluefive.lemmata import figure_colors
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "bluefive" / "data" / "figures"
 
 
-def dump(fid: str, entries, colors, rules, claims):
+def dump(fid: str, entries, rules, claims):
+    figure = Figure(fid, Configuration(entries), {}, rules_from_ids(rules), claims)
     data = {
         "id": fid,
         "points": [{"name": name, "x": pt.x.serialize(), "y": pt.y.serialize()}
                    for name, pt in entries],
-        "fixed": {n: c for n, c in sorted(colors.items())},
+        "fixed": figure_colors(figure),
         "rules": rules,
         "claims": claims,
     }
@@ -73,15 +82,13 @@ def fig1a():
         "Y": node(0, -1), "X": node(1, -1),
     }
     order = ["A", "F", "G", "C", "D", "E", "B", "O", "Y", "X"]
-    colors = {"O": "red", "A": "blue", "B": "blue", "C": "blue",
-              "D": "blue", "E": "blue", "F": "blue", "G": "blue"}
     claims = {
-        "blue_unit": [["D", "O"], ["E", "O"], ["F", "O"], ["G", "O"]],
         "dist2": [
             dist2("side-ab", "A", "B", 9), dist2("side-bc", "B", "C", 9),
             dist2("side-ca", "C", "A", 9), dist2("centre-oa", "O", "A", 3),
             dist2("centre-ob", "O", "B", 3), dist2("centre-oc", "O", "C", 3),
             dist2("xy-unit", "X", "Y", 1), dist2(None, "X", "A", 1), dist2(None, "Y", "A", 1),
+            *units(["D", "O"], ["E", "O"], ["F", "O"], ["G", "O"]),
         ],
         "images": [],
         "ell5": [
@@ -91,8 +98,8 @@ def fig1a():
         "patterns": [{"template": "EQ3_CENTERED", "nodes": ["A", "B", "C", "O"],
                       "center_last": True}],
     }
-    dump("fig1a", [(n, pts[n]) for n in order], colors,
-         ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN"], claims)
+    dump("fig1a", [(n, pts[n]) for n in order], ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN"],
+         claims)
 
 
 def fig1b():
@@ -103,10 +110,7 @@ def fig1b():
     rot = chord_rotation(O, -1)
     Ap, Bp, Cp = rot(A), rot(B), rot(C)
     order = [("O", O), ("C", C), ("C'", Cp), ("B", B), ("B'", Bp), ("A", A), ("A'", Ap)]
-    colors = {"O": "red", "A": "red", "B": "red", "C": "red",
-              "A'": "blue", "B'": "blue", "C'": "blue"}
     claims = {
-        "blue_unit": [["A'", "A"], ["B'", "B"], ["C'", "C"]],
         "dist2": [
             dist2("side-ab", "A", "B", 9), dist2("side-bc", "B", "C", 9),
             dist2("side-ca", "C", "A", 9), dist2("centre-oa", "O", "A", 3),
@@ -125,7 +129,7 @@ def fig1b():
              "nodes": ["A'", "B'", "C'", "O"], "center_last": True},
         ],
     }
-    dump("fig1b", order, colors,
+    dump("fig1b", order,
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "BLUE_EQ3_RED_CENTER"], claims)
 
 
@@ -148,11 +152,7 @@ def fig3():
     order = [("B", B), ("C", C), ("A", A), ("A'", Ap), ("D", D), ("X", X),
              ("X'", Xp), ("F", F), ("F'", Fp), ("E", E), ("G", G),
              ("D''", Dpp), ("X''", Xpp), ("F''", Fpp)]
-    colors = {"A": "red", "B": "red", "C": "red", "D": "red", "E": "red",
-              "F": "red", "G": "red", "X'": "red", "X''": "red",
-              "X": "blue", "A'": "blue", "F'": "blue", "D''": "blue", "F''": "blue"}
     claims = {
-        "blue_unit": [["A'", "A"], ["F'", "F"], ["D''", "D"], ["F''", "F"]],
         "dist2": [
             dist2("chord-a", "A", "A'", 1), dist2("chord-f", "F", "F'", 1),
             dist2("chord-x", "X", "X'", 1), dist2("chord-d", "D", "D''", 1),
@@ -178,7 +178,7 @@ def fig3():
              "nodes": ["X''", "D''", "F''", "C"], "center_last": True},
         ],
     }
-    dump("fig3", order, colors,
+    dump("fig3", order,
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "BLUE_EQ3_RED_CENTER"], claims)
 
 
@@ -192,13 +192,9 @@ def fig4():
     }
     order = ["A", "B", "C", "J", "I", "Z", "N", "P", "K", "L", "M", "Y",
              "G", "H", "X", "E", "F", "Q"]
-    colors = {"A": "red", "B": "red", "C": "red",
-              "J": "blue", "I": "blue", "Z": "blue", "Y": "blue", "G": "blue",
-              "H": "blue", "X": "blue", "E": "blue", "F": "blue"}
     claims = {
-        "blue_unit": [["E", "B"], ["F", "B"], ["G", "C"], ["H", "C"],
-                      ["I", "A"], ["J", "A"]],
-        "dist2": units(["K", "L"], ["K", "M"], ["N", "P"], ["N", "Q"]),
+        "dist2": units(["K", "L"], ["K", "M"], ["N", "P"], ["N", "Q"],
+                       ["E", "B"], ["F", "B"], ["G", "C"], ["H", "C"], ["I", "A"], ["J", "A"]),
         "extensions": [extensions("s1-completions", "T3", "T4", ["A", "B", "C"], 3,
                                   [["X"], ["Y"], ["Z"]], 0)],
         "images": [],
@@ -214,7 +210,7 @@ def fig4():
             {"id": "s1-t4-Z", "template": "T4", "nodes": ["A", "B", "C", "Z"]},
         ],
     }
-    dump("fig4", [(n, node(*pts[n])) for n in order], colors,
+    dump("fig4", [(n, node(*pts[n])) for n in order],
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN"], claims)
 
 
@@ -227,13 +223,9 @@ def fig5():
     }
     order = ["A", "B", "C", "D", "K", "L", "X", "F", "H", "I", "G",
              "P", "R", "M", "N", "Q"]
-    colors = {"A": "red", "B": "red", "C": "red", "D": "red",
-              "K": "blue", "L": "blue", "X": "blue", "F": "blue", "H": "blue",
-              "I": "blue", "G": "blue", "M": "blue", "N": "blue"}
     claims = {
-        "blue_unit": [["H", "C"], ["I", "C"], ["K", "B"], ["L", "B"],
-                      ["M", "D"], ["N", "D"]],
-        "dist2": units(["P", "Q"], ["P", "R"]),
+        "dist2": units(["P", "Q"], ["P", "R"],
+                       ["H", "C"], ["I", "C"], ["K", "B"], ["L", "B"], ["M", "D"], ["N", "D"]),
         "extensions": [extensions("s2-completions", "T4", "T5", ["A", "B", "C", "D"], 4,
                                   [["X"], ["F"], ["G"]], 1)],
         "images": [],
@@ -248,7 +240,7 @@ def fig5():
             {"id": "s2-t5-G", "template": "T5", "nodes": ["A", "B", "C", "D", "G"]},
         ],
     }
-    dump("fig5", [(n, node(*pts[n])) for n in order], colors,
+    dump("fig5", [(n, node(*pts[n])) for n in order],
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN"], claims)
 
 
@@ -263,14 +255,10 @@ def fig6():
     }
     order = ["A", "B", "C", "D", "E", "G", "H", "X", "U", "T", "Q", "P",
              "K", "L", "F", "N", "M", "R", "S", "V", "W", "J", "I", "Y"]
-    colors = {"A": "red", "B": "red", "C": "red", "D": "red", "E": "red",
-              "G": "blue", "H": "blue", "X": "blue", "K": "blue", "L": "blue",
-              "F": "blue", "N": "blue", "M": "blue", "J": "blue", "I": "blue",
-              "Y": "blue"}
     claims = {
-        "blue_unit": [["G", "A"], ["H", "A"], ["I", "E"], ["J", "E"],
-                      ["K", "C"], ["L", "C"], ["M", "D"], ["N", "D"]],
-        "dist2": units(["Q", "P"], ["Q", "U"], ["Q", "T"], ["S", "R"], ["S", "V"], ["S", "W"]),
+        "dist2": units(["Q", "P"], ["Q", "U"], ["Q", "T"], ["S", "R"], ["S", "V"], ["S", "W"],
+                       ["G", "A"], ["H", "A"], ["I", "E"], ["J", "E"],
+                       ["K", "C"], ["L", "C"], ["M", "D"], ["N", "D"]),
         "images": [],
         "ell5": [
             {"id": "s3-chain-qpklf", "nodes": ["Q", "P", "K", "L", "F"]},
@@ -289,7 +277,7 @@ def fig6():
             {"id": "s3-t6", "template": "T6", "nodes": ["A", "B", "C", "D", "E", "F"]},
         ],
     }
-    dump("fig6", [(n, node(*pts[n])) for n in order], colors,
+    dump("fig6", [(n, node(*pts[n])) for n in order],
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "RED_EQ3_RED_CENTER", "T7_ALL_RED"],
          claims)
 
@@ -312,17 +300,12 @@ def figcol1():
              "K", "L", "I", "Q", "P", "J", "N", "M", "R",
              "U", "V", "W", "X1", "X2", "S1", "S2", "S3", "S4", "X", "Y",
              "S1'", "S2'", "S4'", "V'", "X1'", "X2'"]
-    colors = {"A": "red", "B": "red", "C": "red", "D": "red", "E": "red", "F": "red",
-              "K": "blue", "L": "blue", "I": "blue", "J": "blue", "N": "blue",
-              "M": "blue", "U": "blue", "V": "blue", "W": "blue",
-              "S1": "blue", "S2": "blue"}
     claims = {
-        "blue_unit": [["K", "A"], ["L", "F"], ["M", "E"], ["N", "E"],
-                      ["V", "C"], ["W", "C"],
-                      ["S1", "D"], ["S2", "D"], ["S3", "A'"], ["S4", "A'"],
-                      ["S1'", "D"], ["S2'", "E"], ["S4'", "A'"], ["V'", "E"]],
         "dist2": units(["R", "Q"], ["R", "P"], ["X", "X1"], ["X", "X2"],
-                       ["Y", "X1'"], ["Y", "X2'"]),
+                       ["Y", "X1'"], ["Y", "X2'"],
+                       ["K", "A"], ["L", "F"], ["M", "E"], ["N", "E"], ["V", "C"], ["W", "C"],
+                       ["S1", "D"], ["S2", "D"], ["S3", "A'"], ["S4", "A'"],
+                       ["S1'", "D"], ["S2'", "E"], ["S4'", "A'"], ["V'", "E"]),
         "images": [image(f"translate-{n}", ["translate", 5, 0], n, f"{n}'") for n in "ABCDEF"],
         "extensions": [extensions("t6-candidates", "T3", "T6", ["A'", "B'", "F'"], 4,
                                   [["C'", "D'", "E'"]], 0, blocked=["X", "Y"])],
@@ -350,7 +333,7 @@ def figcol1():
             {"id": "anchor-t3", "template": "T3", "nodes": ["A'", "B'", "F'"]},
         ],
     }
-    dump("figcol1", [(n, node(*pts[n])) for n in order], colors,
+    dump("figcol1", [(n, node(*pts[n])) for n in order],
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "RED_EQ3_RED_CENTER"],
          claims)
 
@@ -365,13 +348,9 @@ def figcol2():
     }
     order = ["A", "B", "A'''", "B'''", "C", "H", "I", "G", "N", "A'",
              "F", "E", "D", "B''", "B'", "J", "K", "W0", "A''"]
-    colors = {"A": "red", "B": "red",
-              "H": "blue", "I": "blue", "G": "blue", "F": "blue", "E": "blue",
-              "D": "blue", "J": "blue", "K": "blue"}
     claims = {
-        "blue_unit": [["E", "B"], ["F", "B"], ["I", "B"], ["H", "B"],
-                      ["K", "B"], ["J", "B"]],
-        "dist2": [dist2("ab-sqrt3", "A", "B", 3), dist2(None, "N", "B'", 1)],
+        "dist2": [dist2("ab-sqrt3", "A", "B", 3), dist2(None, "N", "B'", 1),
+                  *units(["E", "B"], ["F", "B"], ["I", "B"], ["H", "B"], ["K", "B"], ["J", "B"])],
         "sublattice": [{"id": "line-lattice", "pattern": "B", "origin": "A",
                         "steps": {"B": [1, 0], "C": [2, 0], "A'": [0, 1], "B'": [1, 1]},
                         "members": ["A''", "B''", "A'''", "B'''"], "index": 5}],
@@ -386,7 +365,7 @@ def figcol2():
             {"id": "t3-G", "template": "T3", "nodes": ["A", "B", "G"]},
         ],
     }
-    dump("figcol2", [(n, node(*pts[n])) for n in order], colors,
+    dump("figcol2", [(n, node(*pts[n])) for n in order],
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN", "NO_RED_T3"],
          claims)
 
@@ -396,9 +375,7 @@ def figthm():
     point A, and the lattice facts that make every such point red."""
     A, B = node(0, 0), node(5, 0)
     C = point(Fraction(49, 10), fe(0, 0, Fraction(3, 10)))
-    colors = {"A": "red", "B": "red", "C": "red"}
     claims = {
-        "blue_unit": [],
         "dist2": [dist2("witness-pair-geometry", "A", "C", 25), dist2(None, "A", "B", 25),
                   dist2(None, "B", "C", 1)],
         "images": [image("blue-point-on-lattice", ["translate", 5, 0], "A", "B")],
@@ -407,7 +384,7 @@ def figthm():
         "invariance": [{"id": "distance5-invariance", "patterns": ["A", "B"],
                         "vectors": [[5, 0], [-5, 0], [0, 5], [0, -5], [5, -5], [-5, 5]]}],
     }
-    dump("figthm", [("A", A), ("B", B), ("C", C)], colors,
+    dump("figthm", [("A", A), ("B", B), ("C", C)],
          ["RED_L2_FORBIDDEN", "BLUE_L5_FORBIDDEN"], claims)
 
 
