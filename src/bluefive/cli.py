@@ -62,6 +62,9 @@ def _print_run(run: RunResult, out=None) -> None:
         for res in report.obligations:
             mark = "ok " if res.status == "pass" else "FAIL"
             print(f"    {mark} {res.oid}: {res.statement}", file=out)
+            if res.status != "pass":
+                for failure in res.detail.get("failures", ()):
+                    print(f"         {failure}", file=out)
         if report.reason:
             print(f"    reason: {report.reason}", file=out)
         if report.stretch is not None:

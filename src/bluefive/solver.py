@@ -27,18 +27,24 @@ follows from the clauses, the assumptions and the decisions on earlier
 variables, so the first model found is the lexicographically first one
 over the decision order.
 
-The kept engine also keeps the model of its last query in ascending
+Each kind of search keeps the model of its last query in ascending
 order that found one, with that query's assumptions and the number of
-clauses the model was checked against.  A later such query returns it
-without deciding anything when every kept assumption is assumed again
-or true at level 0 after the new clauses are taken in, and the model
-satisfies those new clauses and the query's assumptions.  Level-0
-facts follow from the clauses, so the query's models are then a subset
-of the models the kept one was first among, and it holds in the subset:
-it is first there too.  `clauses` only grows, as `absorb` relies on, so
-only the clauses added since need checking.  Traced searches never read
-or write the kept model, so `oracle`'s cross-check of learned against
-traced searches stays independent of it.
+clauses the model was checked against: untraced searches on the kept
+engine, traced ones on the problem's clause index.  A later query of the
+same kind returns it without deciding anything when every kept
+assumption is assumed again or a fact, and the model satisfies the
+clauses added since and the query's assumptions (`_reuse_kept`).  A fact
+is a literal true at level 0 after the new clauses are taken in for the
+engine, and a unit clause of the problem for the index.  Facts follow
+from the clauses, so the query's models are then a subset of the models
+the kept one was first among, and it holds in the subset: it is first
+there too.  `clauses` only grows, as `absorb` relies on, so only the
+clauses added since need checking.  A reused traced model comes with an
+empty trace; a model must satisfy every clause and assumption, so an
+unsat verdict is never answered this way and its trace is always
+searched in full.  The two kept models never read each other, so
+`oracle`'s cross-check of learned against traced searches stays
+independent of both.
 
 `parse_dimacs` reads only the DIMACS form `export_dimacs` writes: the
 line ``p cnf V C`` and C lines of single-space-separated literals ending
@@ -53,9 +59,10 @@ clause per assumption of the entry.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import not_
 from typing import Iterable, Optional, Sequence
@@ -133,7 +140,7 @@ class _ClauseIndex:
     grows, built once per clause: its DIMACS lines, the variable map
     text, the watch lists of every clause of 2+ literals (on its first
     two), the unit clauses with their ids and the id of the first empty
-    clause, all in clause order.
+    clause, all in clause order; and the traced searches' kept model.
     """
 
     def __init__(self, names: Sequence[str]) -> None:
@@ -143,6 +150,8 @@ class _ClauseIndex:
         self.watch: list[list[int]] = [[] for _ in range(2 * len(names) + 1)]
         self.units: list[tuple[int, int]] = []
         self.empty: Optional[int] = None
+        # as `_Engine.kept`, for traced searches
+        self.kept: Optional[tuple[tuple[bool, ...], tuple[int, ...], int]] = None
 
     def extend(self, clauses: Sequence[Sequence[int]]) -> None:
         watch = self.watch
@@ -157,6 +166,34 @@ class _ClauseIndex:
             elif self.empty is None:
                 self.empty = cid
         self.count = len(clauses)
+
+    def kept_first(self, clauses: Sequence[Sequence[int]],
+                   assumptions: Sequence[int]) -> Optional[tuple[bool, ...]]:
+        """`_reuse_kept` with the unit clauses of `clauses`, all indexed,
+        as its facts."""
+        units = self.units
+        return _reuse_kept(self, lambda lit: any(u == lit for u, _ in units),
+                           clauses, assumptions)
+
+
+def _reuse_kept(holder, is_fact, clauses: Sequence[Sequence[int]],
+                assumptions: Sequence[int]) -> Optional[tuple[bool, ...]]:
+    """The model of `holder.kept` when it is also the first model of
+    `clauses` and `assumptions` in ascending order, else None.  It is
+    when every kept assumption is assumed again or `is_fact`, a literal
+    that follows from the clauses, and the model satisfies the clauses
+    added since it was checked and the assumptions.  A model returned is
+    kept with the new assumptions and clause count."""
+    if holder.kept is None:
+        return None
+    model, held, checked = holder.kept
+    for lit in held:
+        if lit not in assumptions and not is_fact(lit):
+            return None
+    if not check_model(clauses[checked:], model, assumptions):
+        return None
+    holder.kept = (model, tuple(assumptions), len(clauses))
+    return model
 
 
 @dataclass
@@ -260,23 +297,10 @@ class _Engine:
 
     def kept_first(self, clauses: Sequence[Sequence[int]],
                    assumptions: Sequence[int]) -> Optional[tuple[bool, ...]]:
-        """The kept model when it is also the first model of `clauses`
-        and `assumptions` in ascending order, else None; called at level 0
-        after `absorb`.  It is when every kept assumption is assumed again
-        or true at level 0, and the model satisfies the clauses added since
-        it was checked and the assumptions.  A model returned is kept with
-        the new assumptions and clause count."""
-        if self.kept is None:
-            return None
-        model, held, checked = self.kept
+        """`_reuse_kept` with the literals true at level 0 as its facts;
+        called at level 0 after `absorb`."""
         val = self.val
-        for lit in held:
-            if val[lit] != 1 and lit not in assumptions:
-                return None
-        if not check_model(clauses[checked:], model, assumptions):
-            return None
-        self.kept = (model, tuple(assumptions), len(clauses))
-        return model
+        return _reuse_kept(self, lambda lit: val[lit] == 1, clauses, assumptions)
 
     # ------------------------------------------------------------------
 
@@ -490,18 +514,23 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
     implied value holds in all models that extend the assumptions and the
     decisions before it, so either way the first model is the
     lexicographically first one over `order`, with true before false.
-    An untraced query in ascending order returns the engine's kept model
-    when it is still first (`_Engine.kept_first`) and keeps the model it
-    finds.
+    A query in ascending order returns the kept model of its kind (the
+    engine's or, traced, the index's) when it is still first, with no
+    trace events, and keeps the model it finds.
     """
     nv = problem.var_count
     for lit in assumptions:
         if lit == 0 or not -nv <= lit <= nv:  # val[lit] would alias another literal
             raise ValueError(f"assumption {lit} references an undeclared variable")
-    keep = order is None and trace is None
+    keep = order is None
     if order is None:
         order = range(1, nv + 1)
     if trace is not None:
+        holder = problem._indexed()
+        if keep:
+            model = holder.kept_first(problem.clauses, assumptions)
+            if model is not None:
+                return model
         eng = _Engine(nv, trace)
         if not eng.load(problem, assumptions):
             return None
@@ -513,6 +542,7 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
         eng.cancel(0)
         if not eng.absorb(problem.clauses):
             return None
+        holder = eng
         if keep:
             model = eng.kept_first(problem.clauses, assumptions)
             if model is not None:
@@ -536,7 +566,7 @@ def _first_model(problem: ColoringProblem, assumptions: Sequence[int],
             if not check_model(problem.clauses, model, assumptions):
                 raise AssertionError("solver produced an invalid model")
             if keep:
-                eng.kept = (model, tuple(assumptions), len(problem.clauses))
+                holder.kept = (model, tuple(assumptions), len(problem.clauses))
             return model
         eng.decide(var)  # red (true) branch first
 
@@ -596,8 +626,12 @@ def enumerate_models(problem: ColoringProblem, cap: int,
     proj_set = set(proj_vars)
     order = proj_vars + [v for v in range(1, problem.var_count + 1) if v not in proj_set]
     # a problem of its own: blocking clauses do not follow from the
-    # problem's, so they must not reach its learning engine
-    blocked = replace(problem, clauses=list(problem.clauses))
+    # problem's, so they must not reach its learning engine or index.  Its
+    # clauses are the problem's, checked already, so it is copied without
+    # `__post_init__`; `add_clause` still checks each blocking clause.
+    blocked = copy.copy(problem)
+    blocked.clauses = list(problem.clauses)
+    blocked._engine = blocked._index = None
     models: list[tuple[bool, ...]] = []
     while len(models) < cap:
         full = _first_model(blocked, (), order, None)

@@ -380,9 +380,10 @@ def test_edited_drawn_colour_fails_the_self_check(monkeypatch, sid, fid, edit, f
     assert all(row.status == "pass" for row in results.values())
 
 
-def test_edited_drawn_colour_fails_verify_lemma(monkeypatch, tmp_path):
+def test_edited_drawn_colour_fails_verify_lemma(monkeypatch, tmp_path, capsys):
     """`bluefive verify lemma` exits 1 on a registry with a flipped colour,
-    and its report names the figure and the node."""
+    and both its report and its printed output, under the failing row,
+    name the figure and the node."""
     from bluefive.cli import main
 
     def edited(name):
@@ -394,10 +395,13 @@ def test_edited_drawn_colour_fails_verify_lemma(monkeypatch, tmp_path):
     monkeypatch.setattr(lemmata, "load_figure", edited)
     report = tmp_path / "t7.json"
     assert main(["verify", "lemma", "t7", "--json", str(report)]) == 1
+    failure = "fig3: A' is drawn red, but its stage proves blue"
     rows = {row["id"]: row for row in json.loads(report.read_text())["reports"]["t7"][
         "obligations"]}
-    assert rows["transcription-self-check"]["detail"] == {
-        "failures": ["fig3: A' is drawn red, but its stage proves blue"]}
+    assert rows["transcription-self-check"]["detail"] == {"failures": [failure]}
+    lines = capsys.readouterr().out.splitlines()
+    row = next(i for i, line in enumerate(lines) if "FAIL transcription-self-check" in line)
+    assert lines[row + 1].strip() == failure
 
 
 def test_claim_obligation_needs_exactly_one_claim(monkeypatch):

@@ -252,6 +252,33 @@ def _ref_solve(problem, assumptions):
     return "unsat", None, trace
 
 
+def _holds(model, clause):
+    return any(model[abs(lit) - 1] == (lit > 0) for lit in clause)
+
+
+def _traced_ref(problem, assumptions, kept):
+    """What a traced query on `problem` must return, given `kept`: the
+    (model, assumptions, clause count) of the problem's last traced query
+    that found a model, or None.  The reference (kind, model, trace) on a
+    fresh problem, but with the trace [] when the query reuses the kept
+    model: every kept assumption is assumed again or a unit clause, and
+    the model satisfies the clauses added since and the assumptions.
+    Returns it with the kept model after the query."""
+    clauses = problem.clauses
+    kind, model, trace = _ref_solve(_problem(problem.var_count, clauses), assumptions)
+    if kind == "sat":
+        if kept is not None:
+            old, held, checked = kept
+            units = {c[0] for c in clauses if len(c) == 1}
+            if (all(lit in assumptions or lit in units for lit in held)
+                    and all(_holds(old, c) for c in clauses[checked:])
+                    and all(_holds(old, (lit,)) for lit in assumptions)):
+                assert old == model  # a reused model is the first one
+                trace = []
+        kept = (model, tuple(assumptions), len(clauses))
+    return (kind, model, trace), kept
+
+
 def _ref_models(problem, cap, proj_vars):
     models = []
     for full in reference_search(problem, (), proj_vars, None):
@@ -263,8 +290,9 @@ def _ref_models(problem, cap, proj_vars):
 
 def test_engine_matches_reference_engine(monkeypatch):
     """Traced verdicts, models and trace events equal the reference
-    engine's; untraced (learning) searches give the same verdicts and
-    models, and so do enumerations."""
+    engine's, but for the empty trace of a traced query that reuses the
+    kept model (`_traced_ref`); untraced (learning) searches give the same
+    verdicts and models, and so do enumerations."""
     backjumps = []  # levels jumped over by each learned clause of 2+ literals
     learn = solver._Engine.learn
 
@@ -300,23 +328,25 @@ def test_engine_matches_reference_engine(monkeypatch):
             assumptions.insert(rng.randint(0, len(assumptions)), -rng.choice(units))
             seen["assume-against-unit"] += 1
         verdict = solve(problem, assumptions, record_trace=True)
-        want = _ref_solve(problem, assumptions)
+        want, kept = _traced_ref(problem, assumptions, None)
         assert (verdict.kind, verdict.model, verdict.trace) == want
         if verdict.kind == "unsat":  # each assumption replays as one more unit clause
             assert replay_unsat_trace(clauses + [(lit,) for lit in assumptions], verdict.trace)
+        traced = verdict
         verdict = solve(problem, assumptions)
         assert (verdict.kind, verdict.model, verdict.trace) == (*want[:2], None)
 
-        var = rng.randint(1, nvars)
+        var = rng.randint(1, nvars)  # the traced sides may reuse the model found above
         res = forced_color(problem, f"v{var}", record_trace=True)
         for side, lit in ((res.when_blue, -var), (res.when_red, var)):
-            assert (side.kind, side.model, side.trace) == _ref_solve(problem, [lit])
+            want, kept = _traced_ref(problem, [lit], kept)
+            assert (side.kind, side.model, side.trace) == want
         untraced = forced_color(problem, f"v{var}")
         assert untraced.status == res.status
         for side, lit in ((untraced.when_blue, -var), (untraced.when_red, var)):
             assert (side.kind, side.model, side.trace) == (*_ref_solve(problem, [lit])[:2], None)
         seen["unsat"] += res.when_blue.kind == "unsat"
-        seen["flip"] += any(ev[0] == "flip" for ev in res.when_blue.trace)
+        seen["flip"] += any(ev[0] == "flip" for ev in traced.trace + res.when_blue.trace)
 
         cap = rng.randint(1, 40)
         everything = list(range(1, nvars + 1))
@@ -342,8 +372,9 @@ def test_kept_engine_matches_a_fresh_search(monkeypatch):
     """One problem object takes untraced queries interleaved with
     add_clause and enumerate_models; every verdict and model equals the
     reference engine's on a fresh problem holding the clauses so far, a
-    traced solve in between equals the reference trace, and enumeration
-    leaves the clauses as they were."""
+    traced solve in between equals the reference trace or reuses the
+    traced kept model (`_traced_ref`), and enumeration leaves the clauses
+    as they were."""
     learned = {}  # engine id -> clauses of 2+ literals it has kept
     learn = solver._Engine.learn
 
@@ -367,7 +398,7 @@ def test_kept_engine_matches_a_fresh_search(monkeypatch):
         problem = _problem(nvars, [clause(nvars, (2, 3, 3, 4))
                                    for _ in range(rng.randint(0, 4 * nvars))])
         cases = set()
-        engine = None
+        engine = traced_kept = None
         for _ in range(rng.randint(4, 6)):
             for _ in range(rng.randint(0, 2)):
                 was_sat = _ref_solve(_problem(nvars, problem.clauses), [])[0] == "sat"
@@ -379,7 +410,8 @@ def test_kept_engine_matches_a_fresh_search(monkeypatch):
                 cases.add("after-learning")
             if rng.random() < 0.5:
                 verdict = solve(problem, [1], record_trace=True)
-                assert (verdict.kind, verdict.model, verdict.trace) == _ref_solve(fresh, [1])
+                want, traced_kept = _traced_ref(problem, [1], traced_kept)
+                assert (verdict.kind, verdict.model, verdict.trace) == want
             forced = rng.random() < 0.5
             if forced:
                 var = rng.randint(1, nvars)
@@ -429,9 +461,6 @@ def test_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
     kept_first = solver._Engine.kept_first
     seen = collections.Counter()
 
-    def holds(model, clause):
-        return any(model[abs(lit) - 1] == (lit > 0) for lit in clause)
-
     def sorted_kept_first(eng, clauses, assumptions):
         kept = eng.kept
         got = kept_first(eng, clauses, assumptions)
@@ -444,9 +473,9 @@ def test_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
             assert _ref_solve(_problem(eng.nv, clauses), [-lit])[0] == "unsat"
         if len(facts) + sum(lit in assumptions for lit in held) < len(held):
             case = "kept-assumption-dropped"
-        elif not all(holds(model, clause) for clause in clauses[checked:]):
+        elif not all(_holds(model, clause) for clause in clauses[checked:]):
             case = "added-clause-falsifies"
-        elif not all(holds(model, (lit,)) for lit in assumptions):
+        elif not all(_holds(model, (lit,)) for lit in assumptions):
             case = "assumption-falsified"
         else:
             case = "reuse"
@@ -467,6 +496,7 @@ def test_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
         problem = _problem(nvars, [tuple(literal(nvars) for _ in range(rng.choice((2, 3, 3, 4))))
                                    for _ in range(rng.randint(0, 3 * nvars))])
         last, asked = None, []  # the last model an untraced query returned, and its assumptions
+        traced_kept = None
         for _ in range(rng.randint(6, 14)):
             step = rng.random()
             if step < 0.3:
@@ -483,7 +513,8 @@ def test_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
                 kept = problem._engine and problem._engine.kept
                 assumptions = [literal(nvars) for _ in range(rng.randint(0, 2))]
                 verdict = solve(problem, assumptions, record_trace=True)
-                assert (verdict.kind, verdict.model, verdict.trace) == _ref_solve(fresh, assumptions)
+                want, traced_kept = _traced_ref(problem, assumptions, traced_kept)
+                assert (verdict.kind, verdict.model, verdict.trace) == want
                 assert (problem._engine and problem._engine.kept) is kept
                 continue
             if step < 0.7:
@@ -502,6 +533,120 @@ def test_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
                     last, asked = verdict.model, lits
     assert min(seen[case] for case in ("reuse", "kept-assumption-dropped",
                                        "added-clause-falsifies")) >= 30, seen
+
+
+def test_traced_kept_model_is_reused_only_while_it_stays_first(monkeypatch):
+    """The traced sibling of the test above.  One random sequence per
+    problem mixes add_clause (units and longer clauses, some of them units
+    of a kept assumption) with traced solve and forced_color queries under
+    random assumptions, and now and then an untraced solve.  Every traced
+    kind and model equals the reference engine's on the clauses so far,
+    every unsat trace equals the reference trace and replays, and a sat
+    trace is [] exactly when the kept model is reused.  Each lookup of the
+    index's kept model is sorted by why it was or was not reused: a kept
+    assumption neither assumed nor a unit clause, an added clause the kept
+    model falsifies, an assumption it falsifies, or none of these, which
+    must be a reuse.  Untraced queries never look up or change the traced
+    kept model, and traced queries never the engine's."""
+    index_first, engine_first = solver._ClauseIndex.kept_first, solver._Engine.kept_first
+    seen = collections.Counter()
+    lookups = collections.Counter()  # kept_first calls per kind of search
+    cases = []  # the case of each traced lookup of the query being checked
+
+    def sorted_kept_first(index, clauses, assumptions):
+        lookups["traced"] += 1
+        kept = index.kept
+        got = index_first(index, clauses, assumptions)
+        if kept is None:
+            assert got is None
+            cases.append("nothing-kept")
+            return got
+        model, held, checked = kept
+        units = {c[0] for c in clauses if len(c) == 1}
+        if not all(lit in assumptions or lit in units for lit in held):
+            case = "kept-assumption-dropped"
+        elif not all(_holds(model, clause) for clause in clauses[checked:]):
+            case = "added-clause-falsifies"
+        elif not all(_holds(model, (lit,)) for lit in assumptions):
+            case = "assumption-falsified"
+        else:
+            case = "reuse"
+            seen["reuse-by-unit"] += any(lit not in assumptions for lit in held)
+            assert got is model and index.kept == (model, tuple(assumptions), len(clauses))
+        if case != "reuse":
+            assert got is None and index.kept is kept
+        seen[case] += 1
+        cases.append(case)
+        return got
+
+    def counted_engine_first(eng, clauses, assumptions):
+        lookups["untraced"] += 1
+        return engine_first(eng, clauses, assumptions)
+
+    monkeypatch.setattr(solver._ClauseIndex, "kept_first", sorted_kept_first)
+    monkeypatch.setattr(solver._Engine, "kept_first", counted_engine_first)
+    rng = random.Random(33)
+
+    def literal(nvars):
+        return rng.choice((1, -1)) * rng.randint(1, nvars)
+
+    for _ in range(150):
+        nvars = rng.randint(2, 12)
+        problem = _problem(nvars, [tuple(literal(nvars) for _ in range(rng.choice((2, 3, 3, 4))))
+                                   for _ in range(rng.randint(0, 3 * nvars))])
+        kept = None  # the traced kept model, as `_traced_ref` follows it
+        for _ in range(rng.randint(6, 14)):
+            step = rng.random()
+            if step < 0.3:
+                if kept is not None and kept[1] and rng.random() < 0.5:  # a kept assumption
+                    clause = [rng.choice(kept[1])]
+                elif kept is not None and rng.random() < 0.4:  # false in the kept model
+                    clause = [v if not kept[0][v - 1] else -v
+                              for v in rng.sample(range(1, nvars + 1),
+                                                  min(rng.choice((1, 2, 3)), nvars))]
+                else:
+                    clause = [literal(nvars) for _ in range(rng.choice((1, 2, 3, 3, 4)))]
+                problem.add_clause(clause)
+                continue
+            traced_kept = getattr(problem._index, "kept", None)
+            before = lookups.copy()
+            if step < 0.4:
+                assumptions = [literal(nvars) for _ in range(rng.randint(0, 2))]
+                verdict = solve(problem, assumptions)
+                assert (verdict.kind, verdict.model) == _ref_solve(
+                    _problem(nvars, problem.clauses), assumptions)[:2]
+                assert getattr(problem._index, "kept", None) is traced_kept
+                assert lookups["traced"] == before["traced"]
+                continue
+            engine_kept = problem._engine and problem._engine.kept
+            del cases[:]
+            if step < 0.7:
+                var = rng.randint(1, nvars)
+                res = forced_color(problem, f"v{var}", record_trace=True)
+                sides = ((res.when_blue, [-var]), (res.when_red, [var]))
+            else:
+                assumptions = [literal(nvars) for _ in range(rng.randint(0, 3))]
+                if kept is not None and rng.random() < 0.5:  # ask again, perhaps with more
+                    assumptions = list(kept[1]) + assumptions[:rng.randint(0, 1)]
+                    if rng.random() < 0.5:  # but not for what is now a unit clause
+                        assumptions = [lit for lit in assumptions if (lit,) not in problem.clauses]
+                sides = ((solve(problem, assumptions, record_trace=True), assumptions),)
+            assert (problem._engine and problem._engine.kept) is engine_kept
+            assert lookups["untraced"] == before["untraced"]
+            assert len(cases) == len(sides)  # one lookup per side
+            for (verdict, lits), case in zip(sides, cases):
+                want, kept = _traced_ref(problem, lits, kept)
+                assert (verdict.kind, verdict.model, verdict.trace) == want
+                if verdict.is_sat:  # a reused model is the only one with no events
+                    assert (verdict.trace == []) == (case == "reuse")
+                else:
+                    assert replay_unsat_trace(problem.clauses + [(lit,) for lit in lits],
+                                              verdict.trace)
+                    seen["unsat"] += 1
+            assert problem._index.kept == kept
+    assert min(seen[case] for case in ("reuse", "reuse-by-unit", "kept-assumption-dropped",
+                                       "added-clause-falsifies", "assumption-falsified",
+                                       "unsat")) >= 30, seen
 
 
 def test_absorb_equals_the_per_literal_filter():
@@ -541,7 +686,8 @@ def test_clause_index_is_exact():
     random interleaving, with clauses that repeat a literal, units added
     late and, in some rounds, an empty clause.  Each export equals a
     from-scratch render, each traced verdict equals the one on a fresh
-    problem with the same clauses and the reference engine's, and a
+    problem with the same clauses and the reference engine's, but for the
+    empty trace of a reuse of the traced kept model (`_traced_ref`), and a
     `replace` copy starts with an empty index."""
     rng = random.Random(31)
     seen = {"duplicate": 0, "late-unit": 0, "empty": 0, "unit-before-empty": 0, "sat": 0,
@@ -549,6 +695,7 @@ def test_clause_index_is_exact():
     for _ in range(200):
         nvars = rng.randint(1, 10)
         problem = _problem(nvars, [])
+        kept = None
         for _ in range(rng.randint(3, 12)):
             step = rng.random()
             if step < 0.5:
@@ -566,9 +713,9 @@ def test_clause_index_is_exact():
                                for _ in range(rng.randint(0, 2))]
                 verdict = solve(problem, assumptions, record_trace=True)
                 fresh = solve(_problem(nvars, problem.clauses), assumptions, record_trace=True)
-                got = (verdict.kind, verdict.model, verdict.trace)
-                assert got == (fresh.kind, fresh.model, fresh.trace)
-                assert got == _ref_solve(problem, assumptions)
+                assert (fresh.kind, fresh.model, fresh.trace) == _ref_solve(problem, assumptions)
+                want, kept = _traced_ref(problem, assumptions, kept)
+                assert (verdict.kind, verdict.model, verdict.trace) == want
                 seen[verdict.kind] += 1
                 if () in problem.clauses:
                     seen["empty"] += 1
@@ -584,7 +731,9 @@ def test_clause_index_is_exact():
 def test_traced_search_leaves_the_problem_clauses_alone():
     """A traced search reorders literals only in its own copies: a problem
     built with list clauses equals its deep copy after a traced solve, and
-    two traced solves with an untraced query between them trace alike."""
+    of two traced solves with an untraced query between them the first
+    traces as the reference engine does and the second does too, or, when
+    the first found a model, reuses it with an empty trace."""
     rng = random.Random(17)
     seen = {"sat": 0, "unsat": 0, "flip": 0}
     for _ in range(40):
@@ -598,10 +747,13 @@ def test_traced_search_leaves_the_problem_clauses_alone():
         assumptions = [rng.choice((1, -1)) * rng.randint(1, nvars)]
         first = solve(problem, assumptions, record_trace=True)
         assert problem.clauses == before
+        want, kept = _traced_ref(problem, assumptions, None)
+        assert (first.kind, first.model, first.trace) == want
         assert solve(problem, assumptions).kind == first.kind
         second = solve(problem, assumptions, record_trace=True)
         assert problem.clauses == before
-        assert (second.kind, second.model, second.trace) == (first.kind, first.model, first.trace)
+        want, _ = _traced_ref(problem, assumptions, kept)  # a sat side reuses the first model
+        assert (second.kind, second.model, second.trace) == want
         seen[first.kind] += 1
         seen["flip"] += any(ev[0] == "flip" for ev in first.trace)
     assert min(seen.values()) >= 5, seen
@@ -638,6 +790,32 @@ def test_enumeration_matches_reference_on_stretch_patches(script_id, radius, cou
         assert models == _ref_models(problem, cap, project)
     assert len(models[0]) == count and models[1]
     assert problem.clauses == clauses
+
+
+def test_enumeration_checks_only_its_blocking_clauses(monkeypatch):
+    """`enumerate_models` copies the problem without checking its clauses
+    again: the only literal checks are those of `add_clause`, one per
+    blocking clause, and the caller's problem keeps its clauses, its
+    engine and its index as they were."""
+    problem = _problem(4, [(1, 2), (-3, 4), (-1, -2)])
+    solve(problem, record_trace=True)
+    solve(problem)
+    clauses, engine, index = list(problem.clauses), problem._engine, problem._index
+    kept, indexed = (engine.kept, engine.absorbed), (index.kept, index.count)
+    checked = []
+    check = ColoringProblem._check_literals
+
+    def recording(self, new):
+        checked.append(list(new))
+        return check(self, new)
+
+    monkeypatch.setattr(ColoringProblem, "_check_literals", recording)
+    models, exhausted = enumerate_models(problem, cap=3)
+    assert not exhausted and len(models) == 3
+    assert checked == [[tuple(-v if m[v - 1] else v for v in range(1, 5))] for m in models]
+    assert problem.clauses == clauses
+    assert problem._engine is engine and (engine.kept, engine.absorbed) == kept
+    assert problem._index is index and (index.kept, index.count) == indexed
 
 
 def test_monotonicity_adding_clauses_keeps_unsat():
